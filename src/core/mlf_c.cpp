@@ -26,6 +26,8 @@ void MlfC::before_schedule(Cluster& cluster, const std::vector<TaskId>& queue, S
   overloaded_ = backlog || cluster.overload_degree() > params_.hs;
   if (!overloaded_) return;
 
+  // Every unfinished job, not just the live set: a job that arrives during
+  // an overload starts at its downgraded policy.
   for (Job& job : cluster.jobs()) {
     if (job.done()) continue;
     const StopPolicy next =

@@ -35,8 +35,8 @@ double RewardTracker::round_reward(const Cluster& cluster, SimTime now) {
   const double bw_now = cluster.total_bandwidth_mb();
   if (bandwidth_primed_) {
     std::size_t active = 0;
-    for (const Job& job : cluster.jobs()) {
-      if (!job.done() && job.state() != JobState::Waiting) ++active;
+    for (const JobId id : cluster.live_jobs()) {
+      if (cluster.job(id).state() != JobState::Waiting) ++active;
     }
     const double delta_gb_per_job =
         (bw_now - last_bandwidth_mb_) / 1000.0 / std::max<std::size_t>(1, active);

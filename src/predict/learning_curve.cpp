@@ -36,26 +36,77 @@ double basis_ilog(const std::vector<double>& p, double x) {
   return c - a / std::log(x + std::numbers::e);
 }
 
+/// ln(x + e) at x = i + 1 for the first kLogTableSize points, built once
+/// (thread-safe static init); longer curves compute the tail directly.
+constexpr std::size_t kLogTableSize = 4096;
+
+const std::vector<double>& ilog_denominators() {
+  static const std::vector<double> kTable = [] {
+    std::vector<double> t(kLogTableSize);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      t[i] = std::log(static_cast<double>(i + 1) + std::numbers::e);
+    }
+    return t;
+  }();
+  return kTable;
+}
+
 }  // namespace
 
 const std::vector<Basis>& bases() {
   static const std::vector<Basis> kBases = {
-      {"mmf", basis_mmf, {0.9, std::log(8.0)}},
-      {"pow3", basis_pow3, {0.9, 0.9, std::log(0.7)}},
-      {"ilog", basis_ilog, {1.0, 1.0}},
+      {"mmf", BasisKind::Mmf, basis_mmf, {0.9, std::log(8.0)}},
+      {"pow3", BasisKind::Pow3, basis_pow3, {0.9, 0.9, std::log(0.7)}},
+      {"ilog", BasisKind::Ilog, basis_ilog, {1.0, 1.0}},
   };
   return kBases;
 }
 
 double fit_residual(const Basis& basis, const std::vector<double>& params,
                     std::span<const double> observed) {
+  // Each loop repeats its basis_* expression term for term, so every
+  // point's arithmetic (and the summation order) is unchanged.
+  const std::size_t n = observed.size();
   double sq = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    const double x = static_cast<double>(i + 1);
-    const double err = basis.eval(params, x) - observed[i];
-    sq += err * err;
+  switch (basis.kind) {
+    case BasisKind::Mmf: {
+      const double a = params[0];
+      const double k = std::exp(params[1]);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = static_cast<double>(i + 1);
+        const double err = a * x / (x + k) - observed[i];
+        sq += err * err;
+      }
+      break;
+    }
+    case BasisKind::Pow3: {
+      const double c = params[0];
+      const double a = params[1];
+      const double alpha = std::exp(params[2]);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = static_cast<double>(i + 1);
+        const double err = c - a * std::pow(x, -alpha) - observed[i];
+        sq += err * err;
+      }
+      break;
+    }
+    case BasisKind::Ilog: {
+      const double c = params[0];
+      const double a = params[1];
+      const std::vector<double>& log_table = ilog_denominators();
+      const std::size_t tabled = std::min(n, log_table.size());
+      for (std::size_t i = 0; i < tabled; ++i) {
+        const double err = c - a / log_table[i] - observed[i];
+        sq += err * err;
+      }
+      for (std::size_t i = tabled; i < n; ++i) {
+        const double err = basis_ilog(params, static_cast<double>(i + 1)) - observed[i];
+        sq += err * err;
+      }
+      break;
+    }
   }
-  return sq / static_cast<double>(observed.size());
+  return sq / static_cast<double>(n);
 }
 
 CurvePrediction combine_fits(const std::vector<BasisFit>& fits, double residual_scale) {

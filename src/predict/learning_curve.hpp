@@ -27,10 +27,13 @@ struct CurvePrediction {
 /// the one-shot reference implementation over the same pieces.
 namespace curve_detail {
 
+enum class BasisKind { Mmf, Pow3, Ilog };
+
 /// Maps (params, x) -> accuracy. Params are unconstrained reals; the
 /// functions clamp/transform internally so Nelder-Mead can roam.
 struct Basis {
   const char* name;
+  BasisKind kind;  ///< selects fit_residual's specialised loop
   double (*eval)(const std::vector<double>&, double);
   std::vector<double> init;  ///< cold-start simplex seed
 };
@@ -39,7 +42,10 @@ struct Basis {
 const std::vector<Basis>& bases();
 
 /// Mean squared error of `params` against `observed` where observed[i] is
-/// the value at x = i + 1.
+/// the value at x = i + 1. Bitwise equal to summing (basis.eval(params,
+/// i + 1) - observed[i])^2 in index order, but each basis has its own loop:
+/// per-evaluation exp() transforms are hoisted out of the point loop, and
+/// ilog's log(x + e) comes from a table. Allocation-free.
 double fit_residual(const Basis& basis, const std::vector<double>& params,
                     std::span<const double> observed);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/expect.hpp"
 
@@ -39,11 +40,18 @@ NelderMeadResult nelder_mead(const std::function<double(const std::vector<double
   constexpr double kRho = 0.5;    // contraction
   constexpr double kSigma = 0.5;  // shrink
 
+  // Per-iteration scratch, sized once: no iteration allocates.
+  std::vector<std::size_t> order(n + 1);
+  std::vector<double> centroid(n);
+  std::vector<double> reflected(n);
+  std::vector<double> expanded(n);
+  std::vector<double> contracted(n);
+
   std::size_t iter = 0;
   for (; iter < options.max_iterations; ++iter) {
-    // Order vertices by objective value.
-    std::vector<std::size_t> order(n + 1);
-    for (std::size_t i = 0; i <= n; ++i) order[i] = i;
+    // Order vertices by objective value (re-seeded with the identity each
+    // round: std::sort is not stable, so ties depend on the input order).
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(),
               [&values](std::size_t a, std::size_t b) { return values[a] < values[b]; });
     const std::size_t best = order.front();
@@ -66,25 +74,23 @@ NelderMeadResult nelder_mead(const std::function<double(const std::vector<double
     }
 
     // Centroid of all but the worst vertex.
-    std::vector<double> centroid(n, 0.0);
+    std::fill(centroid.begin(), centroid.end(), 0.0);
     for (std::size_t i = 0; i <= n; ++i) {
       if (i == worst) continue;
       for (std::size_t d = 0; d < n; ++d) centroid[d] += simplex[i][d];
     }
     for (double& c : centroid) c /= static_cast<double>(n);
 
-    auto combine = [&centroid, &simplex, worst, n](double coeff) {
-      std::vector<double> out(n);
+    auto combine = [&centroid, &simplex, worst, n](double coeff, std::vector<double>& out) {
       for (std::size_t d = 0; d < n; ++d) {
         out[d] = centroid[d] + coeff * (centroid[d] - simplex[worst][d]);
       }
-      return out;
     };
 
-    const auto reflected = combine(kAlpha);
+    combine(kAlpha, reflected);
     const double f_reflected = safe_eval(f, reflected);
     if (f_reflected < values[best]) {
-      const auto expanded = combine(kAlpha * kGamma);
+      combine(kAlpha * kGamma, expanded);
       const double f_expanded = safe_eval(f, expanded);
       if (f_expanded < f_reflected) {
         simplex[worst] = expanded;
@@ -100,7 +106,7 @@ NelderMeadResult nelder_mead(const std::function<double(const std::vector<double
       values[worst] = f_reflected;
       continue;
     }
-    const auto contracted = combine(-kRho);
+    combine(-kRho, contracted);
     const double f_contracted = safe_eval(f, contracted);
     if (f_contracted < values[worst]) {
       simplex[worst] = contracted;

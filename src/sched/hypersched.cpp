@@ -50,7 +50,8 @@ void HyperSchedScheduler::schedule(SchedulerContext& ctx) {
       }
     }
     if (gainful_waiting) {
-      for (const Job& job : ctx.cluster.jobs()) {
+      for (const JobId id : ctx.cluster.live_jobs()) {
+        const Job& job = ctx.cluster.job(id);
         if (job.state() != JobState::Running) continue;
         if (job.completed_iterations() > 0 && marginal(job) < pause_gain_threshold_ &&
             job.current_accuracy() >= job.spec().accuracy_requirement &&

@@ -61,9 +61,8 @@ std::vector<double> RlBaselineScheduler::featurize(const SchedulerContext& ctx, 
 double RlBaselineScheduler::round_reward(const SchedulerContext& ctx) const {
   // DeepRM objective: -sum over in-system jobs of 1/T_j.
   double reward = 0.0;
-  for (const Job& job : ctx.cluster.jobs()) {
-    if (job.done() || job.spec().arrival > ctx.now) continue;
-    reward -= 1.0 / std::max(60.0, job.estimated_execution_seconds());
+  for (const JobId id : ctx.cluster.live_jobs()) {
+    reward -= 1.0 / std::max(60.0, ctx.cluster.job(id).estimated_execution_seconds());
   }
   return reward * 60.0;  // scale to O(1) magnitudes
 }

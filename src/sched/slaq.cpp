@@ -38,7 +38,8 @@ void SlaqScheduler::schedule(SchedulerContext& ctx) {
     // paper attributes to quality-driven scheduling.
     for (int swaps = 0; swaps < 4 && best_waiting != nullptr; ++swaps) {
       const Job* worst_running = nullptr;
-      for (const Job& job : ctx.cluster.jobs()) {
+      for (const JobId id : ctx.cluster.live_jobs()) {
+        const Job& job = ctx.cluster.job(id);
         if (job.state() != JobState::Running) continue;
         if (!worst_running || quality_gain_rate(job, prediction) <
                                   quality_gain_rate(*worst_running, prediction)) {

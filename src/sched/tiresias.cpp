@@ -25,7 +25,8 @@ double TiresiasScheduler::attained_service(JobId id) const {
 void TiresiasScheduler::accumulate_service(SchedulerContext& ctx) {
   if (last_tick_ >= 0.0) {
     const double dt = ctx.now - last_tick_;
-    for (const Job& job : ctx.cluster.jobs()) {
+    for (const JobId id : ctx.cluster.live_jobs()) {
+      const Job& job = ctx.cluster.job(id);
       if (job.state() != JobState::Running) continue;
       std::size_t placed = 0;
       for (const TaskId tid : job.tasks()) {
@@ -52,7 +53,8 @@ void TiresiasScheduler::schedule(SchedulerContext& ctx) {
       lowest_waiting_band = std::min(
           lowest_waiting_band, std::floor(attained_service(j) / band_gpu_seconds_));
     }
-    for (const Job& job : ctx.cluster.jobs()) {
+    for (const JobId id : ctx.cluster.live_jobs()) {
+      const Job& job = ctx.cluster.job(id);
       if (job.state() != JobState::Running) continue;
       const double band = std::floor(attained_service(job.id()) / band_gpu_seconds_);
       if (band <= lowest_waiting_band) continue;

@@ -69,20 +69,10 @@ void SimAuditor::on_job_injected() {
 void SimAuditor::resync_after_restore() {
   current_event_ = "restore";
   events_seen_ = engine_.events_processed_;
-  // A job has arrived iff no Arrival event for it is still pending in the
-  // restored queue — job state alone is ambiguous (pre-arrival jobs are
-  // also Waiting).
-  // Restore may have registered injected jobs (snapshot "injected"
-  // section), so re-size to the live job count before re-deriving.
-  arrived_.assign(engine_.cluster_.job_count(), 1);
-  auto pending = engine_.events_;  // priority_queue: drain a copy to iterate
-  while (!pending.empty()) {
-    const auto& ev = pending.top();
-    if (ev.type == SimEngine::EventType::Arrival && ev.job < arrived_.size()) {
-      arrived_[ev.job] = 0;
-    }
-    pending.pop();
-  }
+  // Arrival tracking from the restored event queue (the same derivation
+  // the engine's restore uses for the live job set; restore may also have
+  // registered injected jobs, which it covers).
+  arrived_ = engine_.arrived_flags();
   last_now_ = engine_.now_;
   last_iterations_run_ = engine_.iterations_run_;
   last_migrations_ = engine_.migrations_;
@@ -105,6 +95,7 @@ void SimAuditor::check_now(const char* context) {
   check_queue();
   check_link_model();
   check_jobs();
+  check_live_set();
   check_prediction_service();
   check_accounting();
   engine_.scheduler_.audit_invariants(engine_.cluster_, engine_.now_);
@@ -523,6 +514,30 @@ void SimAuditor::check_link_model() const {
                              std::to_string(s) + " > 1 across " +
                              std::to_string(live.link_entries(link).size()) + " jobs");
     }
+  }
+}
+
+// ------------------------------------------------------- live set
+
+void SimAuditor::check_live_set() const {
+  // Re-derived from scratch: exactly the arrived, non-terminal jobs, in
+  // ascending id order, each once.
+  const Cluster& cluster = engine_.cluster_;
+  const std::span<const JobId> live = cluster.live_jobs();
+  std::size_t k = 0;
+  for (JobId id = 0; id < cluster.job_count(); ++id) {
+    const bool arrived = id < arrived_.size() && arrived_[id] != 0;
+    if (!arrived || cluster.job(id).done()) continue;
+    if (k >= live.size() || live[k] != id) {
+      fail("live-set", "job " + std::to_string(id) +
+                           " is arrived and not terminal but missing from the live set "
+                           "(or out of order)");
+    }
+    ++k;
+  }
+  if (k != live.size()) {
+    fail("live-set", "live set holds " + std::to_string(live.size()) + " jobs, expected " +
+                         std::to_string(k) + " (a stale, pre-arrival or duplicate entry)");
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/expect.hpp"
 #include "workload/model_zoo.hpp"
@@ -267,6 +268,24 @@ int Cluster::estimate_free_worker_slots(double hr, double typical_demand) const 
     if (s.up()) slots += server_slot_estimate(s, hr, typical_demand);
   }
   return slots;
+}
+
+void Cluster::set_job_live(JobId id, bool live) {
+  MLFS_EXPECT(id < jobs_.size());
+  const auto it = std::lower_bound(live_jobs_.begin(), live_jobs_.end(), id);
+  const bool present = it != live_jobs_.end() && *it == id;
+  MLFS_EXPECT(present != live);
+  if (live) {
+    live_jobs_.insert(it, id);
+  } else {
+    live_jobs_.erase(it);
+  }
+}
+
+void Cluster::assign_live_jobs(std::vector<JobId> ids) {
+  MLFS_EXPECT(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) == ids.end());
+  MLFS_EXPECT(ids.empty() || ids.back() < jobs_.size());
+  live_jobs_ = std::move(ids);
 }
 
 void Cluster::register_job(Job job, std::vector<Task> tasks) {

@@ -3,6 +3,7 @@
 // read and mutate lives here; the engine drives time on top of it.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sim/link_model.hpp"
@@ -232,6 +233,20 @@ class Cluster {
   std::vector<Job>& jobs() { return jobs_; }
   const std::vector<Job>& jobs() const { return jobs_; }
 
+  /// The live job set: jobs whose Arrival event has been handled and that
+  /// are not terminal (Completed/Failed), ascending by id. Per-tick walks
+  /// (engine, the RL reward, schedulers) read this instead of jobs(), so
+  /// their cost tracks the jobs in the system, not every job ever
+  /// submitted. Only the engine mutates it: set_job_live(id, true) on
+  /// arrival, set_job_live(id, false) on completion or failure, and
+  /// assign_live_jobs after a snapshot restore. The span is invalidated by
+  /// the next mutation.
+  std::span<const JobId> live_jobs() const { return live_jobs_; }
+  /// Inserts (live) or erases (!live) `id`, keeping ascending order.
+  void set_job_live(JobId id, bool live);
+  /// Replaces the set wholesale; `ids` must be strictly ascending.
+  void assign_live_jobs(std::vector<JobId> ids);
+
   // -- placement --
   /// Places a queued task; requires it unplaced and gpu valid.
   void place_task(TaskId id, ServerId server, int gpu);
@@ -317,6 +332,7 @@ class Cluster {
   std::vector<Server> servers_;
   std::vector<Task> tasks_;
   std::vector<Job> jobs_;
+  std::vector<JobId> live_jobs_;  ///< see live_jobs()
   double total_bandwidth_mb_ = 0.0;
   double inter_rack_bandwidth_mb_ = 0.0;
   std::size_t transfer_count_ = 0;

@@ -236,6 +236,7 @@ void SimEngine::drain_arrival_source() {
 void SimEngine::handle_arrival(JobId id) {
   Job& job = cluster_.job(id);
   job.set_state(JobState::Waiting);
+  cluster_.set_job_live(id, true);
   waiting_since_[id] = now_;
   for (const TaskId tid : job.tasks()) {
     Task& t = cluster_.task(tid);
@@ -264,24 +265,24 @@ void SimEngine::resample_usage() {
 void SimEngine::compact_queue() {
   // Drop entries whose task left the queue, and any duplicates (a task
   // must appear at most once or gang placement would retry it per copy).
-  std::vector<char> seen(cluster_.task_count(), 0);
-  std::erase_if(queue_, [this, &seen](TaskId tid) {
+  // The seen-marks live in a reused buffer; exactly the surviving entries
+  // were marked, so clearing those leaves it all-zero for the next call.
+  queue_seen_.resize(cluster_.task_count(), 0);
+  std::erase_if(queue_, [this](TaskId tid) {
     const Task& t = cluster_.task(tid);
     if (t.state != TaskState::Queued || cluster_.job(t.job).done()) return true;
-    if (seen[tid]) return true;
-    seen[tid] = 1;
+    if (queue_seen_[tid]) return true;
+    queue_seen_[tid] = 1;
     return false;
   });
+  for (const TaskId tid : queue_) queue_seen_[tid] = 0;
 }
 
 void SimEngine::run_watchdog() {
-  bool any_running = false;
-  for (const Job& job : cluster_.jobs()) {
-    if (job.state() == JobState::Running) {
-      any_running = true;
-      break;
-    }
-  }
+  const std::span<const JobId> live_ids = cluster_.live_jobs();
+  const bool any_running = std::any_of(live_ids.begin(), live_ids.end(), [this](JobId id) {
+    return cluster_.job(id).state() == JobState::Running;
+  });
   if (any_running || queue_.empty()) {
     stall_ticks_ = 0;
     return;
@@ -294,9 +295,9 @@ void SimEngine::run_watchdog() {
   const JobId protected_id = protected_job();
   JobId victim = kInvalidJob;
   double lowest_placed_fraction = 2.0;
-  for (const Job& job : cluster_.jobs()) {
-    if (job.state() != JobState::Waiting || job.done()) continue;
-    if (job.id() == protected_id) continue;
+  for (const JobId id : live_ids) {
+    const Job& job = cluster_.job(id);
+    if (job.state() != JobState::Waiting || id == protected_id) continue;
     std::size_t placed = 0;
     std::size_t live = 0;
     for (const TaskId tid : job.tasks()) {
@@ -448,6 +449,7 @@ void SimEngine::fail_job(Job& job) {
   prediction_.on_job_failed(job);
   fault_stopped_since_[id] = -1.0;
   partial_since_[id] = -1.0;
+  cluster_.set_job_live(id, false);
   // Schedulers treat this like a completion: caches are evicted, service
   // accounting closes. The runtime predictor is *not* fed — a truncated
   // run would poison its duration estimates.
@@ -592,8 +594,12 @@ void SimEngine::handle_tick() {
     load_controller_->before_schedule(cluster_, queue_, now_);
     // The controller may have lowered targets below completed counts;
     // stop any job that now satisfies its (possibly downgraded) policy.
-    for (Job& job : cluster_.jobs()) {
-      if (job.done() || job.state() == JobState::Waiting) continue;
+    // complete_job shrinks the live set, so walk a copy of it.
+    const std::span<const JobId> live = cluster_.live_jobs();
+    live_scratch_.assign(live.begin(), live.end());
+    for (const JobId id : live_scratch_) {
+      Job& job = cluster_.job(id);
+      if (job.state() == JobState::Waiting) continue;
       if (job.completed_iterations() > 0 && should_stop(job)) complete_job(job);
     }
     compact_queue();
@@ -622,9 +628,9 @@ void SimEngine::handle_tick() {
 }
 
 void SimEngine::try_start_jobs() {
-  for (Job& job : cluster_.jobs()) {
-    if (job.state() != JobState::Waiting || job.done()) continue;
-    if (job.spec().arrival > now_) continue;
+  for (const JobId id : cluster_.live_jobs()) {
+    Job& job = cluster_.job(id);
+    if (job.state() != JobState::Waiting) continue;
     if (!cluster_.job_fully_placed(job)) continue;
     // All live tasks placed: accumulate waiting, start the next iteration.
     job.add_waiting_time(now_ - waiting_since_[job.id()]);
@@ -648,12 +654,13 @@ JobId SimEngine::protected_job() const {
   // approaches a full gang — the global progress guarantee.
   JobId best = kInvalidJob;
   double best_wait = -1.0;
-  for (const Job& job : cluster_.jobs()) {
-    if (job.done() || job.state() != JobState::Waiting || job.spec().arrival > now_) continue;
-    const double wait = job.waiting_time() + (now_ - waiting_since_[job.id()]);
+  for (const JobId id : cluster_.live_jobs()) {
+    const Job& job = cluster_.job(id);
+    if (job.state() != JobState::Waiting) continue;
+    const double wait = job.waiting_time() + (now_ - waiting_since_[id]);
     if (wait > best_wait) {
       best_wait = wait;
-      best = job.id();
+      best = id;
     }
   }
   return best;
@@ -661,10 +668,11 @@ JobId SimEngine::protected_job() const {
 
 void SimEngine::release_stale_partial_placements() {
   const JobId protected_id = protected_job();
-  for (Job& job : cluster_.jobs()) {
-    if (job.id() == protected_id) continue;
-    if (job.done() || job.state() != JobState::Waiting || job.spec().arrival > now_) {
-      partial_since_[job.id()] = -1.0;
+  for (const JobId id : cluster_.live_jobs()) {
+    if (id == protected_id) continue;
+    const Job& job = cluster_.job(id);
+    if (job.state() != JobState::Waiting) {
+      partial_since_[id] = -1.0;
       continue;
     }
     bool any_placed = false;
@@ -675,14 +683,14 @@ void SimEngine::release_stale_partial_placements() {
       }
     }
     if (!any_placed) {
-      partial_since_[job.id()] = -1.0;
+      partial_since_[id] = -1.0;
       continue;
     }
-    if (partial_since_[job.id()] < 0.0) {
-      partial_since_[job.id()] = now_;
+    if (partial_since_[id] < 0.0) {
+      partial_since_[id] = now_;
       continue;
     }
-    if (now_ - partial_since_[job.id()] < config_.partial_placement_timeout) continue;
+    if (now_ - partial_since_[id] < config_.partial_placement_timeout) continue;
     // Idle placements held too long: give the capacity back (the job is
     // not running, so nothing is aborted) and retry as one gang later.
     for (const TaskId tid : job.tasks()) {
@@ -693,7 +701,7 @@ void SimEngine::release_stale_partial_placements() {
         queue_.push_back(tid);
       }
     }
-    partial_since_[job.id()] = -1.0;
+    partial_since_[id] = -1.0;
     ++partial_releases_;
   }
 }
@@ -929,6 +937,8 @@ void SimEngine::complete_job(Job& job) {
   job.set_state(JobState::Completed);
   job.set_completion_time(now_);
   ++jobs_completed_;
+  partial_since_[job.id()] = -1.0;
+  cluster_.set_job_live(job.id(), false);
   prediction_.on_job_complete(job);
   scheduler_.on_job_complete(job, now_);
   if (observer_ != nullptr) observer_->on_job_complete(now_, job.id());

@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -347,6 +348,9 @@ class SimEngine final : private SchedulerOps {
   void run_watchdog();
   void release_stale_partial_placements();
   JobId protected_job() const;
+  /// Per job: 1 iff no Arrival event for it is pending. Used to re-derive
+  /// the live job set after a restore (and by the auditor's resync).
+  std::vector<char> arrived_flags() const;
 
   // -- fault injection --
   /// Pushes the next random ServerDown for `id` (MTBF exponential draw).
@@ -416,6 +420,8 @@ class SimEngine final : private SchedulerOps {
   std::uint64_t event_hash_ = 1469598103934665603ull;  ///< FNV-1a offset basis
 
   std::vector<TaskId> queue_;
+  std::vector<char> queue_seen_;     // compact_queue scratch, all-zero between calls
+  std::vector<JobId> live_scratch_;  // copy of the live set for walks that complete jobs
   std::vector<std::uint64_t> job_epoch_;     // per job, bumped on abort/start
   std::vector<SimTime> waiting_since_;       // per job, valid while Waiting
   std::vector<SimTime> partial_since_;       // per job, -1 = not partially placed

@@ -251,6 +251,19 @@ void SimEngine::save_snapshot(std::ostream& os) const {
   snap.write(os);
 }
 
+std::vector<char> SimEngine::arrived_flags() const {
+  // Job state alone is ambiguous (pre-arrival jobs are also Waiting): a job
+  // has arrived iff no Arrival event for it is still pending.
+  std::vector<char> arrived(cluster_.job_count(), 1);
+  auto pending = events_;  // priority_queue: drain a copy to iterate
+  while (!pending.empty()) {
+    const Event& ev = pending.top();
+    if (ev.type == EventType::Arrival && ev.job < arrived.size()) arrived[ev.job] = 0;
+    pending.pop();
+  }
+  return arrived;
+}
+
 void SimEngine::restore_snapshot(std::istream& is) {
   // Validates the whole file — throws SnapshotError before any engine
   // state is touched.
@@ -370,6 +383,15 @@ void SimEngine::restore_snapshot(std::istream& is) {
     std::istringstream section = snap.section("cluster");
     io::BinReader r(section);
     cluster_.restore_state(r);
+  }
+  {
+    // The live job set is derived state, not serialized.
+    const std::vector<char> arrived = arrived_flags();
+    std::vector<JobId> live;
+    for (JobId id = 0; id < cluster_.job_count(); ++id) {
+      if (arrived[id] && !cluster_.job(id).done()) live.push_back(id);
+    }
+    cluster_.assign_live_jobs(std::move(live));
   }
   if (cluster_config_.link_contention) {
     std::istringstream section = snap.section("links");

@@ -149,7 +149,18 @@ SnapshotReader::SnapshotReader(std::istream& is, std::uint64_t expected_fingerpr
   }
   fingerprint_ = c.u64("header", "fingerprint");
 
+  const std::uint64_t count_at = c.pos;
   const std::uint32_t count = c.u32("header", "section count");
+  // Each framed section takes at least a name length and a payload length:
+  // bound the count by the bytes that remain before reserving, so a
+  // corrupt count cannot demand gigabytes.
+  constexpr std::uint64_t kMinSectionBytes = 4 + 8;
+  const std::uint64_t remaining = bytes.size() - c.pos;
+  if (count > remaining / kMinSectionBytes) {
+    throw SnapshotError("header", count_at,
+                        "implausible section count " + std::to_string(count) + " for " +
+                            std::to_string(remaining) + " remaining bytes");
+  }
   sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t name_at = c.pos;

@@ -79,6 +79,22 @@ TEST(Auditor, CatchesInjectedSlotLeak) {
   }
 }
 
+TEST(Auditor, CatchesLiveSetDrift) {
+  // Drop a live job from the cluster's live set behind the engine's back:
+  // the next sweep re-derives {arrived and not terminal} and disagrees.
+  EngineBundle bundle = build_engine(chaos_request("Tiresias"));
+  SimEngine& engine = *bundle.engine;
+  while (engine.cluster().live_jobs().empty()) ASSERT_TRUE(engine.step());
+  engine.cluster().set_job_live(engine.cluster().live_jobs().front(), false);
+  try {
+    while (engine.step()) {
+    }
+    FAIL() << "live-set drift was not detected";
+  } catch (const AuditViolation& v) {
+    EXPECT_EQ(v.report().invariant, "live-set");
+  }
+}
+
 TEST(Auditor, LeakGoesUnnoticedWithoutAudit) {
   // The run completes and looks plausible without the auditor — the
   // point of having one.

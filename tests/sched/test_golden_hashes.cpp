@@ -1,0 +1,117 @@
+// Golden event-stream hashes for every registered scheduler on one
+// scenario that loads the whole engine at once: server crashes, rack
+// outages and transient task kills; the recovery policies (quarantine,
+// retry backoff with a budget, adaptive checkpointing); link contention
+// with duty cycles on a racked fleet; and half the jobs streamed in through
+// exp::run_streaming.
+//
+// The hashes were captured before the engine's per-tick walks moved onto
+// the cluster's live job set. A refactor of the engine, the cluster or a
+// scheduler that claims to keep every decision must leave them unchanged.
+// Do NOT update a value to "fix" a failure: a mismatch means decisions
+// changed.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+
+#include "exp/durable.hpp"
+#include "exp/registry.hpp"
+#include "exp/runner.hpp"
+
+namespace mlfs::sched {
+namespace {
+
+exp::RunRequest faulty_streaming_request(const std::string& scheduler) {
+  exp::RunRequest r;
+  r.label = "golden-faulty-stream-" + scheduler;
+  r.cluster.server_count = 8;
+  r.cluster.gpus_per_server = 4;
+  r.cluster.servers_per_rack = 2;
+  r.cluster.link_contention = true;
+  r.cluster.nic_capacity_mbps = 800.0;
+  r.cluster.rack_uplink_capacity_mbps = 300.0;
+  r.cluster.duty_cycles = true;
+  r.engine.seed = 2027;
+  r.engine.max_sim_time = hours(96.0);
+  r.engine.fault.server_mtbf_hours = 30.0;
+  r.engine.fault.server_mttr_hours = 0.5;
+  r.engine.fault.rack_mtbf_hours = 60.0;
+  r.engine.fault.task_kill_probability = 0.002;
+  r.engine.fault.checkpoint_interval_iterations = 4;
+  r.engine.recovery.enabled = true;
+  r.engine.recovery.retry_budget = 6;
+  r.engine.recovery.adaptive_checkpoint = true;
+  r.engine.audit.enabled = true;
+  r.trace.num_jobs = 36;
+  r.trace.duration_hours = 4.0;
+  r.trace.seed = 4242;
+  r.trace.max_gpu_request = 8;
+  r.scheduler = scheduler;
+  r.mlfs_config.rl.warmup_samples = 100;
+  return r;
+}
+
+/// (event_stream_hash, events_processed) per registered scheduler.
+const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>& golden() {
+  static const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> kGolden = {
+      {"MLF-H", {0x6bd4cd817598fb7bull, 7466ull}},
+      {"MLF-RL", {0x67e088e23b098f16ull, 7331ull}},
+      {"MLFS", {0x69ad47f036386b7aull, 4511ull}},
+      {"TensorFlow", {0x680bedd01f7f0cc5ull, 7108ull}},
+      {"Tiresias", {0xa16ec5935f974d36ull, 7227ull}},
+      {"SLAQ", {0xdc31a9fb76bdbeeaull, 9154ull}},
+      {"Gandiva", {0xbca63bda10feca40ull, 7631ull}},
+      {"Graphene", {0x0cf21ee8bb957a6cull, 7256ull}},
+      {"HyperSched", {0xe6c1eb3fd55d12c0ull, 7165ull}},
+      {"RL", {0x268c5828d8125875ull, 7193ull}},
+      {"Optimus", {0x2aea9f959a75542eull, 7258ull}},
+      {"Cassini", {0xf3ad6ced097365c4ull, 7483ull}},
+  };
+  return kGolden;
+}
+
+RunMetrics run_golden(const std::string& scheduler) {
+  exp::RunRequest request = faulty_streaming_request(scheduler);
+  const auto script = exp::split_streamed_tail(request, request.trace.num_jobs / 2);
+  return exp::run_streaming(request, script);
+}
+
+class GoldenHashes : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenHashes, FaultyContendedStreamUnchanged) {
+  const RunMetrics m = run_golden(GetParam());
+  // The scenario must actually exercise what it claims to pin.
+  EXPECT_GT(m.jobs_injected, 0u);
+  EXPECT_GT(m.server_failures, 0u);
+  EXPECT_GT(m.task_kills, 0u);
+  EXPECT_GT(m.link_busy_seconds, 0.0);
+
+  const auto it = golden().find(GetParam());
+  ASSERT_NE(it, golden().end()) << "no golden hash for " << GetParam();
+  EXPECT_EQ(m.event_stream_hash, it->second.first) << GetParam();
+  EXPECT_EQ(m.events_processed, it->second.second) << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRegistered, GoldenHashes,
+                         ::testing::ValuesIn(exp::registered_scheduler_names()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& ch : name) {
+                             if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+                           }
+                           return name;
+                         });
+
+TEST(GoldenHashesCoverage, EveryRegisteredSchedulerIsPinned) {
+  const auto names = exp::registered_scheduler_names();
+  EXPECT_EQ(names.size(), golden().size());
+  for (const auto& name : names) EXPECT_EQ(golden().count(name), 1u) << name;
+}
+
+}  // namespace
+}  // namespace mlfs::sched
