@@ -1,53 +1,56 @@
-// Little-endian binary stream helpers shared by the snapshot subsystem
-// (sim/snapshot.hpp) and the per-component save_state/restore_state hooks.
-// Doubles travel as their IEEE-754 bit pattern, so every value round-trips
-// bit-exactly — the foundation of the restore-determinism contract.
+// Little-endian binary buffer helpers shared by the snapshot subsystem
+// (sim/snapshot.hpp), the write-ahead journal (sim/journal.hpp) and the
+// per-component save_state/restore_state hooks. Doubles travel as their
+// IEEE-754 bit pattern, so every value round-trips bit-exactly — the
+// foundation of the restore-determinism contract.
 //
-// BinReader fails loudly: reading past the end of the underlying stream
-// throws ContractViolation (the snapshot layer re-wraps it with section
-// context). Nothing here knows about sections, checksums or versions —
-// that framing lives in sim/snapshot.{hpp,cpp}.
+// BinWriter appends to a caller-owned std::string; BinReader is a
+// bounds-checked cursor over a byte view. Neither touches a stream:
+// bytes cross to or from std::iostream through read_all() and write_all()
+// below, at the public API edge (save_snapshot / restore_snapshot, the
+// Scheduler / LoadController hooks, the journal reader).
+//
+// BinReader fails loudly: reading past the end of the view throws
+// ContractViolation. Nothing here knows about sections, checksums or
+// versions — that framing lives in sim/snapshot.{hpp,cpp}.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/expect.hpp"
 
 namespace mlfs::io {
 
+// Integers are copied to and from the wire in native byte order, which is
+// the little-endian format only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "binio assumes a little-endian host");
+
 class BinWriter {
  public:
-  explicit BinWriter(std::ostream& os) : os_(os) {}
+  explicit BinWriter(std::string& out) : out_(out) {}
 
-  void u8(std::uint8_t v) { os_.put(static_cast<char>(v)); }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) os_.put(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) os_.put(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-
+  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
   void boolean(bool v) { u8(v ? 1 : 0); }
 
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
-    os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    out_.append(s);
   }
 
-  void bytes(const char* data, std::size_t n) {
-    os_.write(data, static_cast<std::streamsize>(n));
-  }
+  void bytes(const char* data, std::size_t n) { out_.append(data, n); }
 
   template <typename T, typename WriteOne>
   void vec(const std::vector<T>& v, WriteOne&& write_one) {
@@ -63,49 +66,59 @@ class BinWriter {
     vec(v, [this](std::uint64_t x) { u64(x); });
   }
 
-  std::ostream& stream() { return os_; }
+  /// Bytes in the underlying buffer (its current end offset).
+  std::size_t size() const { return out_.size(); }
+
+  /// Overwrites bytes already written at `at` — back-patching a length
+  /// field once the payload it frames is known.
+  void patch_u32(std::size_t at, std::uint32_t v) { patch_le(at, v); }
+  void patch_u64(std::size_t at, std::uint64_t v) { patch_le(at, v); }
 
  private:
-  std::ostream& os_;
+  template <typename T>
+  void put_le(T v) {
+    char b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    out_.append(b, sizeof(T));
+  }
+
+  template <typename T>
+  void patch_le(std::size_t at, T v) {
+    MLFS_EXPECT(at <= out_.size() && out_.size() - at >= sizeof(T));
+    std::memcpy(out_.data() + at, &v, sizeof(T));
+  }
+
+  std::string& out_;
 };
 
 class BinReader {
  public:
-  explicit BinReader(std::istream& is) : is_(is) {}
+  explicit BinReader(std::string_view bytes) : bytes_(bytes) {}
+  /// A reader over a temporary would dangle.
+  explicit BinReader(std::string&&) = delete;
 
   std::uint8_t u8() {
-    const int c = is_.get();
-    if (c == std::istream::traits_type::eof()) underrun();
-    return static_cast<std::uint8_t>(c);
+    need(1);
+    return static_cast<std::uint8_t>(bytes_[pos_++]);
   }
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-
+  std::uint32_t u32() { return get_le<std::uint32_t>(); }
+  std::uint64_t u64() { return get_le<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
   double f64() { return std::bit_cast<double>(u64()); }
-
   bool boolean() { return u8() != 0; }
 
   std::string str() {
     const std::uint64_t n = u64();
     check_length(n);
-    std::string s(static_cast<std::size_t>(n), '\0');
-    if (n > 0) {
-      is_.read(s.data(), static_cast<std::streamsize>(n));
-      if (static_cast<std::uint64_t>(is_.gcount()) != n) underrun();
-    }
-    return s;
+    return std::string(view(n));
+  }
+
+  /// The next `n` raw bytes, without copying.
+  std::string_view view(std::uint64_t n) {
+    need(n);
+    const std::string_view out = bytes_.substr(pos_, static_cast<std::size_t>(n));
+    pos_ += static_cast<std::size_t>(n);
+    return out;
   }
 
   template <typename T, typename ReadOne>
@@ -113,7 +126,9 @@ class BinReader {
     const std::uint64_t n = u64();
     check_length(n);
     std::vector<T> v;
-    v.reserve(static_cast<std::size_t>(n));
+    // Every element takes at least one byte, so the remaining bytes bound
+    // what a well-formed length can ask for.
+    v.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, remaining())));
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_one());
     return v;
   }
@@ -126,21 +141,63 @@ class BinReader {
     return vec<std::uint64_t>([this] { return u64(); });
   }
 
-  std::istream& stream() { return is_; }
+  /// Offset of the next byte within the view.
+  std::size_t pos() const { return pos_; }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
+  bool at_end() const { return pos_ == bytes_.size(); }
 
  private:
-  [[noreturn]] void underrun() const {
+  [[noreturn]] static void underrun() {
     throw ContractViolation("binary read past end of stream");
   }
-  void check_length(std::uint64_t n) const {
+  static void check_length(std::uint64_t n) {
     // A corrupt length field must not drive a multi-gigabyte allocation;
     // no serialized container in this codebase comes close to this bound.
     if (n > (1ull << 32)) {
       throw ContractViolation("binary length field implausibly large: " + std::to_string(n));
     }
   }
+  void need(std::uint64_t n) const {
+    if (n > remaining()) underrun();
+  }
 
-  std::istream& is_;
+  template <typename T>
+  T get_le() {
+    need(sizeof(T));
+    T v;
+    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
+
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
 };
+
+/// Everything left in `is`, read chunk by chunk straight from its stream
+/// buffer, so the stream's state flags are left as they were.
+inline std::string read_all(std::istream& is) {
+  std::string out;
+  std::streambuf* buf = is.rdbuf();
+  if (buf == nullptr) return out;
+  char chunk[1 << 14];
+  for (std::streamsize got; (got = buf->sgetn(chunk, sizeof(chunk))) > 0;) {
+    out.append(chunk, static_cast<std::size_t>(got));
+  }
+  return out;
+}
+
+/// Writes `bytes` to `os` in one call and returns how many the stream
+/// accepted. A short write sets badbit, as ostream::write does.
+inline std::size_t write_all(std::ostream& os, std::string_view bytes) {
+  const std::ostream::sentry ok(os);
+  if (!ok) return 0;
+  const std::streamsize n = bytes.empty()
+                                ? 0
+                                : os.rdbuf()->sputn(bytes.data(),
+                                                    static_cast<std::streamsize>(bytes.size()));
+  if (n != static_cast<std::streamsize>(bytes.size())) os.setstate(std::ios::badbit);
+  return n > 0 ? static_cast<std::size_t>(n) : 0;
+}
 
 }  // namespace mlfs::io

@@ -38,13 +38,16 @@ void MlfC::before_schedule(Cluster& cluster, const std::vector<TaskId>& queue, S
 }
 
 void MlfC::save_state(std::ostream& os) const {
-  io::BinWriter w(os);
+  std::string bytes;
+  io::BinWriter w(bytes);
   w.boolean(overloaded_);
   w.u64(downgrades_);
+  io::write_all(os, bytes);
 }
 
 void MlfC::restore_state(std::istream& is) {
-  io::BinReader r(is);
+  const std::string bytes = io::read_all(is);
+  io::BinReader r(bytes);
   overloaded_ = r.boolean();
   downgrades_ = static_cast<std::size_t>(r.u64());
 }

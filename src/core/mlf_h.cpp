@@ -235,7 +235,19 @@ void MlfH::schedule(SchedulerContext& ctx) {
 }
 
 void MlfH::save_state(std::ostream& os) const {
-  io::BinWriter w(os);
+  std::string bytes;
+  io::BinWriter w(bytes);
+  save_state(w);
+  io::write_all(os, bytes);
+}
+
+void MlfH::restore_state(std::istream& is) {
+  const std::string bytes = io::read_all(is);
+  io::BinReader r(bytes);
+  restore_state(r);
+}
+
+void MlfH::save_state(io::BinWriter& w) const {
   std::vector<std::pair<JobId, const CacheEntry*>> entries;
   entries.reserve(cache_.size());
   for (const auto& [job, entry] : cache_) entries.emplace_back(job, &entry);
@@ -250,8 +262,7 @@ void MlfH::save_state(std::ostream& os) const {
   placement_.save_state(w);
 }
 
-void MlfH::restore_state(std::istream& is) {
-  io::BinReader r(is);
+void MlfH::restore_state(io::BinReader& r) {
   cache_.clear();
   const std::uint64_t count = r.u64();
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -42,6 +42,10 @@ class MlfH : public Scheduler {
   /// SchedStats trajectories.
   void save_state(std::ostream& os) const override;
   void restore_state(std::istream& is) override;
+  /// The same state in buffer form, for the MLFS facade that embeds this
+  /// heuristic in its own payload.
+  void save_state(io::BinWriter& w) const;
+  void restore_state(io::BinReader& r);
 
   /// Number of jobs currently held in the priority cache (for tests).
   std::size_t priority_cache_size() const { return cache_.size(); }

@@ -180,35 +180,34 @@ void MlfsScheduler::on_job_complete(const Job& job, SimTime now) {
 }
 
 void MlfsScheduler::save_state(std::ostream& os) const {
-  {
-    io::BinWriter w(os);
-    for (const std::uint64_t word : rng_.state()) w.u64(word);
-    w.boolean(rl_active_);
-    w.u64(decisions_this_round_);
-    w.u64(rounds_since_update_);
-    rl::save_episode(w, episode_);
-    imitation_.save_state(w);
-    reward_.save_state(w);
-  }
-  agent_->save_state(os);
-  heuristic_.save_state(os);
+  std::string bytes;
+  io::BinWriter w(bytes);
+  for (const std::uint64_t word : rng_.state()) w.u64(word);
+  w.boolean(rl_active_);
+  w.u64(decisions_this_round_);
+  w.u64(rounds_since_update_);
+  rl::save_episode(w, episode_);
+  imitation_.save_state(w);
+  reward_.save_state(w);
+  agent_->save_state(w);
+  heuristic_.save_state(w);
+  io::write_all(os, bytes);
 }
 
 void MlfsScheduler::restore_state(std::istream& is) {
-  {
-    io::BinReader r(is);
-    std::array<std::uint64_t, 4> state;
-    for (std::uint64_t& word : state) word = r.u64();
-    rng_.set_state(state);
-    rl_active_ = r.boolean();
-    decisions_this_round_ = static_cast<std::size_t>(r.u64());
-    rounds_since_update_ = static_cast<std::size_t>(r.u64());
-    episode_ = rl::load_episode(r);
-    imitation_.restore_state(r);
-    reward_.restore_state(r);
-  }
-  agent_->restore_state(is);
-  heuristic_.restore_state(is);
+  const std::string bytes = io::read_all(is);
+  io::BinReader r(bytes);
+  std::array<std::uint64_t, 4> state;
+  for (std::uint64_t& word : state) word = r.u64();
+  rng_.set_state(state);
+  rl_active_ = r.boolean();
+  decisions_this_round_ = static_cast<std::size_t>(r.u64());
+  rounds_since_update_ = static_cast<std::size_t>(r.u64());
+  episode_ = rl::load_episode(r);
+  imitation_.restore_state(r);
+  reward_.restore_state(r);
+  agent_->restore_state(r);
+  heuristic_.restore_state(r);
 }
 
 }  // namespace mlfs::core

@@ -196,8 +196,7 @@ void ActorCriticAgent::load(std::istream& is) {
   value_.load(is);
 }
 
-void ActorCriticAgent::save_state(std::ostream& os) const {
-  io::BinWriter w(os);
+void ActorCriticAgent::save_state(io::BinWriter& w) const {
   for (const std::uint64_t word : rng_.state()) w.u64(word);
   policy_.save_state(w);
   value_.save_state(w);
@@ -205,8 +204,7 @@ void ActorCriticAgent::save_state(std::ostream& os) const {
   value_opt_.save_state(w);
 }
 
-void ActorCriticAgent::restore_state(std::istream& is) {
-  io::BinReader r(is);
+void ActorCriticAgent::restore_state(io::BinReader& r) {
   std::array<std::uint64_t, 4> state;
   for (std::uint64_t& word : state) word = r.u64();
   rng_.set_state(state);

@@ -44,8 +44,8 @@ class PolicyAgent {
   /// Full dynamic state for bit-identical engine resume (snapshot support):
   /// network parameters, optimizer moments, AND the action-sampling RNG —
   /// unlike save()/load(), which checkpoint parameters only.
-  virtual void save_state(std::ostream& os) const = 0;
-  virtual void restore_state(std::istream& is) = 0;
+  virtual void save_state(io::BinWriter& w) const = 0;
+  virtual void restore_state(io::BinReader& r) = 0;
 };
 
 }  // namespace mlfs::rl

@@ -201,8 +201,7 @@ void ReinforceAgent::load(std::istream& is) {
   value_.load(is);
 }
 
-void ReinforceAgent::save_state(std::ostream& os) const {
-  io::BinWriter w(os);
+void ReinforceAgent::save_state(io::BinWriter& w) const {
   for (const std::uint64_t word : rng_.state()) w.u64(word);
   policy_.save_state(w);
   value_.save_state(w);
@@ -210,8 +209,7 @@ void ReinforceAgent::save_state(std::ostream& os) const {
   value_opt_.save_state(w);
 }
 
-void ReinforceAgent::restore_state(std::istream& is) {
-  io::BinReader r(is);
+void ReinforceAgent::restore_state(io::BinReader& r) {
   std::array<std::uint64_t, 4> state;
   for (std::uint64_t& word : state) word = r.u64();
   rng_.set_state(state);

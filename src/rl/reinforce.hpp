@@ -58,8 +58,8 @@ class ReinforceAgent : public PolicyAgent {
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 
-  void save_state(std::ostream& os) const override;
-  void restore_state(std::istream& is) override;
+  void save_state(io::BinWriter& w) const override;
+  void restore_state(io::BinReader& r) override;
 
  private:
   nn::Matrix states_to_matrix(std::span<const Episode> episodes) const;

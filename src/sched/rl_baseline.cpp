@@ -137,29 +137,28 @@ void RlBaselineScheduler::schedule(SchedulerContext& ctx) {
 }
 
 void RlBaselineScheduler::save_state(std::ostream& os) const {
-  {
-    io::BinWriter w(os);
-    w.u64(decisions_this_round_);
-    w.u64(rounds_since_update_);
-    rl::save_episode(w, episode_);
-    w.u64(pending_episodes_.size());
-    for (const rl::Episode& e : pending_episodes_) rl::save_episode(w, e);
-  }
-  agent_->save_state(os);
+  std::string bytes;
+  io::BinWriter w(bytes);
+  w.u64(decisions_this_round_);
+  w.u64(rounds_since_update_);
+  rl::save_episode(w, episode_);
+  w.u64(pending_episodes_.size());
+  for (const rl::Episode& e : pending_episodes_) rl::save_episode(w, e);
+  agent_->save_state(w);
+  io::write_all(os, bytes);
 }
 
 void RlBaselineScheduler::restore_state(std::istream& is) {
-  {
-    io::BinReader r(is);
-    decisions_this_round_ = static_cast<std::size_t>(r.u64());
-    rounds_since_update_ = static_cast<std::size_t>(r.u64());
-    episode_ = rl::load_episode(r);
-    pending_episodes_.clear();
-    const std::uint64_t count = r.u64();
-    pending_episodes_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) pending_episodes_.push_back(rl::load_episode(r));
-  }
-  agent_->restore_state(is);
+  const std::string bytes = io::read_all(is);
+  io::BinReader r(bytes);
+  decisions_this_round_ = static_cast<std::size_t>(r.u64());
+  rounds_since_update_ = static_cast<std::size_t>(r.u64());
+  episode_ = rl::load_episode(r);
+  pending_episodes_.clear();
+  const std::uint64_t count = r.u64();
+  pending_episodes_.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) pending_episodes_.push_back(rl::load_episode(r));
+  agent_->restore_state(r);
 }
 
 }  // namespace mlfs::sched

@@ -91,7 +91,8 @@ void TiresiasScheduler::on_job_complete(const Job& job, SimTime now) {
 }
 
 void TiresiasScheduler::save_state(std::ostream& os) const {
-  io::BinWriter w(os);
+  std::string bytes;
+  io::BinWriter w(bytes);
   w.f64(last_tick_);
   std::vector<std::pair<JobId, double>> service(service_.begin(), service_.end());
   std::sort(service.begin(), service.end());
@@ -107,10 +108,12 @@ void TiresiasScheduler::save_state(std::ostream& os) const {
     w.u64(job);
     w.i64(count);
   }
+  io::write_all(os, bytes);
 }
 
 void TiresiasScheduler::restore_state(std::istream& is) {
-  io::BinReader r(is);
+  const std::string bytes = io::read_all(is);
+  io::BinReader r(bytes);
   last_tick_ = r.f64();
   service_.clear();
   const std::uint64_t service_count = r.u64();

@@ -11,6 +11,8 @@
 
 #include <bit>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -41,6 +43,25 @@ std::vector<char> read_char_vec(io::BinReader& r) {
   return r.vec<char>([&r] { return static_cast<char>(r.u8()); });
 }
 
+// The public Scheduler / LoadController hooks speak streams; these two
+// adapters are where a section's bytes cross to and from them.
+template <typename Component>
+void save_stream_section(SnapshotWriter& snap, const std::string& name,
+                         const Component& component) {
+  std::ostringstream os(std::ios::binary);
+  component.save_state(os);
+  const std::string_view payload = os.view();
+  snap.section(name).bytes(payload.data(), payload.size());
+}
+
+template <typename Component>
+void restore_stream_section(const SnapshotReader& snap, const std::string& name,
+                            Component& component) {
+  io::BinReader r = snap.section(name);
+  std::istringstream is(std::string(r.view(r.remaining())), std::ios::binary);
+  component.restore_state(is);
+}
+
 }  // namespace
 
 std::uint64_t SimEngine::config_fingerprint() const {
@@ -48,8 +69,8 @@ std::uint64_t SimEngine::config_fingerprint() const {
   // the simulation's static structure and its random streams; AuditConfig
   // is deliberately excluded (the auditor is a pure observer — restoring
   // under different audit settings is legitimate and resyncs cleanly).
-  std::ostringstream os;
-  io::BinWriter w(os);
+  std::string bytes;
+  io::BinWriter w(bytes);
 
   w.u64(cluster_config_.server_count);
   w.i64(cluster_config_.gpus_per_server);
@@ -150,7 +171,6 @@ std::uint64_t SimEngine::config_fingerprint() const {
     write_job_spec(w, cluster_.job(static_cast<JobId>(i)).spec());
   }
 
-  const std::string bytes = os.str();
   return fnv1a(bytes.data(), bytes.size());
 }
 
@@ -243,10 +263,8 @@ void SimEngine::save_snapshot(std::ostream& os) const {
 
   // Opaque per-component payloads: each component alone interprets its
   // bytes (Scheduler::save_state contract).
-  scheduler_.save_state(snap.section("scheduler").stream());
-  if (load_controller_ != nullptr) {
-    load_controller_->save_state(snap.section("controller").stream());
-  }
+  save_stream_section(snap, "scheduler", scheduler_);
+  if (load_controller_ != nullptr) save_stream_section(snap, "controller", *load_controller_);
 
   snap.write(os);
 }
@@ -291,8 +309,7 @@ void SimEngine::restore_snapshot(std::istream& is) {
     // engine must be injection-free (freshly constructed from the base
     // workload) — re-registering on top of live injections would duplicate
     // jobs.
-    std::istringstream section = snap.section("injected");
-    io::BinReader r(section);
+    io::BinReader r = snap.section("injected");
     const std::uint64_t count = r.u64();
     if (!injected_specs_.empty()) {
       throw SnapshotError("injected", 0,
@@ -309,8 +326,7 @@ void SimEngine::restore_snapshot(std::istream& is) {
   }
 
   {
-    std::istringstream section = snap.section("engine");
-    io::BinReader r(section);
+    io::BinReader r = snap.section("engine");
     now_ = r.f64();
     event_seq_ = r.u64();
     events_processed_ = r.u64();
@@ -364,8 +380,7 @@ void SimEngine::restore_snapshot(std::istream& is) {
   }
 
   {
-    std::istringstream section = snap.section("events");
-    io::BinReader r(section);
+    io::BinReader r = snap.section("events");
     events_ = {};  // drop the fresh-constructor arrivals/crash seeds
     const std::uint64_t count = r.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -380,8 +395,7 @@ void SimEngine::restore_snapshot(std::istream& is) {
   }
 
   {
-    std::istringstream section = snap.section("cluster");
-    io::BinReader r(section);
+    io::BinReader r = snap.section("cluster");
     cluster_.restore_state(r);
   }
   {
@@ -394,34 +408,24 @@ void SimEngine::restore_snapshot(std::istream& is) {
     cluster_.assign_live_jobs(std::move(live));
   }
   if (cluster_config_.link_contention) {
-    std::istringstream section = snap.section("links");
-    io::BinReader r(section);
+    io::BinReader r = snap.section("links");
     cluster_.restore_link_state(r);
   }
   if (health_) {
-    std::istringstream section = snap.section("health");
-    io::BinReader r(section);
+    io::BinReader r = snap.section("health");
     health_->restore_state(r);
   }
   {
-    std::istringstream section = snap.section("predictor");
-    io::BinReader r(section);
+    io::BinReader r = snap.section("predictor");
     prediction_.runtime().restore_state(r);
   }
   {
-    std::istringstream section = snap.section("predict");
-    io::BinReader r(section);
+    io::BinReader r = snap.section("predict");
     prediction_.restore_state(r);
   }
 
-  {
-    std::istringstream section = snap.section("scheduler");
-    scheduler_.restore_state(section);
-  }
-  if (load_controller_ != nullptr) {
-    std::istringstream section = snap.section("controller");
-    load_controller_->restore_state(section);
-  }
+  restore_stream_section(snap, "scheduler", scheduler_);
+  if (load_controller_ != nullptr) restore_stream_section(snap, "controller", *load_controller_);
 
   // The auditor is never serialized: it re-derives its observational state
   // from the restored engine (keeping the stride phase aligned) and

@@ -7,7 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <sstream>
+#include <string_view>
 
 #include "sim/snapshot.hpp"
 
@@ -151,14 +151,13 @@ JournalWriter::JournalWriter(std::unique_ptr<JournalSink> sink,
       group_records_(group_records < 1 ? 1 : group_records) {
   MLFS_EXPECT(sink_ != nullptr);
   if (write_header) {
-    std::ostringstream os;
-    io::BinWriter w(os);
+    std::string bytes;
+    io::BinWriter w(bytes);
     w.bytes(kJournalMagic, sizeof(kJournalMagic));
     w.u32(kJournalVersion);
     w.u64(config_fingerprint);
     w.u64(base_event);
     w.u64(first_seq);
-    const std::string bytes = os.str();
     sink_->append(bytes.data(), bytes.size());
     bytes_appended_ += bytes.size();
     // The header must hit stable storage before any record claims this
@@ -169,26 +168,24 @@ JournalWriter::JournalWriter(std::unique_ptr<JournalSink> sink,
 }
 
 std::uint64_t JournalWriter::append_frame(const JournalRecord& record, bool force_sync) {
-  std::ostringstream os;
-  io::BinWriter pw(os);
-  pw.u64(record.seq);
-  pw.u8(static_cast<std::uint8_t>(record.type));
-  pw.u64(record.event_index);
+  // The whole frame is built in place: (len, hcrc) placeholders, the
+  // payload, then the back-patched header and the payload checksum.
+  std::string frame;
+  io::BinWriter w(frame);
+  w.u64(0);
+  w.u64(record.seq);
+  w.u8(static_cast<std::uint8_t>(record.type));
+  w.u64(record.event_index);
   if (record.type == JournalRecordType::InjectArrival) {
-    pw.u64(record.stream_seq);
-    write_job_spec(pw, record.spec);
+    w.u64(record.stream_seq);
+    write_job_spec(w, record.spec);
   }
-  const std::string payload = os.str();
-  MLFS_EXPECT(payload.size() <= kMaxJournalRecordBytes);
-
-  std::ostringstream fs;
-  io::BinWriter fw(fs);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  fw.u32(len);
-  fw.u32(length_crc(len));
-  fw.bytes(payload.data(), payload.size());
-  fw.u64(fnv1a(payload.data(), payload.size()));
-  const std::string frame = fs.str();
+  const std::size_t payload_size = frame.size() - 8;
+  MLFS_EXPECT(payload_size <= kMaxJournalRecordBytes);
+  const auto len = static_cast<std::uint32_t>(payload_size);
+  w.patch_u32(0, len);
+  w.patch_u32(4, length_crc(len));
+  w.u64(fnv1a(frame.data() + 8, payload_size));
 
   // One append call per frame: a crash between frames leaves a clean
   // prefix; a crash inside the sink leaves at most one torn tail record,
@@ -243,28 +240,9 @@ void JournalWriter::sync() {
 
 // --------------------------------------------------------------- reader
 
-namespace {
-
-std::uint32_t peek_u32(const std::string& bytes, std::uint64_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[pos + i])) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t peek_u64(const std::string& bytes, std::uint64_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[pos + i])) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
 JournalReplay read_journal(std::istream& is, std::uint64_t expected_fingerprint) {
-  std::string bytes((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  const std::string bytes = io::read_all(is);
+  io::BinReader r(bytes);
   JournalReplay out;
 
   // Header. The writer emits it in one synced append, so a short header is
@@ -274,38 +252,37 @@ JournalReplay read_journal(std::istream& is, std::uint64_t expected_fingerprint)
                        "truncated header: need " + std::to_string(kJournalHeaderBytes) +
                            " bytes, have " + std::to_string(bytes.size()));
   }
-  if (std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
+  if (r.view(sizeof(kJournalMagic)) != std::string_view(kJournalMagic, sizeof(kJournalMagic))) {
     throw JournalError("header", 0, "bad magic (not a MLFS journal file)");
   }
-  const std::uint32_t version = peek_u32(bytes, 8);
+  const std::uint32_t version = r.u32();
   if (version != kJournalVersion) {
     throw JournalError("header", 8,
                        "unsupported journal version " + std::to_string(version) +
                            " (this build reads version " + std::to_string(kJournalVersion) +
                            ")");
   }
-  out.fingerprint = peek_u64(bytes, 12);
-  out.base_event = peek_u64(bytes, 20);
-  out.first_seq = peek_u64(bytes, 28);
+  out.fingerprint = r.u64();
+  out.base_event = r.u64();
+  out.first_seq = r.u64();
   if (out.fingerprint != expected_fingerprint) {
     throw JournalError("header", 12,
                        "config fingerprint mismatch: journal was written under a different "
                        "cluster/engine/workload/scheduler configuration");
   }
 
-  std::uint64_t pos = kJournalHeaderBytes;
   std::uint64_t expected_seq = out.first_seq;
-  while (pos < bytes.size()) {
-    const std::uint64_t record_start = pos;
-    if (bytes.size() - pos < 8) {
+  while (!r.at_end()) {
+    const std::uint64_t record_start = r.pos();
+    if (r.remaining() < 8) {
       // Not even a full (len, hcrc) header: a torn append of the final
       // record — drop it.
       out.torn_tail = true;
       out.torn_offset = record_start;
       break;
     }
-    const std::uint32_t len = peek_u32(bytes, pos);
-    const std::uint32_t hcrc = peek_u32(bytes, pos + 4);
+    const std::uint32_t len = r.u32();
+    const std::uint32_t hcrc = r.u32();
     if (length_crc(len) != hcrc) {
       // The writer emits the 8 header bytes atomically within one append,
       // so a mismatch is a flipped bit, not a torn write — and a corrupt
@@ -316,18 +293,15 @@ JournalReplay read_journal(std::istream& is, std::uint64_t expected_fingerprint)
       throw JournalError("record", record_start,
                          "implausible record length " + std::to_string(len));
     }
-    pos += 8;
-    if (bytes.size() - pos < static_cast<std::uint64_t>(len) + 8) {
+    if (r.remaining() < static_cast<std::uint64_t>(len) + 8) {
       out.torn_tail = true;  // frame body/crc torn mid-append
       out.torn_offset = record_start;
       break;
     }
-    const char* payload = bytes.data() + pos;
-    pos += len;
-    const std::uint64_t stored_crc = peek_u64(bytes, pos);
-    pos += 8;
-    const bool is_last = pos == bytes.size();
-    if (fnv1a(payload, len) != stored_crc) {
+    const std::string_view payload = r.view(len);
+    const std::uint64_t stored_crc = r.u64();
+    const bool is_last = r.at_end();
+    if (fnv1a(payload.data(), payload.size()) != stored_crc) {
       if (is_last) {
         // Corrupt final record: indistinguishable from a torn tail at the
         // storage layer — drop only it, keep everything before.
@@ -342,20 +316,19 @@ JournalReplay read_journal(std::istream& is, std::uint64_t expected_fingerprint)
 
     JournalRecord rec;
     try {
-      std::istringstream ps(std::string(payload, len));
-      io::BinReader r(ps);
-      rec.seq = r.u64();
-      const std::uint8_t type = r.u8();
+      io::BinReader pr(payload);
+      rec.seq = pr.u64();
+      const std::uint8_t type = pr.u8();
       if (type < static_cast<std::uint8_t>(JournalRecordType::InjectArrival) ||
           type > static_cast<std::uint8_t>(JournalRecordType::CleanShutdown)) {
         throw JournalError("record", record_start,
                            "unknown record type " + std::to_string(type));
       }
       rec.type = static_cast<JournalRecordType>(type);
-      rec.event_index = r.u64();
+      rec.event_index = pr.u64();
       if (rec.type == JournalRecordType::InjectArrival) {
-        rec.stream_seq = r.u64();
-        rec.spec = read_job_spec(r);
+        rec.stream_seq = pr.u64();
+        rec.spec = read_job_spec(pr);
       }
     } catch (const JournalError&) {
       throw;

@@ -3,8 +3,8 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
-#include <memory>
 #include <ostream>
+#include <string_view>
 
 namespace mlfs {
 
@@ -39,153 +39,140 @@ std::uint64_t fnv1a(const char* data, std::size_t size, std::uint64_t h) {
   return h;
 }
 
-io::BinWriter& SnapshotWriter::section(const std::string& name) {
-  for (const Section& s : sections_) {
-    MLFS_EXPECT(s.name != name);
-  }
-  sections_.emplace_back();
-  sections_.back().name = name;
-  current_ = std::make_unique<io::BinWriter>(sections_.back().payload);
-  return *current_;
+namespace {
+
+/// Header bytes before the section count: magic, version, fingerprint.
+constexpr std::size_t kCountOffset = sizeof(kSnapshotMagic) + 4 + 8;
+
+}  // namespace
+
+SnapshotWriter::SnapshotWriter(std::uint64_t config_fingerprint) {
+  w_.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  w_.u32(kSnapshotVersion);
+  w_.u64(config_fingerprint);
+  w_.u32(0);  // section count, patched by write()
 }
 
-void SnapshotWriter::write(std::ostream& os) const {
-  std::ostringstream body;
-  io::BinWriter w(body);
-  w.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  w.u32(kSnapshotVersion);
-  w.u64(fingerprint_);
-  w.u32(static_cast<std::uint32_t>(sections_.size()));
-  for (const Section& s : sections_) {
-    w.u32(static_cast<std::uint32_t>(s.name.size()));
-    w.bytes(s.name.data(), s.name.size());
-    const std::string payload = s.payload.str();
-    w.u64(payload.size());
-    w.bytes(payload.data(), payload.size());
+void SnapshotWriter::close_section() {
+  if (names_.empty()) return;
+  w_.patch_u64(length_at_, w_.size() - (length_at_ + 8));
+}
+
+io::BinWriter& SnapshotWriter::section(const std::string& name) {
+  MLFS_EXPECT(!sealed_);
+  for (const std::string& n : names_) {
+    MLFS_EXPECT(n != name);
   }
-  const std::string bytes = body.str();
-  if (!body) {
-    throw SnapshotError("io", 0, "snapshot serialization failed (out of memory?)");
-  }
-  const std::uint64_t checksum = fnv1a(bytes.data(), bytes.size());
+  close_section();
+  names_.push_back(name);
+  w_.u32(static_cast<std::uint32_t>(name.size()));
+  w_.bytes(name.data(), name.size());
+  length_at_ = w_.size();
+  w_.u64(0);  // payload length, patched when the section closes
+  return w_;
+}
+
+void SnapshotWriter::write(std::ostream& os) {
+  MLFS_EXPECT(!sealed_);
+  sealed_ = true;
+  close_section();
+  w_.patch_u32(kCountOffset, static_cast<std::uint32_t>(names_.size()));
+  w_.u64(fnv1a(bytes_.data(), bytes_.size()));
   errno = 0;
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!os) {
-    throw SnapshotError("io", 0, write_failure_detail("snapshot body write failed"));
-  }
-  io::BinWriter tail(os);
-  tail.u64(checksum);
-  os.flush();
   // A short write or disk-full must fail loudly here, not surface later as
-  // an inexplicable truncated-file rejection during restore.
+  // an inexplicable truncated-file rejection during restore. The offset is
+  // how far the write got.
+  const std::size_t written = io::write_all(os, bytes_);
+  if (written != bytes_.size()) {
+    throw SnapshotError("io", written,
+                        write_failure_detail("snapshot write failed after " +
+                                             std::to_string(written) + " of " +
+                                             std::to_string(bytes_.size()) + " bytes"));
+  }
+  os.flush();
   if (!os) {
-    throw SnapshotError("io", bytes.size(), write_failure_detail("snapshot checksum write failed"));
+    throw SnapshotError("io", written, write_failure_detail("snapshot flush failed"));
   }
 }
 
 namespace {
 
-// Bounds-checked little-endian cursor over the slurped file, reporting the
-// absolute byte offset of the first defect.
-struct FileCursor {
-  const std::string& bytes;
-  std::uint64_t pos = 0;
-
-  [[noreturn]] void fail(const char* section, const std::string& detail) const {
-    throw SnapshotError(section, pos, detail);
+/// Bounds check ahead of a BinReader read, so a truncated file is reported
+/// as a SnapshotError at the absolute offset of the defect rather than as
+/// a bare read-past-end.
+void need(const io::BinReader& r, std::uint64_t n, const std::string& section,
+          const char* what) {
+  if (r.remaining() < n) {
+    throw SnapshotError(section, r.pos(),
+                        std::string("truncated file: need ") + std::to_string(n) +
+                            " bytes for " + what + ", have " + std::to_string(r.remaining()));
   }
-
-  void need(std::uint64_t n, const char* section, const char* what) {
-    if (pos + n > bytes.size()) {
-      fail(section, std::string("truncated file: need ") + std::to_string(n) + " bytes for " +
-                        what + ", have " + std::to_string(bytes.size() - pos));
-    }
-  }
-
-  std::uint32_t u32(const char* section, const char* what) {
-    need(4, section, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[pos + i])) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-
-  std::uint64_t u64(const char* section, const char* what) {
-    need(8, section, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[pos + i])) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-
-  std::string raw(std::uint64_t n, const char* section, const char* what) {
-    need(n, section, what);
-    std::string s = bytes.substr(static_cast<std::size_t>(pos), static_cast<std::size_t>(n));
-    pos += n;
-    return s;
-  }
-};
+}
 
 }  // namespace
 
-SnapshotReader::SnapshotReader(std::istream& is, std::uint64_t expected_fingerprint) {
-  std::string bytes((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
-  FileCursor c{bytes};
+SnapshotReader::SnapshotReader(std::istream& is, std::uint64_t expected_fingerprint)
+    : bytes_(io::read_all(is)) {
+  io::BinReader r(bytes_);
 
-  const std::string magic = c.raw(sizeof(kSnapshotMagic), "header", "magic");
-  if (std::memcmp(magic.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+  need(r, sizeof(kSnapshotMagic), "header", "magic");
+  if (r.view(sizeof(kSnapshotMagic)) !=
+      std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic))) {
     throw SnapshotError("header", 0, "bad magic (not a MLFS snapshot file)");
   }
-  version_ = c.u32("header", "version");
+  need(r, 4, "header", "version");
+  version_ = r.u32();
   if (version_ != kSnapshotVersion) {
     throw SnapshotError("header", 8,
                         "unsupported snapshot version " + std::to_string(version_) +
                             " (this build reads version " + std::to_string(kSnapshotVersion) +
                             ")");
   }
-  fingerprint_ = c.u64("header", "fingerprint");
+  need(r, 8, "header", "fingerprint");
+  fingerprint_ = r.u64();
 
-  const std::uint64_t count_at = c.pos;
-  const std::uint32_t count = c.u32("header", "section count");
+  const std::uint64_t count_at = r.pos();
+  need(r, 4, "header", "section count");
+  const std::uint32_t count = r.u32();
   // Each framed section takes at least a name length and a payload length:
   // bound the count by the bytes that remain before reserving, so a
   // corrupt count cannot demand gigabytes.
   constexpr std::uint64_t kMinSectionBytes = 4 + 8;
-  const std::uint64_t remaining = bytes.size() - c.pos;
-  if (count > remaining / kMinSectionBytes) {
+  if (count > r.remaining() / kMinSectionBytes) {
     throw SnapshotError("header", count_at,
                         "implausible section count " + std::to_string(count) + " for " +
-                            std::to_string(remaining) + " remaining bytes");
+                            std::to_string(r.remaining()) + " remaining bytes");
   }
   sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t name_at = c.pos;
-    const std::uint32_t name_len = c.u32("header", "section name length");
+    const std::uint64_t name_at = r.pos();
+    need(r, 4, "header", "section name length");
+    const std::uint32_t name_len = r.u32();
     if (name_len > 256) {
       throw SnapshotError("header", name_at,
                           "implausible section name length " + std::to_string(name_len));
     }
     Section s;
-    s.name = c.raw(name_len, "header", "section name");
-    const std::uint64_t payload_len = c.u64(s.name.c_str(), "section payload length");
-    s.offset = c.pos;
-    s.payload = c.raw(payload_len, s.name.c_str(), "section payload");
+    need(r, name_len, "header", "section name");
+    s.name = std::string(r.view(name_len));
+    need(r, 8, s.name, "section payload length");
+    s.size = r.u64();
+    s.offset = r.pos();
+    need(r, s.size, s.name, "section payload");
+    r.view(s.size);
     sections_.push_back(std::move(s));
   }
 
   // Trailing checksum covers everything before it; trailing garbage after
   // it is also a defect (a partially-overwritten file must not pass).
-  const std::uint64_t checksum_at = c.pos;
-  const std::uint64_t stored = c.u64("checksum", "checksum");
-  if (c.pos != bytes.size()) {
-    throw SnapshotError("checksum", c.pos,
-                        std::to_string(bytes.size() - c.pos) + " trailing bytes after checksum");
+  const std::uint64_t checksum_at = r.pos();
+  need(r, 8, "checksum", "checksum");
+  const std::uint64_t stored = r.u64();
+  if (!r.at_end()) {
+    throw SnapshotError("checksum", r.pos(),
+                        std::to_string(r.remaining()) + " trailing bytes after checksum");
   }
-  const std::uint64_t computed = fnv1a(bytes.data(), static_cast<std::size_t>(checksum_at));
+  const std::uint64_t computed = fnv1a(bytes_.data(), static_cast<std::size_t>(checksum_at));
   if (stored != computed) {
     throw SnapshotError("checksum", checksum_at, "checksum mismatch (file corrupt)");
   }
@@ -210,12 +197,13 @@ bool SnapshotReader::has_section(const std::string& name) const {
   return find(name) != nullptr;
 }
 
-std::istringstream SnapshotReader::section(const std::string& name) const {
+io::BinReader SnapshotReader::section(const std::string& name) const {
   const Section* s = find(name);
   if (s == nullptr) {
     throw SnapshotError(name, 0, "required section missing from snapshot");
   }
-  return std::istringstream(s->payload);
+  return io::BinReader(std::string_view(bytes_).substr(static_cast<std::size_t>(s->offset),
+                                                       static_cast<std::size_t>(s->size)));
 }
 
 }  // namespace mlfs

@@ -11,7 +11,7 @@
 //                       u64 payload length | payload bytes ]
 //   checksum u64      FNV-1a over every byte before this field
 //
-// SnapshotReader slurps and validates the WHOLE file — magic, version,
+// SnapshotReader reads and validates the WHOLE file — magic, version,
 // fingerprint, section framing, checksum — before handing out a single
 // section, so a truncated/corrupt/mismatched snapshot is rejected up front
 // with a structured SnapshotError and the engine being restored is never
@@ -20,8 +20,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,36 +69,39 @@ inline std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Accumulates named sections in memory, then writes the framed + check-
-/// summed file in one pass. Section payloads are written through the
-/// io::BinWriter returned by section().
+/// Frames named sections straight into one buffer, then writes the
+/// checksummed file in one call. Section payloads are written through the
+/// io::BinWriter returned by section(); each section's payload length is
+/// back-patched when the next section starts (or at write()).
 class SnapshotWriter {
  public:
-  explicit SnapshotWriter(std::uint64_t config_fingerprint)
-      : fingerprint_(config_fingerprint) {}
+  explicit SnapshotWriter(std::uint64_t config_fingerprint);
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
   /// Starts a new section; the returned writer is valid until the next
   /// section() call or write(). Section names must be unique.
   io::BinWriter& section(const std::string& name);
 
-  /// Serializes header + sections + trailing checksum.
-  void write(std::ostream& os) const;
+  /// Seals the file (section count, last payload length, trailing
+  /// checksum) and writes it to `os` in one call. Call once; no section()
+  /// after.
+  void write(std::ostream& os);
 
  private:
-  struct Section {
-    std::string name;
-    std::ostringstream payload;
-  };
+  void close_section();
 
-  std::uint64_t fingerprint_;
-  std::vector<Section> sections_;
-  std::unique_ptr<io::BinWriter> current_;
+  std::string bytes_;
+  io::BinWriter w_{bytes_};
+  std::vector<std::string> names_;
+  std::size_t length_at_ = 0;  ///< offset of the open section's length field
+  bool sealed_ = false;
 };
 
 /// Parses and validates a snapshot file up front (magic, version, config
 /// fingerprint, section framing, whole-file checksum). Construction throws
-/// SnapshotError on any defect; afterwards section payloads are served from
-/// memory.
+/// SnapshotError on any defect; afterwards section payloads are served as
+/// views into the reader's own copy of the file.
 class SnapshotReader {
  public:
   /// `expected_fingerprint` is the restoring engine's own fingerprint; a
@@ -110,9 +111,10 @@ class SnapshotReader {
 
   bool has_section(const std::string& name) const;
 
-  /// The named section's payload as a fresh stream; throws SnapshotError
-  /// when the section is missing.
-  std::istringstream section(const std::string& name) const;
+  /// A reader over the named section's payload, valid while this
+  /// SnapshotReader lives; throws SnapshotError when the section is
+  /// missing.
+  io::BinReader section(const std::string& name) const;
 
   std::uint32_t version() const { return version_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
@@ -121,10 +123,11 @@ class SnapshotReader {
   struct Section {
     std::string name;
     std::uint64_t offset = 0;  ///< payload start within the file
-    std::string payload;
+    std::uint64_t size = 0;
   };
   const Section* find(const std::string& name) const;
 
+  std::string bytes_;
   std::uint32_t version_ = 0;
   std::uint64_t fingerprint_ = 0;
   std::vector<Section> sections_;

@@ -6,9 +6,16 @@
 // never crashed, including torn-tail journals, clean-shutdown re-runs and
 // snapshot retention pruning.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -17,6 +24,7 @@
 #include "exp/durable.hpp"
 #include "exp/runner.hpp"
 #include "sim/engine.hpp"
+#include "sim/journal.hpp"
 #include "sim/snapshot.hpp"
 
 namespace mlfs {
@@ -300,6 +308,192 @@ TEST(DurableSession, SnapshotKeepPrunesOldCheckpointsAndTheirSegments) {
   const exp::DurableResult resumed = exp::run_durable(request, script, config);
   EXPECT_TRUE(resumed.recovered);
   EXPECT_TRUE(deterministic_equal(result.metrics, resumed.metrics));
+}
+
+// ------------------------------------------------------ snapshot write failure
+
+TEST(DurableSession, FailedSnapshotWriteNeverLeavesAFinalSnapshot) {
+  const exp::RunRequest request = streaming_request();
+  const auto script = streamed_script(3);
+  const RunMetrics reference = exp::run_streaming(request, script);
+
+  exp::DurableConfig config;
+  config.snapshot_stride = 60;
+
+  // Size a file-size cap from a clean run: snap-0 and every journal
+  // segment fit under it, and some later checkpoint does not.
+  std::uintmax_t cap = 0;
+  std::vector<std::pair<std::uint64_t, std::uintmax_t>> later;  // (event, bytes)
+  {
+    ScratchDir probe("write_fail_probe");
+    exp::DurableConfig clean = config;
+    clean.dir = probe.path;
+    ASSERT_FALSE(exp::run_durable(request, script, clean).halted);
+    for (const auto& entry : fs::directory_iterator(probe.path)) {
+      const std::string name = entry.path().filename().string();
+      const std::uintmax_t bytes = fs::file_size(entry.path());
+      if (name == "snap-0.bin" || name.rfind("journal-", 0) == 0) {
+        cap = std::max(cap, bytes);
+      } else if (name.rfind("snap-", 0) == 0) {
+        later.emplace_back(std::stoull(name.substr(5)), bytes);
+      }
+    }
+  }
+  std::sort(later.begin(), later.end());
+  std::optional<std::uint64_t> failing;
+  std::optional<std::uint64_t> last_good;
+  for (const auto& [event, bytes] : later) {
+    if (bytes > cap) {
+      failing = event;
+      break;
+    }
+    last_good = event;
+  }
+  ASSERT_TRUE(failing.has_value()) << "no checkpoint outgrows the cap; the test proves nothing";
+
+  ScratchDir scratch("write_fail");
+  config.dir = scratch.path;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: the kernel refuses to grow any file past the cap (EFBIG), as
+    // a full disk would mid-checkpoint.
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{static_cast<rlim_t>(cap), static_cast<rlim_t>(cap)};
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(10);
+    int code = 11;
+    try {
+      (void)exp::run_durable(request, script, config);
+      code = 12;  // the run completed: nothing failed
+    } catch (const SnapshotError& e) {
+      code = e.section() == "io" ? 0 : 13;
+    } catch (...) {
+      code = 14;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "child did not fail with SnapshotError(io)";
+
+  // The failed checkpoint left only its .tmp; no final name points at a
+  // partial file.
+  const std::string failed = scratch.path + "/snap-" + std::to_string(*failing) + ".bin";
+  EXPECT_FALSE(fs::exists(failed));
+  EXPECT_TRUE(fs::exists(failed + ".tmp"));
+
+  // The next session removes the debris, resumes from the last complete
+  // checkpoint and still converges on the reference run.
+  const exp::DurableResult recovered = exp::run_durable(request, script, config);
+  EXPECT_TRUE(recovered.recovered);
+  EXPECT_EQ(recovered.resume_event, last_good.value_or(0));
+  EXPECT_FALSE(fs::exists(failed + ".tmp"));
+  EXPECT_TRUE(deterministic_equal(reference, recovered.metrics));
+  EXPECT_EQ(reference.event_stream_hash, recovered.metrics.event_stream_hash);
+}
+
+// ------------------------------------------------------------ golden formats
+//
+// tests/data/golden_v5 holds a crashed durable session written by the
+// snapshot-v5 / journal-v1 code before its binary I/O moved onto byte
+// buffers: the newest snapshot (snap-800.bin) and its journal segment,
+// which carries seven journaled arrivals past the snapshot. The run was
+// halted at event 1100 of 5172. These files are never regenerated: they
+// prove the current code still reads and writes the same bytes.
+
+exp::RunRequest golden_request() {
+  exp::RunRequest r;
+  r.label = "golden-format";
+  r.cluster.server_count = 4;
+  r.cluster.gpus_per_server = 4;
+  r.cluster.servers_per_rack = 2;
+  r.cluster.link_contention = true;
+  r.engine.seed = 23;
+  r.engine.max_sim_time = hours(72.0);
+  r.engine.fault.server_mtbf_hours = 24.0;
+  r.engine.recovery.enabled = true;
+  r.trace.num_jobs = 40;
+  r.trace.duration_hours = 2.0;
+  r.trace.seed = 11;
+  r.trace.max_gpu_request = 6;
+  r.scheduler = "MLFS";
+  return r;
+}
+
+constexpr std::uint64_t kGoldenStreamHash = 15656029124963918891ull;
+constexpr std::uint64_t kGoldenSnapshotEvent = 800;
+
+std::string golden_path(const std::string& name) {
+  return std::string(MLFS_TEST_DATA_DIR) + "/golden_v5/" + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  EXPECT_TRUE(is.good()) << "missing fixture " << path;
+  return std::string(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+}
+
+TEST(GoldenFormat, ReferenceRunMatchesPinnedHash) {
+  exp::RunRequest request = golden_request();
+  const auto script = exp::split_streamed_tail(request, 20);
+  EXPECT_EQ(exp::run_streaming(request, script).event_stream_hash, kGoldenStreamHash);
+}
+
+TEST(GoldenFormat, FixtureCheckpointResumesToPinnedHash) {
+  exp::RunRequest request = golden_request();
+  const auto script = exp::split_streamed_tail(request, 20);
+  ScratchDir scratch("golden_resume");
+  fs::create_directories(scratch.path);
+  for (const char* name : {"snap-800.bin", "journal-800.wal"}) {
+    fs::copy_file(golden_path(name), scratch.path + "/" + name);
+  }
+  exp::DurableConfig config;
+  config.dir = scratch.path;
+  config.snapshot_stride = 400;
+  config.snapshot_keep = 1;
+  const exp::DurableResult resumed = exp::run_durable(request, script, config);
+  EXPECT_TRUE(resumed.recovered);
+  EXPECT_EQ(resumed.resume_event, kGoldenSnapshotEvent);
+  EXPECT_EQ(resumed.records_replayed, 7u);
+  EXPECT_FALSE(resumed.torn_tail_dropped);
+  EXPECT_EQ(resumed.metrics.event_stream_hash, kGoldenStreamHash);
+}
+
+TEST(GoldenFormat, FixtureSnapshotReserializesToTheSameBytes) {
+  exp::RunRequest request = golden_request();
+  (void)exp::split_streamed_tail(request, 20);
+  const std::string golden = slurp(golden_path("snap-800.bin"));
+  exp::EngineBundle bundle = exp::build_engine(request);
+  {
+    std::istringstream is(golden, std::ios::binary);
+    bundle.engine->restore_snapshot(is);
+  }
+  EXPECT_EQ(bundle.engine->events_processed(), kGoldenSnapshotEvent);
+  // Restored state includes the wall-clock accumulators, so an unchanged
+  // format re-serializes every byte, checksum included.
+  std::ostringstream os(std::ios::binary);
+  bundle.engine->save_snapshot(os);
+  EXPECT_TRUE(os.str() == golden) << "re-serialized snapshot differs from the fixture";
+}
+
+TEST(GoldenFormat, FixtureJournalRewritesToTheSameBytes) {
+  exp::RunRequest request = golden_request();
+  (void)exp::split_streamed_tail(request, 20);
+  const exp::EngineBundle bundle = exp::build_engine(request);
+  const std::string golden = slurp(golden_path("journal-800.wal"));
+  const JournalReplay replay =
+      read_journal_file(golden_path("journal-800.wal"), bundle.engine->config_fingerprint());
+  EXPECT_EQ(replay.base_event, kGoldenSnapshotEvent);
+  ASSERT_EQ(replay.records.size(), 7u);
+  EXPECT_FALSE(replay.torn_tail);
+
+  auto sink = std::make_unique<MemoryJournalSink>();
+  const MemoryJournalSink* mem = sink.get();
+  JournalWriter writer(std::move(sink), replay.fingerprint, replay.base_event, replay.first_seq,
+                       FsyncPolicy::Off);
+  for (const JournalRecord& record : replay.records) writer.append_record(record);
+  EXPECT_TRUE(mem->bytes() == golden) << "rewritten journal differs from the fixture";
 }
 
 }  // namespace

@@ -168,15 +168,14 @@ TEST(PredictionService, SnapshotRoundTripIsBitExact) {
   advance(job, svc, 9);
   (void)svc.predict_at_max(job);
 
-  std::ostringstream bytes;
+  std::string bytes;
   {
     io::BinWriter w(bytes);
     svc.save_state(w);
   }
   PredictionService restored({}, /*check_interval=*/3);
   {
-    std::istringstream in(bytes.str());
-    io::BinReader r(in);
+    io::BinReader r(bytes);
     restored.restore_state(r);
   }
   EXPECT_EQ(restored.stats().fits_cold, svc.stats().fits_cold);
@@ -186,12 +185,12 @@ TEST(PredictionService, SnapshotRoundTripIsBitExact) {
   EXPECT_EQ(restored.cached_states().size(), 1u);
 
   // Bit-identical state must re-serialize to the exact same bytes...
-  std::ostringstream again;
+  std::string again;
   {
     io::BinWriter w(again);
     restored.save_state(w);
   }
-  EXPECT_EQ(again.str(), bytes.str());
+  EXPECT_EQ(again, bytes);
 
   // ...and continue the chain exactly like the original.
   advance(job, svc, 3);

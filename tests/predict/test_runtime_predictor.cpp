@@ -119,7 +119,7 @@ TEST(RuntimePredictor, SaveFormatMatchesHistoricalSortedBytes) {
   predictor.record_completion(make_job(MlAlgorithm::Lstm, 4, 1));
   predictor.record_completion(make_job(MlAlgorithm::Mlp, 8, 2));
   predictor.record_completion(make_job(MlAlgorithm::Mlp, 2, 3));
-  std::ostringstream actual;
+  std::string actual;
   {
     io::BinWriter w(actual);
     predictor.save_state(w);
@@ -130,7 +130,7 @@ TEST(RuntimePredictor, SaveFormatMatchesHistoricalSortedBytes) {
       {static_cast<int>(MlAlgorithm::Lstm), 4},
   };
   std::sort(sorted.begin(), sorted.end());
-  std::ostringstream expected;
+  std::string expected;
   {
     io::BinWriter w(expected);
     w.u64(sorted.size());
@@ -139,12 +139,11 @@ TEST(RuntimePredictor, SaveFormatMatchesHistoricalSortedBytes) {
       w.i64(gpus);
     }
   }
-  EXPECT_EQ(actual.str(), expected.str());
+  EXPECT_EQ(actual, expected);
 
   // Round trip restores the same membership.
   RuntimePredictor restored;
-  std::istringstream in(actual.str());
-  io::BinReader r(in);
+  io::BinReader r(actual);
   restored.restore_state(r);
   EXPECT_TRUE(restored.has_history(make_job(MlAlgorithm::Lstm, 4, 9)));
   EXPECT_TRUE(restored.has_history(make_job(MlAlgorithm::Mlp, 2, 9)));

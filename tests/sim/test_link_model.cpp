@@ -240,27 +240,26 @@ TEST(LinkModel, StateRoundTripsThroughSaveRestore) {
   live.set_job_duty_cycle(0, 0.45);
   (void)live.set_phase_offset(2, 0.45);
 
-  std::ostringstream os(std::ios::binary);
+  std::string bytes;
   {
-    io::BinWriter w(os);
+    io::BinWriter w(bytes);
     live.save_state(w);
   }
   LinkModel twin = racked();
   {
-    std::istringstream is(os.str(), std::ios::binary);
-    io::BinReader r(is);
+    io::BinReader r(bytes);
     twin.restore_state(r);
   }
   EXPECT_TRUE(twin.equals(live));
   EXPECT_TRUE(live.equals(twin));
 
   // Lossless: re-saving the restored model reproduces the original bytes.
-  std::ostringstream resaved(std::ios::binary);
+  std::string resaved;
   {
     io::BinWriter w(resaved);
     twin.save_state(w);
   }
-  EXPECT_EQ(resaved.str(), os.str());
+  EXPECT_EQ(resaved, bytes);
 }
 
 }  // namespace

@@ -224,14 +224,13 @@ TEST(PlacementIndex, StatsSurviveSaveRestoreRoundTrip) {
   PlacementIndex idx = make_index(fleet);
   std::vector<ServerId> out;
   idx.collect_feasible(kHr, 0.1, 0.1, 0.1, 0.1, kInvalidServer, out);
-  std::ostringstream os;
-  io::BinWriter w(os);
+  std::string bytes;
+  io::BinWriter w(bytes);
   idx.save_state(w);
 
   PlacementIndex fresh;
   fresh.reset(fleet.size(), kHr, kBuckets);
-  std::istringstream is(os.str());
-  io::BinReader r(is);
+  io::BinReader r(bytes);
   fresh.restore_state(r);
   EXPECT_EQ(fresh.stats().queries, idx.stats().queries);
   EXPECT_EQ(fresh.stats().servers_examined, idx.stats().servers_examined);

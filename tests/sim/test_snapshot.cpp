@@ -13,6 +13,7 @@
 // untouched (never a partial restore).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -63,12 +64,10 @@ TEST(SnapshotContainer, RoundTripsSectionsVersionAndFingerprint) {
   ASSERT_TRUE(reader.has_section("beta"));
   EXPECT_FALSE(reader.has_section("gamma"));
 
-  auto alpha = reader.section("alpha");
-  io::BinReader ra(alpha);
+  io::BinReader ra = reader.section("alpha");
   EXPECT_EQ(ra.u64(), 42u);
   EXPECT_DOUBLE_EQ(ra.f64(), 2.5);
-  auto beta = reader.section("beta");
-  io::BinReader rb(beta);
+  io::BinReader rb = reader.section("beta");
   EXPECT_EQ(rb.str(), "payload");
 }
 
@@ -197,7 +196,7 @@ TEST(SnapshotSubsystems, ClusterStateReserializesIdentically) {
   cluster.set_server_up(2, false);
   cluster.set_placement_cap(1, 1);
 
-  std::ostringstream first(std::ios::binary);
+  std::string first;
   {
     io::BinWriter w(first);
     cluster.save_state(w);
@@ -208,19 +207,18 @@ TEST(SnapshotSubsystems, ClusterStateReserializesIdentically) {
   auto twin_inst = ModelZoo::instantiate(snapshot_spec(2), 0);
   twin.register_job(std::move(twin_inst.job), std::move(twin_inst.tasks));
   {
-    std::istringstream is(first.str(), std::ios::binary);
-    io::BinReader r(is);
+    io::BinReader r(first);
     twin.restore_state(r);
   }
   EXPECT_EQ(twin.up_server_count(), cluster.up_server_count());
   EXPECT_EQ(twin.task(0).server, cluster.task(0).server);
 
-  std::ostringstream second(std::ios::binary);
+  std::string second;
   {
     io::BinWriter w(second);
     twin.save_state(w);
   }
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(first, second);
 }
 
 TEST(SnapshotSubsystems, HealthTrackerReserializesIdentically) {
@@ -235,15 +233,14 @@ TEST(SnapshotSubsystems, HealthTrackerReserializesIdentically) {
   tracker.try_quarantine(1, hours(2.5));
   (void)tracker.advance(hours(3.0));
 
-  std::ostringstream first(std::ios::binary);
+  std::string first;
   {
     io::BinWriter w(first);
     tracker.save_state(w);
   }
   ServerHealthTracker twin(config, 4);
   {
-    std::istringstream is(first.str(), std::ios::binary);
-    io::BinReader r(is);
+    io::BinReader r(first);
     twin.restore_state(r);
   }
   // Lazy-decay arithmetic must match bit-exactly at any later query time.
@@ -251,12 +248,12 @@ TEST(SnapshotSubsystems, HealthTrackerReserializesIdentically) {
   EXPECT_EQ(twin.health(1), tracker.health(1));
   EXPECT_EQ(twin.quarantines(), tracker.quarantines());
 
-  std::ostringstream second(std::ios::binary);
+  std::string second;
   {
     io::BinWriter w(second);
     twin.save_state(w);
   }
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(first, second);
 }
 
 TEST(SnapshotSubsystems, RngStreamResumesExactly) {
@@ -343,6 +340,60 @@ TEST(SnapshotEngine, CorruptRestoreLeavesEngineUntouched) {
   const RunMetrics actual = victim.engine->finalize();
   EXPECT_TRUE(deterministic_equal(expected, actual));
   EXPECT_EQ(expected.event_stream_hash, actual.event_stream_hash);
+}
+
+/// Output buffer that accepts `budget` bytes, then refuses every further
+/// byte: a disk filling up under the snapshot writer.
+class BudgetBuf : public std::streambuf {
+ public:
+  explicit BudgetBuf(std::size_t budget) : budget_(budget) {}
+  const std::string& accepted() const { return accepted_; }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const auto fits = std::min<std::streamsize>(
+        n, static_cast<std::streamsize>(budget_ - accepted_.size()));
+    accepted_.append(s, static_cast<std::size_t>(fits));
+    return fits;
+  }
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) return traits_type::not_eof(c);
+    if (accepted_.size() >= budget_) return traits_type::eof();
+    accepted_.push_back(traits_type::to_char_type(c));
+    return c;
+  }
+
+ private:
+  std::size_t budget_;
+  std::string accepted_;
+};
+
+TEST(SnapshotWriteHardening, EngineSaveIntoFullDiskThrowsStructuredIoError) {
+  exp::EngineBundle donor = exp::build_engine(engine_request());
+  for (int i = 0; i < 100 && donor.engine->step(); ++i) {
+  }
+  const std::string full = engine_snapshot_bytes(*donor.engine);
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1}, full.size() / 2,
+                                   full.size() - 8, full.size() - 1}) {
+    BudgetBuf buf(budget);
+    std::ostream os(&buf);
+    try {
+      donor.engine->save_snapshot(os);
+      ADD_FAILURE() << "write refused after " << budget << " bytes was accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.section(), "io") << "budget " << budget;
+      EXPECT_EQ(e.offset(), budget) << "the offset is how far the write got";
+    }
+    // Whatever reached the device is a prefix of the real file, which the
+    // reader rejects as truncated.
+    EXPECT_EQ(buf.accepted(), full.substr(0, budget));
+    std::istringstream is(buf.accepted(), std::ios::binary);
+    EXPECT_THROW(SnapshotReader(is, donor.engine->config_fingerprint()), SnapshotError);
+  }
+  BudgetBuf exact(full.size());
+  std::ostream os(&exact);
+  donor.engine->save_snapshot(os);
+  EXPECT_EQ(exact.accepted(), full);
 }
 
 TEST(SnapshotEngine, RestoreFromWrongConfigRejected) {
@@ -476,25 +527,31 @@ TEST(SnapshotRegression, ReinforceAgentFullStateRoundTrips) {
   const std::vector<double> state = {0.1, -0.2, 0.3, 0.4};
   for (int i = 0; i < 17; ++i) (void)agent.act(state);
 
-  std::ostringstream saved(std::ios::binary);
-  agent.save_state(saved);
+  std::string saved;
+  {
+    io::BinWriter w(saved);
+    agent.save_state(w);
+  }
 
   rl::ReinforceAgent twin(config);
   (void)twin.act(state);  // desynchronize before restore
   {
-    std::istringstream is(saved.str(), std::ios::binary);
-    twin.restore_state(is);
+    io::BinReader r(saved);
+    twin.restore_state(r);
   }
   for (int i = 0; i < 32; ++i) EXPECT_EQ(twin.act(state), agent.act(state));
 
   // And the restore is lossless: re-saving reproduces the original bytes.
   {
-    std::istringstream is(saved.str(), std::ios::binary);
-    twin.restore_state(is);
+    io::BinReader r(saved);
+    twin.restore_state(r);
   }
-  std::ostringstream resaved(std::ios::binary);
-  twin.save_state(resaved);
-  EXPECT_EQ(resaved.str(), saved.str());
+  std::string resaved;
+  {
+    io::BinWriter w(resaved);
+    twin.save_state(w);
+  }
+  EXPECT_EQ(resaved, saved);
 }
 
 }  // namespace
