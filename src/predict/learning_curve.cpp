@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <tuple>
+#include <utility>
 
 #include "common/expect.hpp"
-#include "predict/nelder_mead.hpp"
 
 namespace mlfs {
 
@@ -36,19 +37,41 @@ double basis_ilog(const std::vector<double>& p, double x) {
   return c - a / std::log(x + std::numbers::e);
 }
 
-/// ln(x + e) at x = i + 1 for the first kLogTableSize points, built once
-/// (thread-safe static init); longer curves compute the tail directly.
-constexpr std::size_t kLogTableSize = 4096;
+/// pow3's log-alpha search: scan points kPow3ScanSpacing * k for |k| <=
+/// kPow3ScanSteps (alpha from ~0.0025 to ~400), then a one-dimensional
+/// Nelder-Mead run to a tighter tolerance than the default, which is cheap
+/// in one dimension.
+constexpr int kPow3ScanSteps = 12;
+constexpr double kPow3ScanSpacing = 0.5;
+constexpr double kPow3Tolerance = 1e-15;
 
-const std::vector<double>& ilog_denominators() {
-  static const std::vector<double> kTable = [] {
-    std::vector<double> t(kLogTableSize);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      t[i] = std::log(static_cast<double>(i + 1) + std::numbers::e);
-    }
-    return t;
-  }();
-  return kTable;
+double x_at(FitPoints points, std::size_t i) {
+  return points.x.empty() ? static_cast<double>(i + 1) : points.x[i];
+}
+
+/// Least-squares (c, a) of y ~ c - a * u from centred sums. A u without
+/// spread, or a slope that overflows, leaves a = 0 and c = mean(y).
+std::pair<double, double> linear_coefficients(std::span<const double> u,
+                                              std::span<const double> y) {
+  const double n = static_cast<double>(y.size());
+  double u_mean = 0.0;
+  double y_mean = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    u_mean += u[i];
+    y_mean += y[i];
+  }
+  u_mean /= n;
+  y_mean /= n;
+  double suu = 0.0;
+  double suy = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const double du = u[i] - u_mean;
+    suu += du * du;
+    suy += du * (y[i] - y_mean);
+  }
+  double a = suu > 0.0 ? -suy / suu : 0.0;
+  if (!std::isfinite(a)) a = 0.0;
+  return {y_mean + a * u_mean, a};
 }
 
 }  // namespace
@@ -62,10 +85,10 @@ const std::vector<Basis>& bases() {
   return kBases;
 }
 
-double fit_residual(const Basis& basis, const std::vector<double>& params,
-                    std::span<const double> observed) {
+double fit_residual(const Basis& basis, const std::vector<double>& params, FitPoints points) {
   // Each loop repeats its basis_* expression term for term, so every
   // point's arithmetic (and the summation order) is unchanged.
+  const std::span<const double> observed = points.y;
   const std::size_t n = observed.size();
   double sq = 0.0;
   switch (basis.kind) {
@@ -73,7 +96,7 @@ double fit_residual(const Basis& basis, const std::vector<double>& params,
       const double a = params[0];
       const double k = std::exp(params[1]);
       for (std::size_t i = 0; i < n; ++i) {
-        const double x = static_cast<double>(i + 1);
+        const double x = x_at(points, i);
         const double err = a * x / (x + k) - observed[i];
         sq += err * err;
       }
@@ -84,7 +107,7 @@ double fit_residual(const Basis& basis, const std::vector<double>& params,
       const double a = params[1];
       const double alpha = std::exp(params[2]);
       for (std::size_t i = 0; i < n; ++i) {
-        const double x = static_cast<double>(i + 1);
+        const double x = x_at(points, i);
         const double err = c - a * std::pow(x, -alpha) - observed[i];
         sq += err * err;
       }
@@ -93,20 +116,83 @@ double fit_residual(const Basis& basis, const std::vector<double>& params,
     case BasisKind::Ilog: {
       const double c = params[0];
       const double a = params[1];
-      const std::vector<double>& log_table = ilog_denominators();
-      const std::size_t tabled = std::min(n, log_table.size());
-      for (std::size_t i = 0; i < tabled; ++i) {
-        const double err = c - a / log_table[i] - observed[i];
-        sq += err * err;
-      }
-      for (std::size_t i = tabled; i < n; ++i) {
-        const double err = basis_ilog(params, static_cast<double>(i + 1)) - observed[i];
+      for (std::size_t i = 0; i < n; ++i) {
+        const double err = c - a / std::log(x_at(points, i) + std::numbers::e) - observed[i];
         sq += err * err;
       }
       break;
     }
   }
   return sq / static_cast<double>(n);
+}
+
+FitResult fit_basis(const Basis& basis, FitPoints points, const std::vector<double>& start,
+                    double initial_step) {
+  const std::span<const double> y = points.y;
+  const std::size_t n = y.size();
+  MLFS_EXPECT(n >= 2);
+  MLFS_EXPECT(points.x.empty() || points.x.size() == n);
+  NelderMeadOptions options;
+  options.initial_step = initial_step;
+  std::size_t evaluations = 0;
+  switch (basis.kind) {
+    case BasisKind::Mmf: {
+      NelderMeadResult r = nelder_mead(
+          [&](const std::vector<double>& p) {
+            ++evaluations;
+            return fit_residual(basis, p, points);
+          },
+          start, options);
+      return {std::move(r.x), r.value, evaluations};
+    }
+    case BasisKind::Pow3: {
+      // Variable projection: for a fixed alpha, c - a * x^-alpha is linear
+      // in (c, a), so the search runs over log alpha alone. The residual
+      // repeats fit_residual's pow3 expression term for term.
+      std::vector<double> u(n);
+      double c = 0.0;
+      double a = 0.0;
+      const auto project = [&](double log_alpha) {
+        const double alpha = std::exp(log_alpha);
+        for (std::size_t i = 0; i < n; ++i) u[i] = std::pow(x_at(points, i), -alpha);
+        std::tie(c, a) = linear_coefficients(u, y);
+        double sq = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double err = c - a * u[i] - y[i];
+          sq += err * err;
+        }
+        ++evaluations;
+        return sq / static_cast<double>(n);
+      };
+      // The projected residual can have two basins (alpha -> 0 tends to a
+      // log-linear fit, a large alpha fits the first point alone), so the
+      // search starts from the best of `start` and a coarse scan.
+      double seed = start[2];
+      double seed_value = project(seed);
+      for (int k = -kPow3ScanSteps; k <= kPow3ScanSteps; ++k) {
+        const double log_alpha = kPow3ScanSpacing * k;
+        const double value = project(log_alpha);
+        if (value < seed_value) {
+          seed = log_alpha;
+          seed_value = value;
+        }
+      }
+      options.tolerance = kPow3Tolerance;
+      const NelderMeadResult r = nelder_mead(
+          [&](const std::vector<double>& t) { return project(t[0]); }, {seed}, options);
+      const double value = project(r.x[0]);  // leaves (c, a) at the best log alpha
+      return {{c, a, r.x[0]}, value, evaluations};
+    }
+    case BasisKind::Ilog:
+      break;
+  }
+  // ilog, c - a / ln(x + e), is linear in (c, a): one closed-form solve.
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = 1.0 / std::log(x_at(points, i) + std::numbers::e);
+  const auto [c, a] = linear_coefficients(v, y);
+  std::vector<double> params = {c, a};
+  const double value = fit_residual(basis, params, points);
+  return {std::move(params), value, 1};
 }
 
 CurvePrediction combine_fits(const std::vector<BasisFit>& fits, double residual_scale) {
@@ -168,14 +254,11 @@ CurvePrediction LearningCurvePredictor::predict_at(std::span<const double> obser
   std::vector<curve_detail::BasisFit> fits;
   fits.reserve(curve_detail::bases().size());
   for (const curve_detail::Basis& basis : curve_detail::bases()) {
-    auto objective = [&basis, observed](const std::vector<double>& p) {
-      return curve_detail::fit_residual(basis, p, observed);
-    };
-    const auto result = nelder_mead(objective, basis.init);
+    const auto result = curve_detail::fit_basis(basis, {observed}, basis.init);
     curve_detail::BasisFit fit;
     fit.rmse = std::sqrt(std::max(result.value, 0.0));
     fit.prediction =
-        std::clamp(basis.eval(result.x, static_cast<double>(target_iteration)), 0.0, 1.0);
+        std::clamp(basis.eval(result.params, static_cast<double>(target_iteration)), 0.0, 1.0);
     fits.push_back(fit);
   }
   return curve_detail::combine_fits(fits, config_.residual_scale);

@@ -4,15 +4,16 @@
 // §3.5: OptStop uses the prediction + its confidence).
 //
 // Mechanism: fit several parametric basis curves to the observed
-// (iteration, accuracy) points by least squares (Nelder-Mead), weight each
-// basis by how well it explains the observations, and report the weighted
-// prediction plus a confidence derived from inter-basis agreement and fit
-// residuals.
+// (iteration, accuracy) points by least squares, weight each basis by how
+// well it explains the observations, and report the weighted prediction
+// plus a confidence derived from inter-basis agreement and fit residuals.
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
+
+#include "predict/nelder_mead.hpp"
 
 namespace mlfs {
 
@@ -30,24 +31,53 @@ namespace curve_detail {
 enum class BasisKind { Mmf, Pow3, Ilog };
 
 /// Maps (params, x) -> accuracy. Params are unconstrained reals; the
-/// functions clamp/transform internally so Nelder-Mead can roam.
+/// functions transform internally (exp) so a search can roam freely.
 struct Basis {
   const char* name;
-  BasisKind kind;  ///< selects fit_residual's specialised loop
+  BasisKind kind;  ///< selects fit_residual's and fit_basis' specialised code
   double (*eval)(const std::vector<double>&, double);
-  std::vector<double> init;  ///< cold-start simplex seed
+  std::vector<double> init;  ///< cold-start point (pow3's fit reads only log alpha, ilog's none)
 };
 
-/// The fixed basis family (mmf / pow3 / ilog).
+/// The fixed basis family: mmf (a, log k), pow3 (c, a, log alpha) and
+/// ilog (c, a).
 const std::vector<Basis>& bases();
 
-/// Mean squared error of `params` against `observed` where observed[i] is
-/// the value at x = i + 1. Bitwise equal to summing (basis.eval(params,
-/// i + 1) - observed[i])^2 in index order, but each basis has its own loop:
-/// per-evaluation exp() transforms are hoisted out of the point loop, and
-/// ilog's log(x + e) comes from a table. Allocation-free.
-double fit_residual(const Basis& basis, const std::vector<double>& params,
-                    std::span<const double> observed);
+/// The points a fit runs over: y[i] at x[i], or at x = i + 1 when x is
+/// empty (a full observation prefix). Explicit x is the coarsened
+/// subsample; on the same points both forms give bit-equal results.
+struct FitPoints {
+  std::span<const double> y;
+  std::span<const double> x = {};
+};
+
+/// Mean squared error of `params` against the points. Bitwise equal to
+/// summing (basis.eval(params, x_i) - y_i)^2 in index order, but each basis
+/// has its own loop, with per-evaluation exp() transforms hoisted out of
+/// the point loop. Allocation-free.
+double fit_residual(const Basis& basis, const std::vector<double>& params, FitPoints points);
+inline double fit_residual(const Basis& basis, const std::vector<double>& params,
+                           std::span<const double> observed) {
+  return fit_residual(basis, params, FitPoints{observed});
+}
+
+struct FitResult {
+  std::vector<double> params;
+  double value = 0.0;            ///< fit_residual(basis, params, points), bitwise when finite
+  std::size_t evaluations = 0;   ///< residual evaluations spent
+};
+
+/// Least-squares fit of one basis to at least two points, searching from
+/// `start` with a first Nelder-Mead step of `initial_step` (relative, as in
+/// NelderMeadOptions).
+///  - mmf: Nelder-Mead over (a, log k).
+///  - pow3: variable projection. (c, a) enter linearly, so for each
+///    log alpha they are solved in closed form and Nelder-Mead searches
+///    log alpha alone, from the best of start[2] and a coarse scan.
+///  - ilog: linear in (c, a): one closed-form solve; start and
+///    initial_step are not used.
+FitResult fit_basis(const Basis& basis, FitPoints points, const std::vector<double>& start,
+                    double initial_step = NelderMeadOptions{}.initial_step);
 
 /// One fitted basis, reduced to what the weighting step consumes.
 struct BasisFit {

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/expect.hpp"
-#include "predict/nelder_mead.hpp"
 
 namespace mlfs {
 
@@ -76,6 +75,9 @@ void PredictionService::backfill(JobState& st, const Job& job, int done) const {
 
 namespace {
 
+/// First search step of a cold fit, and the cap on a warm fit's step.
+constexpr double kColdStep = NelderMeadOptions{}.initial_step;
+
 /// Coarsened tail bin of 0-based observation index i (valid for
 /// i >= head): log-spaced, ~per_octave bins per doubling.
 int coarse_bin(int i, int head, int per_octave) {
@@ -106,10 +108,11 @@ void build_coarse_points(std::span<const double> obs, int head, int per_octave,
 void PredictionService::fit_link(JobState& st, int done) {
   MLFS_EXPECT(static_cast<int>(st.observed.size()) >= done);
   const std::span<const double> obs(st.observed.data(), static_cast<std::size_t>(done));
-  const bool coarse = config_.coarsen && done > config_.coarsen_head;
   std::vector<double> xs, ys;
-  if (coarse) {
+  curve_detail::FitPoints points{obs};
+  if (config_.coarsen && done > config_.coarsen_head) {
     build_coarse_points(obs, config_.coarsen_head, config_.coarsen_per_octave, xs, ys);
+    points = {ys, xs};
   }
 
   const auto& bs = curve_detail::bases();
@@ -126,33 +129,29 @@ void PredictionService::fit_link(JobState& st, int done) {
       continue;
     }
     const curve_detail::Basis& basis = bs[bi];
-    auto objective = [&](const std::vector<double>& p) {
-      ++stats_.nm_objective_evals;
-      if (!coarse) return curve_detail::fit_residual(basis, p, obs);
-      double sq = 0.0;
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double err = basis.eval(p, xs[i]) - ys[i];
-        sq += err * err;
-      }
-      return sq / static_cast<double>(xs.size());
+    const auto fit = [&](const std::vector<double>& start, double initial_step) {
+      curve_detail::FitResult r = curve_detail::fit_basis(basis, points, start, initial_step);
+      stats_.nm_objective_evals += r.evaluations;
+      return r;
     };
 
-    NelderMeadResult res;
+    curve_detail::FitResult res;
     bool settled = false;
     if (pb == nullptr) {
-      res = nelder_mead(objective, basis.init);
+      res = fit(basis.init, kColdStep);
       ++stats_.fits_cold;
       out.restarts = 0;
     } else if (pb->restarts >= config_.restart_budget) {
       // Budget spent: this basis regresses chronically under warm starts;
       // one cold fit per link beats warm-then-cold double fits.
-      res = nelder_mead(objective, basis.init);
+      res = fit(basis.init, kColdStep);
       ++stats_.fits_cold;
       out.restarts = pb->restarts;
     } else {
       // Settled-fit probe: if the previous params still explain the grown
       // prefix, carry them forward for one objective evaluation.
-      const double probe = objective(pb->params);
+      ++stats_.nm_objective_evals;
+      const double probe = curve_detail::fit_residual(basis, pb->params, points);
       if (probe <= config_.settle_factor * pb->value + config_.settle_epsilon) {
         out.params = pb->params;
         out.value = probe;
@@ -161,25 +160,24 @@ void PredictionService::fit_link(JobState& st, int done) {
         out.restarts = pb->restarts;
         settled = true;
       } else {
-        NelderMeadOptions opts;
-        opts.initial_step =
+        const double step =
             pb->drift < 0.0
-                ? 0.25
+                ? kColdStep
                 : std::clamp(config_.warm_step_scale * pb->drift, config_.warm_step_floor,
-                             0.25);
-        res = nelder_mead(objective, pb->params, opts);
+                             kColdStep);
+        res = fit(pb->params, step);
         ++stats_.fits_warm;
         out.restarts = pb->restarts;
         if (res.value > config_.regression_factor * pb->value + config_.regression_epsilon) {
-          const NelderMeadResult cold = nelder_mead(objective, basis.init);
+          curve_detail::FitResult cold = fit(basis.init, kColdStep);
           ++stats_.fits_cold;
           ++out.restarts;
-          if (cold.value < res.value) res = cold;
+          if (cold.value < res.value) res = std::move(cold);
         }
       }
     }
     if (!settled) {
-      out.params = res.x;
+      out.params = std::move(res.params);
       out.value = res.value;
       out.rmse = std::sqrt(std::max(res.value, 0.0));
       if (pb != nullptr) {

@@ -10,14 +10,15 @@
 // job's canonical check points L = { k : k % check_interval == 0 && k >= 3 }
 // (exactly the points SimEngine::should_stop evaluates OptStop at):
 //
-//  * link 1: cold Nelder-Mead from each basis' init simplex;
+//  * link 1: a cold fit (curve_detail::fit_basis) from each basis' init
+//    point;
 //  * link j > 1, per basis: first a settled-fit probe — the previous
 //    link's params are re-evaluated on the new prefix (one objective
 //    evaluation); if the residual has not degraded past settle_factor ×
 //    previous value (+ settle_epsilon) the params carry forward without
-//    refitting. Otherwise a warm Nelder-Mead seeded from the previous
+//    refitting. Otherwise a warm fit seeded from the previous
 //    link's fitted params with initial_step derived from the previous
-//    parameter drift; if the warm objective regresses past
+//    parameter drift; if the warm residual regresses past
 //    regression_factor × previous value the cold fit is also computed and
 //    wins if better (a "restart", bounded by restart_budget — once the
 //    budget is spent the basis is refit cold directly, with no settle
@@ -114,10 +115,10 @@ struct PredictConfig {
 /// are deterministic per config (and participate in deterministic_equal);
 /// fit_wall_ms is a real clock.
 struct PredictStats {
-  std::size_t fits_cold = 0;          ///< Nelder-Mead runs from the init simplex
-  std::size_t fits_warm = 0;          ///< Nelder-Mead runs seeded from a previous link
+  std::size_t fits_cold = 0;          ///< fits from the basis' init point
+  std::size_t fits_warm = 0;          ///< fits seeded from a previous link
   std::size_t cache_hits = 0;         ///< memo / stored-link reuse (no fitting at all)
-  std::size_t nm_objective_evals = 0; ///< objective evaluations across all fits
+  std::size_t nm_objective_evals = 0; ///< residual evaluations across all fits and probes
   double fit_wall_ms = 0.0;           ///< wall-clock spent fitting + combining
 };
 

@@ -115,8 +115,9 @@ void SimAuditor::check_dag_structure() const {
     if (!dag.is_acyclic()) {
       fail("dag-structure", "job " + std::to_string(job.id()) + ": dag is cyclic");
     }
-    // Topological order covers every node once, parents strictly first.
-    const std::vector<std::size_t> order = dag.topological_order();
+    // The order the engine walks covers every node once, parents strictly
+    // first.
+    const std::vector<std::size_t>& order = job.topological_order();
     std::vector<std::size_t> position(dag.node_count(), dag.node_count());
     if (order.size() != dag.node_count()) {
       fail("dag-structure",

@@ -708,8 +708,8 @@ void SimEngine::release_stale_partial_placements() {
 
 double SimEngine::iteration_duration(const Job& job) {
   const Dag& dag = job.dag();
-  const std::size_t n = dag.node_count();
-  std::vector<double> finish(n, 0.0);
+  std::vector<double>& finish = finish_scratch_;
+  finish.assign(dag.node_count(), 0.0);
   double critical = 0.0;
   bool any_cross_server = false;
   // Link-level contention (opt-in): cross-server flows get the link
@@ -717,7 +717,7 @@ double SimEngine::iteration_duration(const Job& job) {
   // static path is untouched when the feature is off — no extra reads, no
   // arithmetic reordering — preserving byte-identical runs.
   const bool contended = cluster_config_.link_contention;
-  for (const std::size_t u : dag.topological_order()) {
+  for (const std::size_t u : job.topological_order()) {
     Task& t = cluster_.task(job.task_at(u));
     if (t.state == TaskState::Finished || t.state == TaskState::Removed) continue;
     MLFS_EXPECT(t.placed());

@@ -422,6 +422,7 @@ class SimEngine final : private SchedulerOps {
   std::vector<TaskId> queue_;
   std::vector<char> queue_seen_;     // compact_queue scratch, all-zero between calls
   std::vector<JobId> live_scratch_;  // copy of the live set for walks that complete jobs
+  std::vector<double> finish_scratch_;  // iteration_duration's per-node finish times
   std::vector<std::uint64_t> job_epoch_;     // per job, bumped on abort/start
   std::vector<SimTime> waiting_since_;       // per job, valid while Waiting
   std::vector<SimTime> partial_since_;       // per job, -1 = not partially placed

@@ -35,10 +35,11 @@ std::string to_string(StopPolicy p) {
   return "?";
 }
 
-Job::Job(JobSpec spec, Dag dag, std::vector<TaskId> task_ids, double total_params_m,
-         double ideal_iteration_seconds)
+Job::Job(JobSpec spec, Dag dag, std::vector<std::size_t> topological_order,
+         std::vector<TaskId> task_ids, double total_params_m, double ideal_iteration_seconds)
     : spec_(std::move(spec)),
       dag_(std::move(dag)),
+      topological_order_(std::move(topological_order)),
       task_ids_(std::move(task_ids)),
       total_params_m_(total_params_m),
       ideal_iteration_seconds_(ideal_iteration_seconds),
@@ -46,6 +47,7 @@ Job::Job(JobSpec spec, Dag dag, std::vector<TaskId> task_ids, double total_param
       active_policy_(spec_.stop_policy),
       target_iterations_(spec_.max_iterations) {
   MLFS_EXPECT(dag_.node_count() == task_ids_.size());
+  MLFS_EXPECT(topological_order_.size() == dag_.node_count());
   MLFS_EXPECT(!task_ids_.empty());
   MLFS_EXPECT(spec_.max_iterations >= 1);
   MLFS_EXPECT(total_params_m_ > 0.0);

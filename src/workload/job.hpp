@@ -80,12 +80,17 @@ struct Task {
 /// (tasks()[local_index] is the global id of DAG node local_index).
 class Job {
  public:
-  Job(JobSpec spec, Dag dag, std::vector<TaskId> task_ids, double total_params_m,
-      double ideal_iteration_seconds);
+  /// `topological_order` is dag.topological_order(), passed in because the
+  /// caller has already walked it (ModelZoo::instantiate's critical path).
+  Job(JobSpec spec, Dag dag, std::vector<std::size_t> topological_order,
+      std::vector<TaskId> task_ids, double total_params_m, double ideal_iteration_seconds);
 
   const JobSpec& spec() const { return spec_; }
   JobId id() const { return spec_.id; }
   const Dag& dag() const { return dag_; }
+  /// dag().topological_order(), kept: the DAG never changes after
+  /// construction.
+  const std::vector<std::size_t>& topological_order() const { return topological_order_; }
   std::span<const TaskId> tasks() const { return task_ids_; }
   TaskId task_at(std::size_t local_index) const { return task_ids_[local_index]; }
   std::size_t task_count() const { return task_ids_.size(); }
@@ -164,6 +169,7 @@ class Job {
  private:
   JobSpec spec_;
   Dag dag_;
+  std::vector<std::size_t> topological_order_;
   std::vector<TaskId> task_ids_;
   double total_params_m_;
   double ideal_iteration_seconds_;

@@ -206,9 +206,10 @@ ModelZoo::Instantiated ModelZoo::instantiate(const JobSpec& spec, TaskId first_t
   }
 
   // --- ideal (no contention) iteration time: DAG critical path + comm ---
+  std::vector<std::size_t> order = dag.topological_order();
   std::vector<double> finish(node_count, 0.0);
   double critical_path = 0.0;
-  for (const std::size_t u : dag.topological_order()) {
+  for (const std::size_t u : order) {
     double start = 0.0;
     for (const std::size_t p : dag.parents(u)) start = std::max(start, finish[p]);
     const double comm_in =
@@ -224,7 +225,8 @@ ModelZoo::Instantiated ModelZoo::instantiate(const JobSpec& spec, TaskId first_t
     critical_path += spec.comm_volume_ww_mb / kReferenceBandwidthMBps;
   }
 
-  Job job(spec, std::move(dag), std::move(ids), total_params_m, critical_path);
+  Job job(spec, std::move(dag), std::move(order), std::move(ids), total_params_m,
+          critical_path);
   const double t_e = job.estimated_execution_seconds();
   job.set_deadline(spec.arrival + std::max(1.1 * t_e, hours(spec.deadline_slack_hours)));
   return {std::move(job), std::move(tasks)};

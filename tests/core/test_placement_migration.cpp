@@ -62,8 +62,10 @@ TEST(Placement, BandwidthTermPullsTaskTowardItsPeers) {
   Fixture f;
   // 2-worker MLP chain: worker 1 communicates with worker 0.
   const JobId id = f.add(MlAlgorithm::Mlp, 2, 3);
-  const Job& job = f.cluster.job(id);
-  f.cluster.place_task(job.task_at(0), 1, 0);
+  // Task ids, not a Job reference: the adds below may reallocate the jobs.
+  const TaskId upstream = f.cluster.job(id).task_at(0);
+  const TaskId downstream = f.cluster.job(id).task_at(1);
+  f.cluster.place_task(upstream, 1, 0);
 
   // Make every server equally utilized so only the comm term differs:
   // place one equal decoy task on servers 0 and 2.
@@ -73,7 +75,7 @@ TEST(Placement, BandwidthTermPullsTaskTowardItsPeers) {
   f.cluster.place_task(f.cluster.job(decoy2).task_at(0), 2, 0);
 
   auto ctx = f.ctx();
-  const Task& partner = f.cluster.task(job.task_at(1));
+  const Task& partner = f.cluster.task(downstream);
 
   const MlfPlacement with_bw{PlacementParams{true}};
   const auto host = with_bw.choose_host(ctx, partner, false);

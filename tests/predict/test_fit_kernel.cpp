@@ -1,8 +1,8 @@
 // Bitwise equivalence of the curve-fit kernel against its reference forms.
 //
 // curve_detail::fit_residual runs one specialised loop per basis (hoisted
-// exp() transforms, a log table for ilog); it must equal the generic
-// basis.eval loop bit for bit, overflowing params included. nelder_mead
+// exp() transforms); it must equal the generic basis.eval loop bit for
+// bit, overflowing params included. nelder_mead
 // keeps its per-iteration buffers outside the loop; it must return the
 // same x, value and iteration count as the allocating implementation,
 // which is kept below as a test-only reference.
@@ -179,7 +179,7 @@ TEST(FitKernel, ResidualMatchesGenericLoopBitForBit) {
 }
 
 TEST(FitKernel, ResidualMatchesPastTheLogTable) {
-  // Curves longer than ilog's table fall back to computing the tail.
+  // Curves far longer than the ones above.
   Rng rng(7);
   const std::vector<double> observed = noisy_curve(rng, 5000);
   for (const Basis& basis : curve_detail::bases()) {

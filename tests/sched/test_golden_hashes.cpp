@@ -1,15 +1,21 @@
-// Golden event-stream hashes for every registered scheduler on one
-// scenario that loads the whole engine at once: server crashes, rack
-// outages and transient task kills; the recovery policies (quarantine,
-// retry backoff with a budget, adaptive checkpointing); link contention
-// with duty cycles on a racked fleet; and half the jobs streamed in through
-// exp::run_streaming.
+// Golden event-stream hashes for every registered scheduler on two
+// scenarios.
 //
-// The hashes were captured before the engine's per-tick walks moved onto
-// the cluster's live job set. A refactor of the engine, the cluster or a
-// scheduler that claims to keep every decision must leave them unchanged.
-// Do NOT update a value to "fix" a failure: a mismatch means decisions
-// changed.
+// FaultyContendedStream loads the whole engine at once: server crashes,
+// rack outages and transient task kills; the recovery policies
+// (quarantine, retry backoff with a budget, adaptive checkpointing); link
+// contention with duty cycles on a racked fleet; and half the jobs
+// streamed in through exp::run_streaming. Its hashes were captured before
+// the engine's per-tick walks moved onto the cluster's live job set.
+//
+// OverloadedOptStop guards the learning-curve predictor: every job starts
+// on OptStop and the fleet stays overloaded, so most jobs stop on a
+// prediction and MLF-C keeps downgrading the jobs that allow it. Its hashes
+// were captured before the pow3 and ilog fits became separable.
+//
+// A refactor of the engine, the cluster, the predictor or a scheduler that
+// claims to keep every decision must leave them unchanged. Do NOT update a
+// value to "fix" a failure: a mismatch means decisions changed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +25,7 @@
 #include <string>
 #include <utility>
 
+#include "core/mlf_c.hpp"
 #include "exp/durable.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
@@ -75,6 +82,46 @@ const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>& golden() {
   return kGolden;
 }
 
+/// Every job on OptStop, half of them allowed to downgrade, arriving faster
+/// than a small fleet drains them.
+exp::RunRequest overloaded_optstop_request(const std::string& scheduler) {
+  exp::RunRequest r;
+  r.label = "golden-overloaded-optstop-" + scheduler;
+  r.cluster.server_count = 6;
+  r.cluster.gpus_per_server = 4;
+  r.engine.seed = 2029;
+  r.engine.max_sim_time = hours(200.0);
+  r.trace.num_jobs = 80;
+  r.trace.duration_hours = 2.0;
+  r.trace.seed = 5151;
+  r.trace.max_gpu_request = 8;
+  r.trace.policy_fixed_fraction = 0.0;
+  r.trace.policy_optstop_fraction = 1.0;
+  r.trace.allow_downgrade_fraction = 0.5;
+  r.scheduler = scheduler;
+  r.mlfs_config.rl.warmup_samples = 100;
+  return r;
+}
+
+/// (event_stream_hash, events_processed) per registered scheduler.
+const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>& golden_optstop() {
+  static const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> kGolden = {
+      {"MLF-H", {0xf81e6dff02ddc6b3ull, 13739ull}},
+      {"MLF-RL", {0x85d3de0e460ff8f1ull, 14129ull}},
+      {"MLFS", {0x852119e69be2f7f3ull, 11325ull}},
+      {"TensorFlow", {0x0daa78eef03e1c22ull, 13836ull}},
+      {"Tiresias", {0xb051031d52f8e4beull, 14031ull}},
+      {"SLAQ", {0xecf866963f43aa0aull, 16630ull}},
+      {"Gandiva", {0xf8a70ca157cf2485ull, 14257ull}},
+      {"Graphene", {0xe828755a67303646ull, 13930ull}},
+      {"HyperSched", {0x10c7003052f023e0ull, 13793ull}},
+      {"RL", {0x84482649c9933150ull, 14356ull}},
+      {"Optimus", {0xba063443928ef14eull, 14175ull}},
+      {"Cassini", {0x90bf53d18012e025ull, 14249ull}},
+  };
+  return kGolden;
+}
+
 RunMetrics run_golden(const std::string& scheduler) {
   exp::RunRequest request = faulty_streaming_request(scheduler);
   const auto script = exp::split_streamed_tail(request, request.trace.num_jobs / 2);
@@ -97,6 +144,31 @@ TEST_P(GoldenHashes, FaultyContendedStreamUnchanged) {
   EXPECT_EQ(m.events_processed, it->second.second) << GetParam();
 }
 
+TEST_P(GoldenHashes, OverloadedOptStopUnchanged) {
+  const exp::EngineBundle bundle = exp::build_engine(overloaded_optstop_request(GetParam()));
+  const RunMetrics m = bundle.engine->run();
+  // The scenario must actually exercise what it claims to pin: most jobs
+  // stop on a prediction, and MLF-C downgrades while the overload lasts.
+  std::size_t predicted_stops = 0;
+  for (const Job& job : bundle.engine->cluster().jobs()) {
+    if (job.state() == JobState::Completed && job.active_policy() == StopPolicy::OptStop &&
+        job.completed_iterations() < job.target_iterations()) {
+      ++predicted_stops;
+    }
+  }
+  EXPECT_GT(predicted_stops, m.job_count / 2) << GetParam();
+  if (bundle.instance.controller != nullptr) {
+    const auto* mlfc = dynamic_cast<const core::MlfC*>(bundle.instance.controller.get());
+    ASSERT_NE(mlfc, nullptr);
+    EXPECT_GT(mlfc->downgrade_count(), 0u);
+  }
+
+  const auto it = golden_optstop().find(GetParam());
+  ASSERT_NE(it, golden_optstop().end()) << "no golden hash for " << GetParam();
+  EXPECT_EQ(m.event_stream_hash, it->second.first) << GetParam();
+  EXPECT_EQ(m.events_processed, it->second.second) << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllRegistered, GoldenHashes,
                          ::testing::ValuesIn(exp::registered_scheduler_names()),
                          [](const auto& info) {
@@ -110,7 +182,11 @@ INSTANTIATE_TEST_SUITE_P(AllRegistered, GoldenHashes,
 TEST(GoldenHashesCoverage, EveryRegisteredSchedulerIsPinned) {
   const auto names = exp::registered_scheduler_names();
   EXPECT_EQ(names.size(), golden().size());
-  for (const auto& name : names) EXPECT_EQ(golden().count(name), 1u) << name;
+  EXPECT_EQ(names.size(), golden_optstop().size());
+  for (const auto& name : names) {
+    EXPECT_EQ(golden().count(name), 1u) << name;
+    EXPECT_EQ(golden_optstop().count(name), 1u) << name;
+  }
 }
 
 }  // namespace
