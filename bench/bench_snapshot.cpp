@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the snapshot subsystem: snapshot
-// serialization cost and restore cost at several mid-run engine sizes. The
+// serialization cost and restore cost at several mid-run engine sizes, and
+// an MLFS engine's snapshot size at three depths of one run. The
 // save path is what a production checkpoint stride pays per snapshot, so
 // the headline number is bytes + wall time per save at a realistic event
 // depth; restore cost bounds crash-recovery latency.
@@ -60,6 +61,44 @@ void BM_SnapshotSave(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SnapshotSave)->Args({4, 20})->Args({16, 80})->Args({32, 200});
+
+/// A full MLFS stack (policy cloned early, MLF-C on) saved at three depths
+/// of one run. `bytes` should stay flat: a snapshot holds live state, not
+/// per-iteration history.
+exp::RunRequest mlfs_request() {
+  exp::RunRequest r;
+  r.label = "bench-snapshot-mlfs";
+  r.cluster.server_count = 16;
+  r.cluster.gpus_per_server = 4;
+  r.engine.seed = 17;
+  r.engine.max_sim_time = hours(24.0 * 30);
+  r.trace.num_jobs = 300;
+  r.trace.duration_hours = 24.0;
+  r.trace.seed = 5;
+  r.trace.max_gpu_request = 8;
+  r.scheduler = "MLFS";
+  r.mlfs_config.rl.warmup_samples = 40;
+  return r;
+}
+
+void BM_MlfsSnapshotSaveAtDepth(benchmark::State& state) {
+  const auto events = static_cast<std::uint64_t>(state.range(0));
+  const exp::EngineBundle bundle = exp::build_engine(mlfs_request());
+  while (bundle.engine->events_processed() < events && bundle.engine->step()) {
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os(std::ios::binary);
+    bundle.engine->save_snapshot(os);
+    bytes = os.str().size();
+    benchmark::DoNotOptimize(os);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.counters["events"] = static_cast<double>(bundle.engine->events_processed());
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MlfsSnapshotSaveAtDepth)->Arg(10000)->Arg(20000)->Arg(30000);
 
 void BM_SnapshotRestore(benchmark::State& state) {
   const auto servers = static_cast<std::size_t>(state.range(0));

@@ -54,14 +54,13 @@ std::vector<double> MlfRlFeaturizer::state(const SchedulerContext& ctx, const Ta
   f.push_back(job.spec().urgency / 10.0);                                     // L_J
   f.push_back(1.0 / static_cast<double>(job.completed_iterations() + 1));     // 1/I
   double loss_ratio = 1.0;
-  if (!job.loss_reductions().empty() && job.cumulative_loss_reduction() > 0.0) {
-    loss_ratio = job.loss_reductions().back() / job.cumulative_loss_reduction();
+  if (job.completed_iterations() > 0 && job.cumulative_loss_reduction() > 0.0) {
+    loss_ratio = job.last_loss_reduction() / job.cumulative_loss_reduction();
   }
   f.push_back(loss_ratio);                                                    // δl ratio
   f.push_back(task.partition_params_m / job.total_params_m());                // S^J_k
-  const auto descendants = job.dag().descendant_counts();
   f.push_back(job.task_count() > 1
-                  ? static_cast<double>(descendants[task.local_index]) /
+                  ? static_cast<double>(job.descendant_counts()[task.local_index]) /
                         static_cast<double>(job.task_count() - 1)
                   : 0.0);                                                     // DAG position
   f.push_back(task.is_parameter_server ? 1.0 : 0.0);

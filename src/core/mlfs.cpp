@@ -66,6 +66,14 @@ void MlfsScheduler::maybe_switch_to_rl() {
   rl_active_ = true;
   MLFS_INFO(name() << ": policy cloned from " << imitation_.size()
                    << " MLF-H decisions (final CE loss " << loss << "), switching to RL");
+  retire_imitation_log();
+}
+
+void MlfsScheduler::retire_imitation_log() {
+  // Nothing trains on the log after cloning: keep only what it reports.
+  cloned_samples_ = imitation_.size();
+  cloned_accuracy_ = imitation_.evaluate_accuracy(*agent_);
+  imitation_.clear();
 }
 
 void MlfsScheduler::schedule_with_policy(SchedulerContext& ctx) {
@@ -188,13 +196,22 @@ void MlfsScheduler::save_state(std::ostream& os) const {
   w.u64(rounds_since_update_);
   rl::save_episode(w, episode_);
   imitation_.save_state(w);
+  w.u64(cloned_samples_);
+  w.f64(cloned_accuracy_);
   reward_.save_state(w);
   agent_->save_state(w);
   heuristic_.save_state(w);
   io::write_all(os, bytes);
 }
 
-void MlfsScheduler::restore_state(std::istream& is) {
+void MlfsScheduler::restore_state(std::istream& is) { restore(is, /*v5=*/false); }
+
+void MlfsScheduler::restore_legacy_state(std::istream& is, std::uint32_t version) {
+  MLFS_EXPECT(version == 5);
+  restore(is, /*v5=*/true);
+}
+
+void MlfsScheduler::restore(std::istream& is, bool v5) {
   const std::string bytes = io::read_all(is);
   io::BinReader r(bytes);
   std::array<std::uint64_t, 4> state;
@@ -205,9 +222,14 @@ void MlfsScheduler::restore_state(std::istream& is) {
   rounds_since_update_ = static_cast<std::size_t>(r.u64());
   episode_ = rl::load_episode(r);
   imitation_.restore_state(r);
+  if (!v5) {
+    cloned_samples_ = static_cast<std::size_t>(r.u64());
+    cloned_accuracy_ = r.f64();
+  }
   reward_.restore_state(r);
   agent_->restore_state(r);
   heuristic_.restore_state(r);
+  if (v5 && rl_active_) retire_imitation_log();
 }
 
 }  // namespace mlfs::core

@@ -35,18 +35,29 @@ class MlfsScheduler : public Scheduler {
 
   /// Snapshot support: the facade RNG, the RL phase flag, the open episode
   /// and round counters, the agent's full state (weights + optimizer +
-  /// sampling RNG), the imitation log, the reward window, and the wrapped
-  /// heuristic's cache/memo — everything that decides future placements.
+  /// sampling RNG), the imitation log (empty once cloned) and the
+  /// clone-time scalars, the reward window, and the wrapped heuristic's
+  /// cache/memo — everything that decides future placements.
   void save_state(std::ostream& os) const override;
   void restore_state(std::istream& is) override;
+  /// Snapshot v5 carried the imitation log for the whole run. Once RL is
+  /// active the clone-time scalars are derived from it — the count, and
+  /// the restored policy's greedy accuracy on it — and the log is dropped.
+  void restore_legacy_state(std::istream& is, std::uint32_t version) override;
   SchedStats sched_stats() const override { return heuristic_.sched_stats(); }
   void audit_invariants(const Cluster& cluster, SimTime now) const override {
     heuristic_.audit_invariants(cluster, now);
   }
 
   bool rl_active() const { return rl_active_; }
-  std::size_t imitation_samples() const { return imitation_.size(); }
-  double imitation_accuracy() { return imitation_.evaluate_accuracy(*agent_); }
+  /// Imitation samples logged so far; once the policy is cloned, the
+  /// number it was cloned from (the log itself is then cleared).
+  std::size_t imitation_samples() const {
+    return rl_active_ ? cloned_samples_ : imitation_.size();
+  }
+  /// The cloned policy's greedy accuracy on its training set, recorded at
+  /// clone time (0 before cloning).
+  double imitation_accuracy() const { return cloned_accuracy_; }
   MlfH& heuristic() { return heuristic_; }
   const MlfsConfig& config() const { return config_; }
 
@@ -54,6 +65,10 @@ class MlfsScheduler : public Scheduler {
   void record_imitation(SchedulerContext& ctx, TaskId task, ServerId chosen);
   void maybe_switch_to_rl();
   void schedule_with_policy(SchedulerContext& ctx);
+  /// Records the clone-time scalars from the current log and agent, then
+  /// clears the log.
+  void retire_imitation_log();
+  void restore(std::istream& is, bool v5);
 
   MlfsConfig config_;
   std::string display_name_;
@@ -61,6 +76,8 @@ class MlfsScheduler : public Scheduler {
   MlfRlFeaturizer featurizer_;
   std::unique_ptr<rl::PolicyAgent> agent_;
   rl::ImitationDataset imitation_;
+  std::size_t cloned_samples_ = 0;
+  double cloned_accuracy_ = 0.0;
   RewardTracker reward_;
   Rng rng_;
 

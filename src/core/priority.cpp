@@ -59,9 +59,9 @@ std::vector<double> PriorityCalculator::ml_priorities(const Cluster& cluster,
   const double urgency = params_.use_urgency ? job.spec().urgency / 10.0 : 1.0;
   const double temporal = 1.0 / static_cast<double>(current_iteration);
   const double loss_ratio =
-      job.loss_reductions().empty()
+      job.completed_iterations() == 0
           ? 1.0  // first iteration: full importance
-          : loss_share(job.loss_reductions().back(), job.cumulative_loss_reduction());
+          : loss_share(job.last_loss_reduction(), job.cumulative_loss_reduction());
 
   for (std::size_t k = 0; k < n; ++k) {
     const Task& t = cluster.task(job.task_at(k));

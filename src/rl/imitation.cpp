@@ -13,6 +13,11 @@ void ImitationDataset::add(std::span<const double> state, int action) {
   actions_.push_back(action);
 }
 
+void ImitationDataset::clear() {
+  states_ = {};
+  actions_ = {};
+}
+
 void ImitationDataset::truncate_to_recent(std::size_t max_size) {
   if (actions_.size() <= max_size) return;
   const std::size_t drop = actions_.size() - max_size;

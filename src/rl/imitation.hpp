@@ -22,6 +22,9 @@ class ImitationDataset {
   bool empty() const { return actions_.empty(); }
   std::size_t state_dim() const { return state_dim_; }
 
+  /// Drops every sample and releases the storage.
+  void clear();
+
   /// Keeps only the most recent `max_size` samples (bounded memory while
   /// the heuristic phase runs for a long warm-up).
   void truncate_to_recent(std::size_t max_size);

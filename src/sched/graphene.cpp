@@ -8,9 +8,8 @@ namespace mlfs::sched {
 
 double GrapheneScheduler::troublesome_score(const Cluster& cluster, const Task& task) {
   const Job& job = cluster.job(task.job);
-  const auto descendants = job.dag().descendant_counts();
   const double dep_share = job.task_count() > 1
-                               ? static_cast<double>(descendants[task.local_index]) /
+                               ? static_cast<double>(job.descendant_counts()[task.local_index]) /
                                      static_cast<double>(job.task_count() - 1)
                                : 0.0;
   // Demands are fractions in [0,1] per resource; magnitude/|R| in [0,1].

@@ -579,7 +579,7 @@ void Cluster::save_state(io::BinWriter& w) const {
   pindex_.save_state(w);
 }
 
-void Cluster::restore_state(io::BinReader& r) {
+void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   const std::uint64_t server_count = r.u64();
   MLFS_EXPECT(server_count == servers_.size());  // fingerprint-matched config
   for (Server& s : servers_) s.restore_state(r);
@@ -600,7 +600,17 @@ void Cluster::restore_state(io::BinReader& r) {
 
   const std::uint64_t job_count = r.u64();
   MLFS_EXPECT(job_count == jobs_.size());
-  for (Job& j : jobs_) j.restore_state(r);
+  for (Job& j : jobs_) {
+    try {
+      if (version == 5) {
+        j.restore_v5_state(r);
+      } else {
+        j.restore_state(r);
+      }
+    } catch (const ContractViolation& e) {
+      throw SnapshotError("cluster", r.pos(), e.what());
+    }
+  }
 
   total_bandwidth_mb_ = r.f64();
   inter_rack_bandwidth_mb_ = r.f64();

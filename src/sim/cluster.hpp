@@ -9,6 +9,7 @@
 #include "sim/link_model.hpp"
 #include "sim/placement_index.hpp"
 #include "sim/server.hpp"
+#include "sim/snapshot.hpp"
 #include "workload/job.hpp"
 
 namespace mlfs {
@@ -298,9 +299,12 @@ class Cluster {
   /// counters) so the restored run's LoadIndexStats trajectory stays
   /// bit-identical to the uninterrupted one. Static structure (configs,
   /// specs, DAGs) is not written; the restoring cluster must have been
-  /// built from the same configuration.
+  /// built from the same configuration. `version` is the snapshot file's:
+  /// v5 job records carry the loss history, which is checked against each
+  /// job's curve. A job record that fails its checks throws
+  /// SnapshotError("cluster").
   void save_state(io::BinWriter& w) const;
-  void restore_state(io::BinReader& r);
+  void restore_state(io::BinReader& r, std::uint32_t version = kSnapshotVersion);
 
   /// Snapshot hooks for the link-contention state (the snapshot's "links"
   /// section, written only when ClusterConfig::link_contention is on).

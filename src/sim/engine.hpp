@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <span>
 #include <vector>
@@ -236,7 +237,9 @@ class SimEngine final : private SchedulerOps {
   /// the scheduler (+ controller) identity. Stamped into every snapshot;
   /// restore_snapshot rejects a file written under a different fingerprint
   /// (audit settings are deliberately excluded — the auditor is a pure
-  /// observer and resyncs after restore).
+  /// observer and resyncs after restore). A pure function of the
+  /// constructor arguments, computed on first use and kept, so engines
+  /// that never snapshot never pay for it.
   std::uint64_t config_fingerprint() const;
 
   /// Serializes the engine's complete dynamic state (see DESIGN.md,
@@ -249,7 +252,10 @@ class SimEngine final : private SchedulerOps {
   /// constructed from the same configuration/workload/scheduler the
   /// snapshot was written under (enforced via config_fingerprint()). The
   /// whole file is validated before any state is touched — on
-  /// SnapshotError the engine is unchanged.
+  /// SnapshotError the engine is unchanged. The one exception is a v5
+  /// file whose stored loss history disagrees with the jobs' curves: that
+  /// is found while the "cluster" section is read, and the partly
+  /// restored engine must be discarded.
   void restore_snapshot(std::istream& is);
 
   /// Health tracker view (non-null iff recovery policies are enabled).
@@ -382,6 +388,8 @@ class SimEngine final : private SchedulerOps {
   /// MTBF estimate when adaptive checkpointing is on, else the validated
   /// FaultConfig::checkpoint_interval_iterations.
   int checkpoint_interval_for(const Job& job) const;
+  /// The value config_fingerprint() returns, computed from scratch.
+  std::uint64_t compute_config_fingerprint() const;
   /// Applies the tracker's pending quarantine/probation cap transitions.
   void apply_health_transitions();
   /// Quarantine decision for one server; applies the placement cap.
@@ -396,6 +404,7 @@ class SimEngine final : private SchedulerOps {
   ArrivalSource* arrival_source_ = nullptr;
   /// Jobs registered at construction; specs beyond this are injections.
   std::size_t base_job_count_ = 0;
+  mutable std::optional<std::uint64_t> config_fingerprint_;  ///< set by the first call
   std::vector<JobSpec> injected_specs_;
   Rng rng_;
   /// Dedicated stream for every fault draw: fault injection must not

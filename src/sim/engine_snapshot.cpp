@@ -54,17 +54,19 @@ void save_stream_section(SnapshotWriter& snap, const std::string& name,
   snap.section(name).bytes(payload.data(), payload.size());
 }
 
-template <typename Component>
-void restore_stream_section(const SnapshotReader& snap, const std::string& name,
-                            Component& component) {
+std::istringstream section_stream(const SnapshotReader& snap, const std::string& name) {
   io::BinReader r = snap.section(name);
-  std::istringstream is(std::string(r.view(r.remaining())), std::ios::binary);
-  component.restore_state(is);
+  return std::istringstream(std::string(r.view(r.remaining())), std::ios::binary);
 }
 
 }  // namespace
 
 std::uint64_t SimEngine::config_fingerprint() const {
+  if (!config_fingerprint_) config_fingerprint_ = compute_config_fingerprint();
+  return *config_fingerprint_;
+}
+
+std::uint64_t SimEngine::compute_config_fingerprint() const {
   // Canonical little-endian serialization of everything that determines
   // the simulation's static structure and its random streams; AuditConfig
   // is deliberately excluded (the auditor is a pure observer — restoring
@@ -396,7 +398,7 @@ void SimEngine::restore_snapshot(std::istream& is) {
 
   {
     io::BinReader r = snap.section("cluster");
-    cluster_.restore_state(r);
+    cluster_.restore_state(r, snap.version());
   }
   {
     // The live job set is derived state, not serialized.
@@ -424,8 +426,18 @@ void SimEngine::restore_snapshot(std::istream& is) {
     prediction_.restore_state(r);
   }
 
-  restore_stream_section(snap, "scheduler", scheduler_);
-  if (load_controller_ != nullptr) restore_stream_section(snap, "controller", *load_controller_);
+  {
+    std::istringstream payload = section_stream(snap, "scheduler");
+    if (snap.version() == kSnapshotVersion) {
+      scheduler_.restore_state(payload);
+    } else {
+      scheduler_.restore_legacy_state(payload, snap.version());
+    }
+  }
+  if (load_controller_ != nullptr) {
+    std::istringstream payload = section_stream(snap, "controller");
+    load_controller_->restore_state(payload);
+  }
 
   // The auditor is never serialized: it re-derives its observational state
   // from the restored engine (keeping the stride phase aligned) and

@@ -6,6 +6,7 @@
 // scheduler-overhead metric (Figs. 4(h)/5(h)).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -127,6 +128,15 @@ class Scheduler {
   /// this for every registered scheduler).
   virtual void save_state(std::ostream& os) const { (void)os; }
   virtual void restore_state(std::istream& is) { (void)is; }
+  /// Restores a payload from an older, still-readable snapshot file
+  /// (`version` < kSnapshotVersion). The default suits every scheduler
+  /// whose payload has not changed since that version; one whose payload
+  /// did change overrides this to read the old layout, and a forwarding
+  /// decorator forwards it.
+  virtual void restore_legacy_state(std::istream& is, std::uint32_t version) {
+    (void)version;
+    restore_state(is);
+  }
 };
 
 }  // namespace mlfs

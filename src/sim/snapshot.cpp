@@ -122,11 +122,12 @@ SnapshotReader::SnapshotReader(std::istream& is, std::uint64_t expected_fingerpr
   }
   need(r, 4, "header", "version");
   version_ = r.u32();
-  if (version_ != kSnapshotVersion) {
+  if (version_ < kOldestReadableSnapshotVersion || version_ > kSnapshotVersion) {
     throw SnapshotError("header", 8,
                         "unsupported snapshot version " + std::to_string(version_) +
-                            " (this build reads version " + std::to_string(kSnapshotVersion) +
-                            ")");
+                            " (this build reads versions " +
+                            std::to_string(kOldestReadableSnapshotVersion) + " to " +
+                            std::to_string(kSnapshotVersion) + ")");
   }
   need(r, 8, "header", "fingerprint");
   fingerprint_ = r.u64();

@@ -37,9 +37,18 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'F', 'S', 'S', 'N', 'A', 'P
 /// always-written "injected" section (JobSpecs streamed into the live
 /// engine after construction — restore re-registers them before touching
 /// dynamic state) and narrowed the config fingerprint to the base
-/// workload, so injections don't invalidate it. Pre-v5 files are rejected
-/// by the version check.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// workload, so injections don't invalidate it. v6: constant-size job
+/// records in the "cluster" section (completed-iteration count + running
+/// loss sum in place of the per-iteration loss history, which is a pure
+/// function of the curve), and the MLFS scheduler payload drops its
+/// imitation set once the policy is cloned, keeping the clone-time sample
+/// count and accuracy. v5 files are still read (the stored history is
+/// checked bitwise against the curve; no v5 writer exists); pre-v5 files
+/// are rejected by the version check.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// Oldest version SnapshotReader accepts; readers whose payload changed
+/// since branch on SnapshotReader::version().
+inline constexpr std::uint32_t kOldestReadableSnapshotVersion = 5;
 
 /// Structured rejection of a snapshot file. Subclasses ContractViolation so
 /// existing catch sites handle it; carries the failing section (or the

@@ -1,6 +1,9 @@
 #include "workload/job.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 
 #include "common/binio.hpp"
 #include "common/expect.hpp"
@@ -52,24 +55,32 @@ Job::Job(JobSpec spec, Dag dag, std::vector<std::size_t> topological_order,
   MLFS_EXPECT(spec_.max_iterations >= 1);
   MLFS_EXPECT(total_params_m_ > 0.0);
   MLFS_EXPECT(ideal_iteration_seconds_ > 0.0);
-  loss_reductions_.reserve(static_cast<std::size_t>(spec_.max_iterations));
+}
+
+const std::vector<std::size_t>& Job::descendant_counts() const {
+  if (descendant_counts_.empty()) descendant_counts_ = dag_.descendant_counts();
+  return descendant_counts_;
+}
+
+double Job::loss_reduction_at(int iteration) const {
+  return iteration > 0 ? curve_.observed_delta_loss(iteration) : 0.0;
 }
 
 void Job::complete_iteration() {
-  const int next = completed_iterations() + 1;
-  MLFS_EXPECT(next <= spec_.max_iterations);
-  const double dl = curve_.observed_delta_loss(next);
-  loss_reductions_.push_back(dl);
-  cumulative_loss_reduction_ += dl;
+  MLFS_EXPECT(completed_iterations_ < spec_.max_iterations);
+  last_loss_reduction_ = curve_.observed_delta_loss(++completed_iterations_);
+  cumulative_loss_reduction_ += last_loss_reduction_;
 }
 
 void Job::rollback_iterations(int n) {
   MLFS_EXPECT(n >= 0);
-  const int drop = std::min(n, completed_iterations());
-  for (int i = 0; i < drop; ++i) {
-    cumulative_loss_reduction_ -= loss_reductions_.back();
-    loss_reductions_.pop_back();
+  // Subtract the same values complete_iteration added, newest first: the
+  // curve reproduces each one bit for bit.
+  const int keep = completed_iterations_ - std::min(n, completed_iterations_);
+  for (; completed_iterations_ > keep; --completed_iterations_) {
+    cumulative_loss_reduction_ -= curve_.observed_delta_loss(completed_iterations_);
   }
+  last_loss_reduction_ = loss_reduction_at(completed_iterations_);
 }
 
 bool Job::downgrade_policy(StopPolicy policy) {
@@ -91,7 +102,7 @@ void Job::set_target_iterations(int n) {
 }
 
 void Job::save_state(io::BinWriter& w) const {
-  w.vec_f64(loss_reductions_);
+  w.i64(completed_iterations_);
   w.f64(cumulative_loss_reduction_);
   w.u8(static_cast<std::uint8_t>(active_policy_));
   w.i64(target_iterations_);
@@ -103,8 +114,42 @@ void Job::save_state(io::BinWriter& w) const {
 }
 
 void Job::restore_state(io::BinReader& r) {
-  loss_reductions_ = r.vec_f64();
+  const std::int64_t completed = r.i64();
+  if (completed < 0 || completed > spec_.max_iterations) {
+    throw ContractViolation("job " + std::to_string(id()) + ": completed iteration count " +
+                            std::to_string(completed) + " outside [0, " +
+                            std::to_string(spec_.max_iterations) + "]");
+  }
+  completed_iterations_ = static_cast<int>(completed);
+  last_loss_reduction_ = loss_reduction_at(completed_iterations_);
   cumulative_loss_reduction_ = r.f64();
+  restore_lifecycle(r);
+}
+
+void Job::restore_v5_state(io::BinReader& r) {
+  const std::vector<double> history = r.vec_f64();
+  if (history.size() > static_cast<std::size_t>(spec_.max_iterations)) {
+    throw ContractViolation("job " + std::to_string(id()) + ": " +
+                            std::to_string(history.size()) +
+                            " stored loss reductions exceed max_iterations " +
+                            std::to_string(spec_.max_iterations));
+  }
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const int iteration = static_cast<int>(i) + 1;
+    if (std::bit_cast<std::uint64_t>(history[i]) !=
+        std::bit_cast<std::uint64_t>(curve_.observed_delta_loss(iteration))) {
+      throw ContractViolation("job " + std::to_string(id()) +
+                              ": stored loss reduction of iteration " +
+                              std::to_string(iteration) + " differs from the loss curve");
+    }
+  }
+  completed_iterations_ = static_cast<int>(history.size());
+  last_loss_reduction_ = loss_reduction_at(completed_iterations_);
+  cumulative_loss_reduction_ = r.f64();
+  restore_lifecycle(r);
+}
+
+void Job::restore_lifecycle(io::BinReader& r) {
   active_policy_ = static_cast<StopPolicy>(r.u8());
   target_iterations_ = static_cast<int>(r.i64());
   deadline_ = r.f64();

@@ -105,8 +105,14 @@ class Job {
     return ideal_iteration_seconds_ * spec_.max_iterations;
   }
 
+  /// Number of descendants of each DAG node (dag().descendant_counts()),
+  /// computed on first use and kept: the DAG never changes after
+  /// construction. The first call fills the cache, so a Job read from
+  /// several threads needs it called once beforehand.
+  const std::vector<std::size_t>& descendant_counts() const;
+
   // -- iteration progress --
-  int completed_iterations() const { return static_cast<int>(loss_reductions_.size()); }
+  int completed_iterations() const { return completed_iterations_; }
   /// Records completion of the next iteration and its observed delta-loss.
   void complete_iteration();
   /// Discards the most recent `n` completed iterations (capped at the
@@ -115,7 +121,10 @@ class Job {
   /// reproduces the same observed delta-losses (the curve is a pure
   /// function of the iteration index), so accounting stays replayable.
   void rollback_iterations(int n);
-  const std::vector<double>& loss_reductions() const { return loss_reductions_; }
+  /// Observed delta-loss of the most recent completed iteration, δl_{I-1}
+  /// (0 before the first one completes).
+  double last_loss_reduction() const { return last_loss_reduction_; }
+  /// Running sum Σδl over the completed iterations.
   double cumulative_loss_reduction() const { return cumulative_loss_reduction_; }
   /// Noise-free accuracy at the current iteration count.
   double current_accuracy() const { return curve_.accuracy_at(completed_iterations()); }
@@ -158,24 +167,39 @@ class Job {
   }
 
   /// Snapshot support: serializes/restores the dynamic progress state
-  /// (spec/DAG/curve are static and rebuilt by construction). The
-  /// cumulative loss reduction is stored bit-exactly rather than re-summed
-  /// — complete_iteration/rollback_iterations accumulate it add-then-
-  /// subtract, so its float value depends on the history, not just the
-  /// surviving elements.
+  /// (spec/DAG/curve are static and rebuilt by construction) as a
+  /// constant-size record. The completed-iteration count and the
+  /// cumulative loss reduction are stored; the last loss reduction is
+  /// re-derived from the curve. The cumulative value is stored bit-exactly
+  /// rather than re-summed — complete_iteration/rollback_iterations
+  /// accumulate it add-then-subtract, so its float value depends on the
+  /// history, not just the surviving iterations. Restore throws
+  /// ContractViolation on a count outside [0, max_iterations].
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
+  /// Reads the snapshot-v5 record, which carried the whole per-iteration
+  /// loss history in place of the count. Every stored value must equal
+  /// curve().observed_delta_loss(i) bit for bit; a mismatch throws
+  /// ContractViolation rather than trusting the file.
+  void restore_v5_state(io::BinReader& r);
 
  private:
+  /// observed_delta_loss(iteration), or 0 for iteration 0.
+  double loss_reduction_at(int iteration) const;
+  /// The fields after the loss state, shared by both record versions.
+  void restore_lifecycle(io::BinReader& r);
+
   JobSpec spec_;
   Dag dag_;
   std::vector<std::size_t> topological_order_;
+  mutable std::vector<std::size_t> descendant_counts_;  ///< empty until first use
   std::vector<TaskId> task_ids_;
   double total_params_m_;
   double ideal_iteration_seconds_;
   LossCurve curve_;
 
-  std::vector<double> loss_reductions_;
+  int completed_iterations_ = 0;
+  double last_loss_reduction_ = 0.0;
   double cumulative_loss_reduction_ = 0.0;
 
   StopPolicy active_policy_;

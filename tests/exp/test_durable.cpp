@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -399,8 +400,11 @@ TEST(DurableSession, FailedSnapshotWriteNeverLeavesAFinalSnapshot) {
 // snapshot-v5 / journal-v1 code before its binary I/O moved onto byte
 // buffers: the newest snapshot (snap-800.bin) and its journal segment,
 // which carries seven journaled arrivals past the snapshot. The run was
-// halted at event 1100 of 5172. These files are never regenerated: they
-// prove the current code still reads and writes the same bytes.
+// halted at event 1100 of 5172. tests/data/golden_v6/snap-800.bin is that
+// v5 snapshot restored and saved again by the first snapshot-v6 code (the
+// journal format did not change, so v6 resumes use the v5 journal). These
+// files are never regenerated: they prove the current code still reads
+// and writes the same bytes.
 
 exp::RunRequest golden_request() {
   exp::RunRequest r;
@@ -424,8 +428,8 @@ exp::RunRequest golden_request() {
 constexpr std::uint64_t kGoldenStreamHash = 15656029124963918891ull;
 constexpr std::uint64_t kGoldenSnapshotEvent = 800;
 
-std::string golden_path(const std::string& name) {
-  return std::string(MLFS_TEST_DATA_DIR) + "/golden_v5/" + name;
+std::string golden_path(const std::string& name, const std::string& dir = "golden_v5") {
+  return std::string(MLFS_TEST_DATA_DIR) + "/" + dir + "/" + name;
 }
 
 std::string slurp(const std::string& path) {
@@ -440,14 +444,15 @@ TEST(GoldenFormat, ReferenceRunMatchesPinnedHash) {
   EXPECT_EQ(exp::run_streaming(request, script).event_stream_hash, kGoldenStreamHash);
 }
 
-TEST(GoldenFormat, FixtureCheckpointResumesToPinnedHash) {
+/// Resumes a durable session from `snapshot_dir`'s snap-800.bin and the v5
+/// journal segment.
+void expect_fixture_resumes_to_pinned_hash(const std::string& snapshot_dir) {
   exp::RunRequest request = golden_request();
   const auto script = exp::split_streamed_tail(request, 20);
-  ScratchDir scratch("golden_resume");
+  ScratchDir scratch("golden_resume_" + snapshot_dir);
   fs::create_directories(scratch.path);
-  for (const char* name : {"snap-800.bin", "journal-800.wal"}) {
-    fs::copy_file(golden_path(name), scratch.path + "/" + name);
-  }
+  fs::copy_file(golden_path("snap-800.bin", snapshot_dir), scratch.path + "/snap-800.bin");
+  fs::copy_file(golden_path("journal-800.wal"), scratch.path + "/journal-800.wal");
   exp::DurableConfig config;
   config.dir = scratch.path;
   config.snapshot_stride = 400;
@@ -460,21 +465,82 @@ TEST(GoldenFormat, FixtureCheckpointResumesToPinnedHash) {
   EXPECT_EQ(resumed.metrics.event_stream_hash, kGoldenStreamHash);
 }
 
-TEST(GoldenFormat, FixtureSnapshotReserializesToTheSameBytes) {
+TEST(GoldenFormat, FixtureCheckpointResumesToPinnedHash) {
+  expect_fixture_resumes_to_pinned_hash("golden_v5");
+}
+
+TEST(GoldenFormat, V6FixtureCheckpointResumesToPinnedHash) {
+  expect_fixture_resumes_to_pinned_hash("golden_v6");
+}
+
+/// Restores `snapshot` into a fresh golden engine and saves it again.
+std::string restore_and_save(const std::string& snapshot) {
   exp::RunRequest request = golden_request();
   (void)exp::split_streamed_tail(request, 20);
-  const std::string golden = slurp(golden_path("snap-800.bin"));
   exp::EngineBundle bundle = exp::build_engine(request);
   {
-    std::istringstream is(golden, std::ios::binary);
+    std::istringstream is(snapshot, std::ios::binary);
     bundle.engine->restore_snapshot(is);
   }
   EXPECT_EQ(bundle.engine->events_processed(), kGoldenSnapshotEvent);
-  // Restored state includes the wall-clock accumulators, so an unchanged
-  // format re-serializes every byte, checksum included.
   std::ostringstream os(std::ios::binary);
   bundle.engine->save_snapshot(os);
-  EXPECT_TRUE(os.str() == golden) << "re-serialized snapshot differs from the fixture";
+  return os.str();
+}
+
+TEST(GoldenFormat, FixtureSnapshotReserializesToTheSameBytes) {
+  // Restored state includes the wall-clock accumulators, so an unchanged
+  // format re-serializes every byte, checksum included.
+  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v6"));
+  EXPECT_TRUE(restore_and_save(golden) == golden)
+      << "re-serialized snapshot differs from the fixture";
+}
+
+TEST(GoldenFormat, V5FixtureUpgradesToTheV6FixtureBytes) {
+  const std::string v5 = slurp(golden_path("snap-800.bin"));
+  const std::string v6 = slurp(golden_path("snap-800.bin", "golden_v6"));
+  EXPECT_TRUE(restore_and_save(v5) == v6) << "upgraded v5 snapshot differs from the v6 fixture";
+}
+
+TEST(GoldenFormat, V5FixtureWithATamperedLossValueIsRejected) {
+  std::string bytes = slurp(golden_path("snap-800.bin"));
+  exp::RunRequest request = golden_request();
+  (void)exp::split_streamed_tail(request, 20);
+  exp::EngineBundle donor = exp::build_engine(request);
+  {
+    std::istringstream is(bytes, std::ios::binary);
+    donor.engine->restore_snapshot(is);
+  }
+  // A v5 job record stores each loss reduction; find the first job with
+  // history and flip the low mantissa bit of its first stored value.
+  const Job* with_history = nullptr;
+  for (const Job& job : donor.engine->cluster().jobs()) {
+    if (job.completed_iterations() > 0) {
+      with_history = &job;
+      break;
+    }
+  }
+  ASSERT_NE(with_history, nullptr);
+  const double value = with_history->curve().observed_delta_loss(1);
+  const std::string needle(reinterpret_cast<const char*>(&value), sizeof(value));
+  const std::size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos) << "ambiguous loss value";
+  bytes[at] = static_cast<char>(bytes[at] ^ 1);
+  // Re-seal so only the loss check can fire.
+  const std::size_t body = bytes.size() - 8;
+  const std::uint64_t checksum = fnv1a(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &checksum, sizeof(checksum));
+
+  exp::EngineBundle victim = exp::build_engine(request);
+  std::istringstream is(bytes, std::ios::binary);
+  try {
+    victim.engine->restore_snapshot(is);
+    FAIL() << "tampered v5 loss history accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.section(), "cluster");
+    EXPECT_NE(std::string(e.what()).find("loss"), std::string::npos) << e.what();
+  }
 }
 
 TEST(GoldenFormat, FixtureJournalRewritesToTheSameBytes) {

@@ -134,10 +134,11 @@ TEST(SnapshotContainer, UnsupportedVersionRejectedEvenWithValidChecksum) {
 TEST(SnapshotContainer, PreV4FilesRejected) {
   // Older files predate state the current reader depends on (v3 added the
   // "predict" section, v4 the conditional "links" section and the engine's
-  // link-contention counters); every past version must be rejected up
-  // front instead of hitting a missing section mid-restore.
+  // link-contention counters); every version older than the oldest
+  // readable one must be rejected up front instead of hitting a missing
+  // section mid-restore.
   std::string bytes = write_sample();
-  for (int version = 1; version < static_cast<int>(kSnapshotVersion); ++version) {
+  for (int version = 1; version < static_cast<int>(kOldestReadableSnapshotVersion); ++version) {
     bytes[8] = static_cast<char>(version);
     bytes = patch_checksum(std::move(bytes));
     std::istringstream is(bytes, std::ios::binary);
@@ -149,6 +150,17 @@ TEST(SnapshotContainer, PreV4FilesRejected) {
       EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
     }
   }
+}
+
+TEST(SnapshotContainer, V5FilesStillRead) {
+  // v5 differs from v6 only inside the "cluster" and "scheduler" payloads,
+  // whose readers branch on version().
+  std::string bytes = write_sample();
+  bytes[8] = static_cast<char>(5);
+  bytes = patch_checksum(std::move(bytes));
+  std::istringstream is(bytes, std::ios::binary);
+  const SnapshotReader reader(is, 0xfeedu);
+  EXPECT_EQ(reader.version(), 5u);
 }
 
 TEST(SnapshotContainer, FingerprintMismatchRejected) {
@@ -310,6 +322,65 @@ TEST(SnapshotEngine, MidRunSnapshotIsIdempotent) {
   // save → restore → save yields byte-identical files: event queue order,
   // RNG streams, metrics accumulators and scheduler state all round-trip.
   EXPECT_EQ(engine_snapshot_bytes(*twin.engine), first);
+}
+
+TEST(SnapshotEngine, ConfigFingerprintDependsOnlyOnConstructorInputs) {
+  exp::EngineBundle first_asked_at_start = exp::build_engine(engine_request());
+  const std::uint64_t at_construction = first_asked_at_start.engine->config_fingerprint();
+
+  // Asked first after stepping and injecting, it is still the value of a
+  // freshly constructed engine, and it stays that value.
+  exp::EngineBundle bundle = exp::build_engine(engine_request());
+  SimEngine& engine = *bundle.engine;
+  for (int i = 0; i < 60 && engine.step(); ++i) {
+  }
+  JobSpec extra = snapshot_spec(2);
+  extra.arrival = engine.now();
+  (void)engine.inject_job(extra);
+  for (int i = 0; i < 60 && engine.step(); ++i) {
+  }
+  EXPECT_EQ(engine.config_fingerprint(), at_construction);
+  const std::string bytes = engine_snapshot_bytes(engine);
+  EXPECT_EQ(engine.config_fingerprint(), at_construction);
+
+  // A restore (which re-registers the injected job) leaves it unchanged.
+  exp::EngineBundle restored = exp::build_engine(engine_request());
+  std::istringstream is(bytes, std::ios::binary);
+  restored.engine->restore_snapshot(is);
+  EXPECT_EQ(restored.engine->injected_specs().size(), 1u);
+  EXPECT_EQ(restored.engine->config_fingerprint(), at_construction);
+}
+
+TEST(SnapshotEngine, SnapshotBytesAreFlatInRunLength) {
+  // A non-streaming MLFS run: the job set is fixed at construction, so
+  // what a snapshot holds is live state only. Per-iteration history would
+  // grow it with every completed iteration. The policy is cloned early so
+  // the imitation log is already retired at the first depth.
+  exp::RunRequest r;
+  r.label = "snapshot-flat";
+  r.cluster.server_count = 16;
+  r.cluster.gpus_per_server = 4;
+  r.engine.seed = 17;
+  r.engine.max_sim_time = hours(24.0 * 30);
+  r.trace.num_jobs = 300;
+  r.trace.duration_hours = 24.0;
+  r.trace.seed = 5;
+  r.trace.max_gpu_request = 8;
+  r.scheduler = "MLFS";
+  r.mlfs_config.rl.warmup_samples = 40;
+  exp::EngineBundle bundle = exp::build_engine(r);
+  SimEngine& engine = *bundle.engine;
+  constexpr std::uint64_t kDepth = 10000;
+  while (engine.events_processed() < kDepth && engine.step()) {
+  }
+  ASSERT_EQ(engine.events_processed(), kDepth);
+  const double at_depth = static_cast<double>(engine_snapshot_bytes(engine).size());
+  while (engine.events_processed() < 3 * kDepth && engine.step()) {
+  }
+  ASSERT_EQ(engine.events_processed(), 3 * kDepth);
+  const double at_triple = static_cast<double>(engine_snapshot_bytes(engine).size());
+  EXPECT_LE(at_triple, 1.1 * at_depth);
+  EXPECT_GE(at_triple, at_depth / 1.1);
 }
 
 TEST(SnapshotEngine, CorruptRestoreLeavesEngineUntouched) {

@@ -2,25 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/binio.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace mlfs {
 namespace {
 
 Job make_job(StopPolicy policy = StopPolicy::FixedIterations,
-             StopPolicy min_allowed = StopPolicy::AccuracyOnly) {
+             StopPolicy min_allowed = StopPolicy::AccuracyOnly, int max_iterations = 20) {
   JobSpec spec;
   spec.id = 0;
   spec.algorithm = MlAlgorithm::Mlp;
   spec.comm = CommStructure::AllReduce;
   spec.gpu_request = 2;
-  spec.max_iterations = 20;
+  spec.max_iterations = max_iterations;
   spec.stop_policy = policy;
   spec.min_allowed_policy = min_allowed;
   spec.curve.max_accuracy = 0.8;
   spec.curve.kappa = 5.0;
   spec.seed = 7;
   return std::move(ModelZoo::instantiate(spec, 0).job);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::string saved(const Job& job) {
+  std::string bytes;
+  io::BinWriter w(bytes);
+  job.save_state(w);
+  return bytes;
 }
 
 TEST(Job, IterationProgressAccumulatesLossReductions) {
@@ -30,11 +46,79 @@ TEST(Job, IterationProgressAccumulatesLossReductions) {
   job.complete_iteration();
   job.complete_iteration();
   EXPECT_EQ(job.completed_iterations(), 2);
-  EXPECT_EQ(job.loss_reductions().size(), 2u);
   EXPECT_GT(job.cumulative_loss_reduction(), 0.0);
-  EXPECT_NEAR(job.cumulative_loss_reduction(),
-              job.loss_reductions()[0] + job.loss_reductions()[1], 1e-12);
+  // Bitwise: the running sum is exactly the curve's first two values added
+  // in order.
+  EXPECT_EQ(bits(job.cumulative_loss_reduction()),
+            bits(0.0 + job.curve().observed_delta_loss(1) + job.curve().observed_delta_loss(2)));
+  EXPECT_EQ(bits(job.last_loss_reduction()), bits(job.curve().observed_delta_loss(2)));
   EXPECT_GT(job.current_accuracy(), 0.0);
+}
+
+TEST(Job, SavedStateSizeDoesNotGrowWithIterations) {
+  Job job = make_job(StopPolicy::FixedIterations, StopPolicy::AccuracyOnly, 5000);
+  job.complete_iteration();
+  const std::size_t after_one = saved(job).size();
+  for (int i = 1; i < 5000; ++i) job.complete_iteration();
+  EXPECT_EQ(saved(job).size(), after_one);
+}
+
+TEST(Job, RollbackMatchesAFreshJobBitForBit) {
+  constexpr int kN = 17;
+  for (int k = 0; k <= kN; ++k) {
+    Job job = make_job();
+    for (int i = 0; i < kN; ++i) job.complete_iteration();
+    job.rollback_iterations(k);
+
+    Job fresh = make_job();
+    for (int i = 0; i < kN - k; ++i) fresh.complete_iteration();
+    EXPECT_EQ(job.completed_iterations(), fresh.completed_iterations()) << "k=" << k;
+    EXPECT_EQ(bits(job.last_loss_reduction()), bits(fresh.last_loss_reduction())) << "k=" << k;
+
+    // The running sum is add-then-subtract, so it is the per-iteration
+    // history's sum after popping the same values, not a re-summation.
+    std::vector<double> history;
+    double sum = 0.0;
+    for (int i = 1; i <= kN; ++i) {
+      history.push_back(job.curve().observed_delta_loss(i));
+      sum += history.back();
+    }
+    for (int i = 0; i < k; ++i) {
+      sum -= history.back();
+      history.pop_back();
+    }
+    EXPECT_EQ(bits(job.cumulative_loss_reduction()), bits(sum)) << "k=" << k;
+
+    // Re-running the lost iterations carries on from the same state.
+    for (int i = 0; i < k; ++i) job.complete_iteration();
+    EXPECT_EQ(job.completed_iterations(), kN);
+    EXPECT_EQ(bits(job.last_loss_reduction()), bits(job.curve().observed_delta_loss(kN)));
+  }
+}
+
+TEST(Job, RestoreRederivesTheLastLossReduction) {
+  Job job = make_job();
+  for (int i = 0; i < 7; ++i) job.complete_iteration();
+  job.rollback_iterations(2);
+  const std::string bytes = saved(job);
+
+  Job twin = make_job();
+  io::BinReader r(bytes);
+  twin.restore_state(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(twin.completed_iterations(), 5);
+  EXPECT_EQ(bits(twin.last_loss_reduction()), bits(job.last_loss_reduction()));
+  EXPECT_EQ(bits(twin.cumulative_loss_reduction()), bits(job.cumulative_loss_reduction()));
+  EXPECT_EQ(saved(twin), bytes);
+}
+
+TEST(Job, RestoreRejectsAnOutOfRangeIterationCount) {
+  Job job = make_job();
+  std::string bytes = saved(job);
+  const std::int64_t too_many = 21;  // max_iterations is 20
+  std::memcpy(bytes.data(), &too_many, sizeof(too_many));
+  io::BinReader r(bytes);
+  EXPECT_THROW(job.restore_state(r), ContractViolation);
 }
 
 TEST(Job, CannotExceedMaxIterations) {
