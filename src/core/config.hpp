@@ -40,18 +40,13 @@ struct PlacementParams {
   bool use_topology = false;
   double rack_affinity = 0.5;
 
-  /// Memoize per-(task, server) communication volumes, keyed on the
-  /// *owning job's* placement epoch (see DESIGN.md, "Scheduler hot path").
-  /// Bit-exact with the direct computation; `false` keeps the reference
-  /// path for equivalence tests and benchmarks.
-  bool memoize_comm = true;
-
-  /// Capacity of the comm-volume memo arena, in tasks: one slot holds one
-  /// task's per-server volume vector (server_count doubles). Eviction is
-  /// deterministic round-robin, so the memory bound is
-  /// `comm_memo_slots × server_count × 8` bytes even with 100k+ queued
-  /// tasks at Philly scale. Smaller capacities only trade hits for
-  /// misses — decisions are unchanged.
+  /// Capacity of the per-(task, server) communication-volume memo (keyed on
+  /// the owning job's placement epoch, see DESIGN.md "Scheduler hot path"),
+  /// in tasks: one slot holds one task's per-server volume vector
+  /// (server_count doubles). Eviction is deterministic round-robin, so the
+  /// memory bound is `comm_memo_slots × server_count × 8` bytes even with
+  /// 100k+ queued tasks at Philly scale. Smaller capacities only trade hits
+  /// for misses — decisions are unchanged.
   std::size_t comm_memo_slots = 4096;
 
   /// Fault-domain awareness (recovery policies, DESIGN.md "Recovery
@@ -73,13 +68,9 @@ struct MigrationParams {
   int max_victims_per_server = 8;
 };
 
-/// Training algorithm for the MLF-RL policy (§3.4 uses policy gradient
-/// [51] = REINFORCE; A2C is the lower-variance bootstrap variant).
-enum class RlAlgorithm { Reinforce, ActorCritic };
-
+/// MLF-RL's policy: REINFORCE with a value baseline, the policy-gradient
+/// method §3.4 cites ([51]).
 struct RlParams {
-  RlAlgorithm algorithm = RlAlgorithm::Reinforce;
-
   /// Heuristic warm-up: MLF-H drives and logs decisions until this many
   /// imitation samples are collected, then the policy is cloned and MLF-RL
   /// takes over (§3.4: "initially runs MLF-H ... then switches").
@@ -113,13 +104,6 @@ struct MlfsConfig {
   /// Run MLF-H only (never switch to the RL policy) — the "MLF-H" series
   /// of Figs. 4/5.
   bool heuristic_only = false;
-
-  /// Reference mode for the hot-path benchmark: disable the comm-volume
-  /// memo and the decorate-sort-undecorate queue ordering, falling back to
-  /// the direct (recompute-per-candidate) implementations. Decisions are
-  /// identical either way; pair with ClusterConfig::incremental_load_index
-  /// = false to measure the full pre-index scheduler.
-  bool legacy_hot_path = false;
 };
 
 }  // namespace mlfs::core

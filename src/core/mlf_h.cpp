@@ -10,20 +10,10 @@
 
 namespace mlfs::core {
 
-namespace {
-PlacementParams effective_placement_params(const MlfsConfig& config) {
-  PlacementParams p = config.placement;
-  // Legacy mode must exercise the reference (recompute-per-candidate)
-  // comm-volume path regardless of the placement default.
-  if (config.legacy_hot_path) p.memoize_comm = false;
-  return p;
-}
-}  // namespace
-
 MlfH::MlfH(const MlfsConfig& config)
     : config_(config),
       priority_calc_(config.priority),
-      placement_(effective_placement_params(config)),
+      placement_(config.placement),
       migration_(config.migration) {}
 
 const std::vector<double>& MlfH::job_priority_vector(const Cluster& cluster, const Job& job,
@@ -43,14 +33,6 @@ double MlfH::task_priority(const Cluster& cluster, TaskId task, SimTime now) {
 }
 
 void MlfH::sort_by_priority(std::vector<TaskId>& tasks, SchedulerContext& ctx) {
-  if (config_.legacy_hot_path) {
-    // Reference path: priority lookups inside the comparator (one pair of
-    // cache probes per comparison).
-    std::stable_sort(tasks.begin(), tasks.end(), [this, &ctx](TaskId a, TaskId b) {
-      return task_priority(ctx.cluster, a, ctx.now) > task_priority(ctx.cluster, b, ctx.now);
-    });
-    return;
-  }
   std::vector<std::pair<double, TaskId>> keyed;
   keyed.reserve(tasks.size());
   for (const TaskId tid : tasks) {
@@ -113,12 +95,11 @@ void MlfH::place_queued_tasks(SchedulerContext& ctx) {
   // manufacture deadlocks.
   //
   // The queue is consumed lazily through a binary heap instead of fully
-  // sorted: all priorities are computed up front (exactly like the sorted
-  // path — placements this round never re-key), and pops yield the
-  // stable-descending order one task at a time. Under sustained overload
-  // the 200-failure cap stops consumption after a few hundred pops, so a
-  // 100k-task backlog costs O(n + popped·log n) instead of O(n log n)
-  // every round. Legacy mode keeps the full sort as the reference.
+  // sorted: all priorities are computed up front (placements this round
+  // never re-key), and pops yield the stable-descending order one task at
+  // a time. Under sustained overload the 200-failure cap stops consumption
+  // after a few hundred pops, so a 100k-task backlog costs
+  // O(n + popped·log n) instead of O(n log n) every round.
   int failures = 0;
   struct HeapEntry {
     double pri;
@@ -131,22 +112,14 @@ void MlfH::place_queued_tasks(SchedulerContext& ctx) {
     return a.pri < b.pri || (a.pri == b.pri && a.pos > b.pos);
   };
   std::vector<HeapEntry> heap;
-  if (!config_.legacy_hot_path) {
-    heap.reserve(ctx.queue.size());
-    std::size_t pos = 0;
-    for (const TaskId tid : ctx.queue) {
-      if (ctx.cluster.task(tid).state != TaskState::Queued) continue;
-      heap.push_back({task_priority(ctx.cluster, tid, ctx.now), pos++, tid});
-    }
-    std::make_heap(heap.begin(), heap.end(), heap_less);
+  heap.reserve(ctx.queue.size());
+  std::size_t pos = 0;
+  for (const TaskId tid : ctx.queue) {
+    if (ctx.cluster.task(tid).state != TaskState::Queued) continue;
+    heap.push_back({task_priority(ctx.cluster, tid, ctx.now), pos++, tid});
   }
-  const std::vector<TaskId> sorted = config_.legacy_hot_path ? ordered_queue(ctx)
-                                                             : std::vector<TaskId>{};
-  std::size_t sorted_next = 0;
+  std::make_heap(heap.begin(), heap.end(), heap_less);
   const auto next_task = [&]() -> TaskId {
-    if (config_.legacy_hot_path) {
-      return sorted_next < sorted.size() ? sorted[sorted_next++] : kInvalidTask;
-    }
     if (heap.empty()) return kInvalidTask;
     std::pop_heap(heap.begin(), heap.end(), heap_less);
     const TaskId tid = heap.back().tid;
@@ -203,7 +176,9 @@ void MlfH::handle_overloaded_servers(SchedulerContext& ctx) {
   auto priority_of = [this, &cluster, &ctx](TaskId tid) {
     return task_priority(cluster, tid, ctx.now);
   };
-  for (const ServerId sid : cluster.overloaded_servers(ctx.hr)) {
+  // A copy: migrations below re-partition the cluster's overloaded set.
+  const std::vector<ServerId> overloaded = cluster.overloaded_servers(ctx.hr);
+  for (const ServerId sid : overloaded) {
     int moved = 0;
     while (moved < config_.migration.max_victims_per_server) {
       const Server& server = cluster.server(sid);

@@ -8,31 +8,27 @@
 
 namespace mlfs::core {
 
+namespace {
+rl::ReinforceConfig policy_config(const RlParams& rl, std::size_t state_dim) {
+  rl::ReinforceConfig rc;
+  rc.state_dim = state_dim;
+  rc.action_dim = rl.candidate_count;
+  rc.hidden = rl.hidden;
+  rc.eta = rl.eta;
+  rc.seed = rl.seed;
+  return rc;
+}
+}  // namespace
+
 MlfsScheduler::MlfsScheduler(const MlfsConfig& config, std::string display_name)
     : config_(config),
       display_name_(std::move(display_name)),
       heuristic_(config),
       featurizer_(config.rl.candidate_count),
+      agent_(policy_config(config.rl, featurizer_.state_dim())),
       imitation_(featurizer_.state_dim()),
       reward_(config.rl),
       rng_(config.rl.seed ^ 0x1234abcd5678ef90ULL) {
-  if (config_.rl.algorithm == RlAlgorithm::ActorCritic) {
-    rl::ActorCriticConfig ac;
-    ac.state_dim = featurizer_.state_dim();
-    ac.action_dim = config_.rl.candidate_count;
-    ac.hidden = config_.rl.hidden;
-    ac.eta = config_.rl.eta;
-    ac.seed = config_.rl.seed;
-    agent_ = std::make_unique<rl::ActorCriticAgent>(ac);
-  } else {
-    rl::ReinforceConfig rc;
-    rc.state_dim = featurizer_.state_dim();
-    rc.action_dim = config_.rl.candidate_count;
-    rc.hidden = config_.rl.hidden;
-    rc.eta = config_.rl.eta;
-    rc.seed = config_.rl.seed;
-    agent_ = std::make_unique<rl::ReinforceAgent>(rc);
-  }
   if (!config_.heuristic_only) {
     heuristic_.set_placement_observer(
         [this](SchedulerContext& ctx, TaskId task, ServerId chosen) {
@@ -62,7 +58,7 @@ void MlfsScheduler::maybe_switch_to_rl() {
   if (imitation_.size() < config_.rl.warmup_samples) return;
   imitation_.truncate_to_recent(config_.rl.warmup_samples);
   const double loss =
-      imitation_.train(*agent_, config_.rl.imitation_epochs, config_.rl.imitation_batch, rng_);
+      imitation_.train(agent_, config_.rl.imitation_epochs, config_.rl.imitation_batch, rng_);
   rl_active_ = true;
   MLFS_INFO(name() << ": policy cloned from " << imitation_.size()
                    << " MLF-H decisions (final CE loss " << loss << "), switching to RL");
@@ -72,7 +68,7 @@ void MlfsScheduler::maybe_switch_to_rl() {
 void MlfsScheduler::retire_imitation_log() {
   // Nothing trains on the log after cloning: keep only what it reports.
   cloned_samples_ = imitation_.size();
-  cloned_accuracy_ = imitation_.evaluate_accuracy(*agent_);
+  cloned_accuracy_ = imitation_.evaluate_accuracy(agent_);
   imitation_.clear();
 }
 
@@ -93,7 +89,7 @@ void MlfsScheduler::schedule_with_policy(SchedulerContext& ctx) {
     std::vector<rl::Episode> episodes;
     episodes.push_back(std::move(episode_));
     episode_ = {};
-    agent_->update(episodes);
+    agent_.update(episodes);
     rounds_since_update_ = 0;
   }
 
@@ -145,8 +141,8 @@ void MlfsScheduler::schedule_with_policy(SchedulerContext& ctx) {
       // plus an occasional sampled action.
       const std::span<const bool> mask_span(reinterpret_cast<const bool*>(mask.data()),
                                             mask.size());
-      const int action = rng_.bernoulli(0.05) ? agent_->act(state, mask_span)
-                                              : agent_->act_greedy(state, mask_span);
+      const int action = rng_.bernoulli(0.05) ? agent_.act(state, mask_span)
+                                              : agent_.act_greedy(state, mask_span);
       const ServerId server = candidates[static_cast<std::size_t>(action)];
       const int gpu = ctx.cluster.server(server).least_loaded_gpu();
       if (ctx.ops.place(sib, server, gpu)) {
@@ -199,7 +195,7 @@ void MlfsScheduler::save_state(std::ostream& os) const {
   w.u64(cloned_samples_);
   w.f64(cloned_accuracy_);
   reward_.save_state(w);
-  agent_->save_state(w);
+  agent_.save_state(w);
   heuristic_.save_state(w);
   io::write_all(os, bytes);
 }
@@ -227,7 +223,7 @@ void MlfsScheduler::restore(std::istream& is, bool v5) {
     cloned_accuracy_ = r.f64();
   }
   reward_.restore_state(r);
-  agent_->restore_state(r);
+  agent_.restore_state(r);
   heuristic_.restore_state(r);
   if (v5 && rl_active_) retire_imitation_log();
 }

@@ -12,12 +12,9 @@
 //   MLFS  : MLF-RL + an MlfC load controller registered with the engine
 #pragma once
 
-#include <memory>
-
 #include "core/featurizer.hpp"
 #include "core/mlf_h.hpp"
 #include "core/reward.hpp"
-#include "rl/actor_critic.hpp"
 #include "rl/imitation.hpp"
 #include "rl/reinforce.hpp"
 
@@ -74,7 +71,7 @@ class MlfsScheduler : public Scheduler {
   std::string display_name_;
   MlfH heuristic_;
   MlfRlFeaturizer featurizer_;
-  std::unique_ptr<rl::PolicyAgent> agent_;
+  rl::ReinforceAgent agent_;
   rl::ImitationDataset imitation_;
   std::size_t cloned_samples_ = 0;
   double cloned_accuracy_ = 0.0;

@@ -158,210 +158,79 @@ const double* MlfPlacement::comm_vector(const Cluster& cluster, const Task& task
 
 std::optional<HostChoice> MlfPlacement::choose_host(const SchedulerContext& ctx, const Task& task,
                                                     bool migrating) const {
-  if (params_.memoize_comm) return choose_host_fast(ctx, task, migrating);
-  const Cluster& cluster = ctx.cluster;
-
-  // Candidate set: underloaded servers (ascending id — the same relative
-  // order a full fleet scan yields) that can host the task without
-  // becoming overloaded (on every resource and the target GPU).
-  struct Candidate {
-    ServerId server;
-    int gpu;
-    ResourceVector util;
-    double comm;  // MB/iteration with tasks already on the server
-  };
-  std::vector<Candidate> candidates;
-  double max_comm = 0.0;
-  cluster.underloaded_servers_into(ctx.hr, scan_buf_);  // reused buffer, no per-call alloc
-  for (const ServerId sid : scan_buf_) {
-    if (migrating && sid == task.server) continue;
-    ++stats_.candidates_scanned;
-    ++stats_.candidates_linear;
-    const Server& s = cluster.server(sid);
-    const int gpu = s.best_fitting_gpu(task, ctx.hr);
-    if (gpu == kNoGpu) continue;
-    Candidate c{sid, gpu, s.utilization(),
-                params_.use_topology
-                    ? comm_volume_with_server_topology(cluster, task, sid,
-                                                       params_.rack_affinity)
-                    : comm_volume_with_server(cluster, task, sid)};
-    max_comm = std::max(max_comm, c.comm);
-    candidates.push_back(std::move(c));
-  }
-  if (candidates.empty()) return std::nullopt;
-
-  // Ideal virtual host: component-wise minimum utilization; maximum
-  // communication volume (normalized); zero movement degradation.
-  ResourceVector ideal_util = candidates.front().util;
-  for (const Candidate& c : candidates) {
-    for (std::size_t i = 0; i < kNumResources; ++i) {
-      ideal_util.at(i) = std::min(ideal_util.at(i), c.util.at(i));
-    }
-  }
-
-  std::vector<double> spread;
-  if (params_.spread_racks) spread = rack_peer_fractions(cluster, task);
-
-  const Candidate* best = nullptr;
-  double best_distance = 0.0;
-  for (const Candidate& c : candidates) {
-    double sq = 0.0;
-    for (std::size_t i = 0; i < kNumResources; ++i) {
-      const double d = c.util.at(i) - ideal_util.at(i);
-      sq += d * d;
-    }
-    if (params_.use_bandwidth && max_comm > 0.0) {
-      const double d = c.comm / max_comm - 1.0;  // ideal = the max
-      sq += d * d;
-    }
-    if (params_.spread_racks) {
-      const double d =
-          params_.spread_penalty * spread[static_cast<std::size_t>(cluster.rack_of(c.server))];
-      sq += d * d;  // ideal = no job siblings in this fault domain
-    }
-    if (migrating) {
-      // Movement degradation q ([10]'s model): minutes of disruption to
-      // transfer the task's state to *this* destination, over the
-      // topology-aware flow bandwidth — cross-rack moves pay the slower
-      // inter-rack share. On a flat network q is one constant for every
-      // candidate, so it shifts all distances uniformly and cannot flip a
-      // choice.
-      const double q = task.state_size_mb /
-                       cluster.flow_bandwidth_between(task.server, c.server) / 60.0;
-      sq += q * q;  // distance of q to its ideal 0
-    }
-    const double distance = std::sqrt(sq);
-    if (best == nullptr || distance < best_distance) {
-      best = &c;
-      best_distance = distance;
-    }
-  }
-  return HostChoice{best->server, best->gpu};
-}
-
-std::optional<HostChoice> MlfPlacement::choose_host_fast(const SchedulerContext& ctx,
-                                                         const Task& task, bool migrating) const {
   const Cluster& cluster = ctx.cluster;
   const double* comm = comm_vector(cluster, task);
 
-  const bool indexed = cluster.config().incremental_load_index;
-  const bool bucketed = indexed && cluster.config().placement_bucket_index;
-
-  // One usage product for the whole candidate loop (the legacy body
-  // recomputes demand × usage_factor inside every feasibility check — the
-  // product is the same value every time, so hoisting cannot change a
-  // fit verdict).
+  // One usage product for the whole candidate loop: Server's feasibility
+  // check computes the same demand × usage_factor value every time.
   const ResourceVector usage = task.demand * task.usage_factor;
   const double u_gpu = usage[Resource::Gpu];
   const double u_cpu = usage[Resource::Cpu];
   const double u_mem = usage[Resource::Mem];
   const double u_net = usage[Resource::Net];
 
-  ResourceVector util_buf;  // scan-mode fallback storage
-  const auto util_of = [&](ServerId sid) -> const ResourceVector& {
-    if (indexed) return cluster.cached_utilization(sid);
-    util_buf = cluster.server(sid).utilization();
-    return util_buf;
-  };
-
-  // Pass 1: feasibility + the ideal host's components. Seeding the
-  // component-wise min from the first feasible candidate matches the
-  // legacy fold exactly (min(x, x) == x).
+  // Pass 1: the feasible underloaded servers, ascending by id. Every
+  // feasible server hosts the task on its least-loaded GPU.
   feasible_.clear();
-  ResourceVector ideal_util;
-  bool first = true;
-  double max_comm = 0.0;
-  if (bucketed) {
+  if (cluster.config().placement_bucket_index) {
     // Sublinear candidate funnel: the bucket index exact-checks only the
     // members of buckets that could pass the feasibility comparisons and
-    // returns the feasible set in the linear funnel's ascending order —
-    // identical verdicts, so the folds below run over the identical set
-    // (min/max folds are order-independent anyway).
+    // returns the feasible set in the linear funnel's ascending order.
     const PlacementIndex& pidx = cluster.placement_index(ctx.hr);
     const ServerId skip = migrating ? task.server : kInvalidServer;
-    feasible_ids_.clear();
     stats_.candidates_scanned +=
-        pidx.collect_feasible(ctx.hr, u_gpu, u_cpu, u_mem, u_net, skip, feasible_ids_);
+        pidx.collect_feasible(ctx.hr, u_gpu, u_cpu, u_mem, u_net, skip, feasible_);
     // What a linear funnel would have scanned for this query: every
     // underloaded member (minus the migration self-exclusion) — keeps the
     // index's win measurable without running the linear path.
     stats_.candidates_linear +=
         pidx.member_count() - (skip != kInvalidServer && pidx.is_member(skip) ? 1 : 0);
-    feasible_.reserve(feasible_ids_.size());
-    for (const ServerId sid : feasible_ids_) {
-      const ResourceVector& util = cluster.cached_utilization(sid);
-      if (first) {
-        ideal_util = util;
-        first = false;
-      } else {
-        for (std::size_t i = 0; i < kNumResources; ++i) {
-          ideal_util.at(i) = std::min(ideal_util.at(i), util.at(i));
-        }
-      }
-      max_comm = std::max(max_comm, comm[sid]);
-      feasible_.emplace_back(sid, cluster.cached_least_gpu(sid));
-    }
   } else {
-    // Candidate ids by reference from the index when it is on; the scan
-    // fallback fills a reused buffer (no per-call allocation) with the
-    // same ids in the same ascending order.
-    if (!indexed) cluster.underloaded_servers_into(ctx.hr, scan_buf_);
-    const std::vector<ServerId>& under = indexed ? cluster.underloaded_index(ctx.hr) : scan_buf_;
-    feasible_.reserve(under.size());
-    for (const ServerId sid : under) {
+    for (const ServerId sid : cluster.underloaded_servers(ctx.hr)) {
       if (migrating && sid == task.server) continue;
       ++stats_.candidates_scanned;
       ++stats_.candidates_linear;
-      const ResourceVector& util = util_of(sid);
-      int gpu;
-      if (indexed) {
-        // Feasibility from cached data only: the utilization's CPU/MEM/NET
-        // components *are* the server's usage sums, so together with the
-        // cached least-loaded GPU load these four comparisons are exactly
-        // Server::fits_usage_without_overload on the least-loaded GPU (the
-        // liveness test is vacuous — the underloaded partition only holds
-        // up servers). And the least-loaded GPU's verdict decides the
-        // server: every other GPU carries load >= the least-loaded one, and
-        // FP addition of the same usage is monotone, so when the
-        // least-loaded GPU overflows hr, so does every other —
-        // best_fitting_gpu's per-GPU search cannot rescue the candidate
-        // (the profile shows ~80% of candidates are infeasible under
-        // sustained overload, so this single rejection test carries the
-        // hot path).
-        if (util[Resource::Cpu] + u_cpu > ctx.hr || util[Resource::Mem] + u_mem > ctx.hr ||
-            util[Resource::Net] + u_net > ctx.hr ||
-            cluster.cached_least_gpu_load(sid) + u_gpu > ctx.hr) {
-          continue;
-        }
-        gpu = cluster.cached_least_gpu(sid);
-      } else {
-        gpu = cluster.server(sid).best_fitting_gpu_for_usage(usage, ctx.hr);
-        if (gpu == kNoGpu) continue;
+      // Feasibility from cached data only: the utilization's CPU/MEM/NET
+      // components *are* the server's usage sums, so together with the
+      // cached least-loaded GPU load these four comparisons are exactly
+      // Server::fits_usage_without_overload on the least-loaded GPU (the
+      // liveness test is vacuous — the underloaded partition only holds up
+      // servers). And the least-loaded GPU's verdict decides the server:
+      // every other GPU carries load >= the least-loaded one, and FP
+      // addition of the same usage is monotone, so when the least-loaded
+      // GPU overflows hr, so does every other — best_fitting_gpu's per-GPU
+      // search cannot rescue the candidate.
+      const ResourceVector& util = cluster.cached_utilization(sid);
+      if (util[Resource::Cpu] + u_cpu > ctx.hr || util[Resource::Mem] + u_mem > ctx.hr ||
+          util[Resource::Net] + u_net > ctx.hr ||
+          cluster.cached_least_gpu_load(sid) + u_gpu > ctx.hr) {
+        continue;
       }
-      if (first) {
-        ideal_util = util;
-        first = false;
-      } else {
-        for (std::size_t i = 0; i < kNumResources; ++i) {
-          ideal_util.at(i) = std::min(ideal_util.at(i), util.at(i));
-        }
-      }
-      max_comm = std::max(max_comm, comm[sid]);
-      feasible_.emplace_back(sid, gpu);
+      feasible_.push_back(sid);
     }
   }
   if (feasible_.empty()) return std::nullopt;
 
-  // Pass 2: identical distance arithmetic to the legacy body, reading the
-  // per-candidate inputs back from the caches instead of a Candidate array.
+  // Ideal virtual host: component-wise minimum utilization; maximum
+  // communication volume (normalized); zero movement degradation.
+  ResourceVector ideal_util = cluster.cached_utilization(feasible_.front());
+  double max_comm = 0.0;
+  for (const ServerId sid : feasible_) {
+    const ResourceVector& util = cluster.cached_utilization(sid);
+    for (std::size_t i = 0; i < kNumResources; ++i) {
+      ideal_util.at(i) = std::min(ideal_util.at(i), util.at(i));
+    }
+    max_comm = std::max(max_comm, comm[sid]);
+  }
+
+  // Pass 2: the feasible server closest to the ideal in Euclidean
+  // distance; ties go to the lowest id.
   std::vector<double> spread;
   if (params_.spread_racks) spread = rack_peer_fractions(cluster, task);
-  ServerId best_server = feasible_.front().first;
-  int best_gpu = feasible_.front().second;
+  ServerId best = kInvalidServer;
   double best_distance = 0.0;
-  bool have_best = false;
-  for (const auto& [sid, gpu] : feasible_) {
-    const ResourceVector& util = util_of(sid);
+  for (const ServerId sid : feasible_) {
+    const ResourceVector& util = cluster.cached_utilization(sid);
     double sq = 0.0;
     for (std::size_t i = 0; i < kNumResources; ++i) {
       const double d = util.at(i) - ideal_util.at(i);
@@ -377,19 +246,23 @@ std::optional<HostChoice> MlfPlacement::choose_host_fast(const SchedulerContext&
       sq += d * d;  // ideal = no job siblings in this fault domain
     }
     if (migrating) {
+      // Movement degradation q ([10]'s model): minutes of disruption to
+      // transfer the task's state to *this* destination, over the
+      // topology-aware flow bandwidth — cross-rack moves pay the slower
+      // inter-rack share. On a flat network q is one constant for every
+      // candidate, so it shifts all distances uniformly and cannot flip a
+      // choice.
       const double q =
           task.state_size_mb / cluster.flow_bandwidth_between(task.server, sid) / 60.0;
       sq += q * q;  // distance of q to its ideal 0
     }
     const double distance = std::sqrt(sq);
-    if (!have_best || distance < best_distance) {
-      have_best = true;
-      best_server = sid;
-      best_gpu = gpu;
+    if (best == kInvalidServer || distance < best_distance) {
+      best = sid;
       best_distance = distance;
     }
   }
-  return HostChoice{best_server, best_gpu};
+  return HostChoice{best, cluster.cached_least_gpu(best)};
 }
 
 void MlfPlacement::save_state(io::BinWriter& w) const {

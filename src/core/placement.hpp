@@ -10,7 +10,7 @@
 // (sim/placement_index.hpp) — only buckets that could pass the
 // feasibility check are examined — and the per-(task, server)
 // communication volumes are memoized in a fixed-capacity arena keyed on
-// the owning job's placement epoch (PlacementParams::memoize_comm). Both
+// the owning job's placement epoch (PlacementParams::comm_memo_slots). Both
 // are bit-exact with the direct computation (see DESIGN.md, "Scheduler
 // hot path").
 #pragma once
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -40,6 +39,12 @@ class MlfPlacement {
   /// transfer time from the task's current server to *that* destination
   /// over the topology-aware flow bandwidth (0 for queue placements).
   /// Returns nullopt when no underloaded server fits the task under ctx.hr.
+  ///
+  /// Candidates come from the cluster's load index (the bucketed placement
+  /// index when ClusterConfig::placement_bucket_index is on: only the
+  /// unprunable buckets are exact-checked), utilizations from the
+  /// refresh-time cache, comm volumes from the arena memo, scratch from
+  /// reused vectors. Ties go to the lowest server id.
   std::optional<HostChoice> choose_host(const SchedulerContext& ctx, const Task& task,
                                         bool migrating) const;
 
@@ -50,8 +55,8 @@ class MlfPlacement {
   /// cursor, and the occupied slots' volume vectors, in slot order) and
   /// the hot-path counters. The memo must round-trip (not just be
   /// invalidated) so the hit/miss counters — and therefore SchedStats —
-  /// stay bit-identical after restore. `feasible_`/`feasible_ids_`/
-  /// `scan_buf_` are per-call scratch and are not state.
+  /// stay bit-identical after restore. `feasible_` is per-call scratch and
+  /// is not state.
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
 
@@ -76,16 +81,6 @@ class MlfPlacement {
   /// exact-zero terms.
   const double* comm_vector(const Cluster& cluster, const Task& task) const;
 
-  /// The memoized hot path of choose_host: same feasibility verdicts, same
-  /// candidate order (ascending id), same distance arithmetic as the
-  /// legacy body — the equivalence tests and the benches enforce that the
-  /// two produce byte-identical decision streams — but candidates come
-  /// from the cluster's bucketed placement index (exact-check only the
-  /// unprunable buckets), utilizations from the refresh-time cache, comm
-  /// volumes from the arena memo, and reused scratch vectors.
-  std::optional<HostChoice> choose_host_fast(const SchedulerContext& ctx, const Task& task,
-                                             bool migrating) const;
-
   PlacementParams params_;
 
   /// Comm-memo arena: `comm_memo_slots` slots × server_count doubles, one
@@ -101,9 +96,7 @@ class MlfPlacement {
   mutable std::unordered_map<TaskId, std::uint32_t> memo_index_;  ///< task -> slot
   mutable std::size_t memo_cursor_ = 0;
 
-  mutable std::vector<std::pair<ServerId, int>> feasible_;  ///< choose_host_fast scratch
-  mutable std::vector<ServerId> feasible_ids_;              ///< bucket-index scratch
-  mutable std::vector<ServerId> scan_buf_;                  ///< scan-mode candidate buffer
+  mutable std::vector<ServerId> feasible_;  ///< choose_host scratch
   mutable SchedStats stats_;
 };
 

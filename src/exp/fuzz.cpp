@@ -81,16 +81,13 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
   }
   c.checkpoint_interval = static_cast<int>(rng.uniform_int(1, 8));
 
-  c.incremental_load_index = !rng.bernoulli(0.15);
-  c.legacy_hot_path = rng.bernoulli(0.15);
   // Sometimes let the RL-backed schedulers actually switch to the policy
   // on a small case (the default warm-up never triggers at fuzz sizes).
   if (rng.bernoulli(0.3)) {
     c.rl_warmup_samples = static_cast<std::size_t>(rng.uniform_int(50, 400));
   }
-  // Recovery policies: drawn after the older dimensions so cases from older
-  // sweeps keep their prefix of draws (and so legacy seeds stay replayable
-  // up to this block).
+  // Recovery policies: drawn after the older dimensions, so adding them
+  // left every seed's earlier draws unchanged.
   if (rng.bernoulli(0.35)) {
     c.recovery = true;
     c.quarantine = rng.bernoulli(0.7);
@@ -159,7 +156,6 @@ RunRequest to_request(const FuzzCase& c) {
   r.cluster.servers_per_rack = c.servers_per_rack;
   r.cluster.slow_server_fraction = c.slow_fraction;
   r.cluster.total_gpus = c.total_gpus;
-  r.cluster.incremental_load_index = c.incremental_load_index;
   r.cluster.placement_bucket_index = c.placement_bucket_index;
   r.cluster.placement_index_buckets = c.placement_index_buckets;
   r.cluster.debug_slot_leak = c.inject_slot_leak;
@@ -192,7 +188,6 @@ RunRequest to_request(const FuzzCase& c) {
   r.trace.seed = c.trace_seed;
   r.trace.max_gpu_request = c.max_gpu_request;
   r.scheduler = c.scheduler;
-  r.mlfs_config.legacy_hot_path = c.legacy_hot_path;
   r.mlfs_config.placement.comm_memo_slots = c.comm_memo_slots;
   r.mlfs_config.rl.warmup_samples = c.rl_warmup_samples;
   return r;
@@ -217,8 +212,6 @@ std::string describe(const FuzzCase& c) {
     if (c.adaptive_checkpoint) out << ", adaptive-ckpt";
     if (c.spread_placement) out << ", spread";
   }
-  if (c.legacy_hot_path) out << ", legacy-hotpath";
-  if (!c.incremental_load_index) out << ", scan-index";
   if (!c.placement_bucket_index) out << ", no-bucket-index";
   if (c.placement_index_buckets != 512) out << ", buckets=" << c.placement_index_buckets;
   if (c.comm_memo_slots != 4096) out << ", memo-slots=" << c.comm_memo_slots;
@@ -272,8 +265,6 @@ std::string serialize(const FuzzCase& c) {
       << "retry_budget=" << c.retry_budget << "\n"
       << "adaptive_checkpoint=" << (c.adaptive_checkpoint ? 1 : 0) << "\n"
       << "spread_placement=" << (c.spread_placement ? 1 : 0) << "\n"
-      << "incremental_load_index=" << (c.incremental_load_index ? 1 : 0) << "\n"
-      << "legacy_hot_path=" << (c.legacy_hot_path ? 1 : 0) << "\n"
       << "rl_warmup_samples=" << c.rl_warmup_samples << "\n"
       << "audit_stride=" << c.audit_stride << "\n"
       << "snapshot_check=" << (c.snapshot_check ? 1 : 0) << "\n"
@@ -338,8 +329,6 @@ FuzzCase parse_fuzz_case(std::istream& in) {
     else if (key == "retry_budget") c.retry_budget = static_cast<int>(u64());
     else if (key == "adaptive_checkpoint") c.adaptive_checkpoint = flag();
     else if (key == "spread_placement") c.spread_placement = flag();
-    else if (key == "incremental_load_index") c.incremental_load_index = flag();
-    else if (key == "legacy_hot_path") c.legacy_hot_path = flag();
     else if (key == "rl_warmup_samples") c.rl_warmup_samples = static_cast<std::size_t>(u64());
     else if (key == "audit_stride") c.audit_stride = static_cast<int>(u64());
     else if (key == "snapshot_check") c.snapshot_check = flag();
@@ -394,7 +383,7 @@ std::optional<FuzzFailure> run_fuzz_case(const FuzzCase& c, bool check_determini
       return std::nullopt;
     }
     const RunMetrics first = execute_run(request);
-    if (c.index_equivalence_check && c.incremental_load_index && c.placement_bucket_index) {
+    if (c.index_equivalence_check && c.placement_bucket_index) {
       // Index-vs-scan equivalence: the bucketed funnel must make the exact
       // decisions of the linear one (same event stream) and account for the
       // same linear-candidate population.
@@ -493,7 +482,6 @@ ShrinkResult shrink_case(const FuzzCase& original, const FuzzFailure& original_f
       [](FuzzCase& c) { c.checkpoint_interval = 1; },
       [](FuzzCase& c) { c.duration_hours = std::max(0.05, c.duration_hours / 2.0); },
       [](FuzzCase& c) { c.max_sim_hours = std::max(1.0, c.max_sim_hours / 2.0); },
-      [](FuzzCase& c) { c.legacy_hot_path = false; c.incremental_load_index = true; },
       // Placement-index dimensions shrink toward the uniform defaults; the
       // bucket flag itself stays (flipping it off would dissolve an
       // index-equivalence failure rather than minimize it).

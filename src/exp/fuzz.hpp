@@ -72,9 +72,6 @@ struct FuzzCase {
   bool snapshot_check = false;
   std::uint64_t snapshot_event = 0;
 
-  // Implementation switches (both paths must uphold the invariants).
-  bool incremental_load_index = true;
-  bool legacy_hot_path = false;
   std::size_t rl_warmup_samples = 2000;
 
   // Placement-index dimensions (sim/placement_index.hpp): bucket count and

@@ -25,7 +25,7 @@ void ImitationDataset::truncate_to_recent(std::size_t max_size) {
   states_.erase(states_.begin(), states_.begin() + static_cast<std::ptrdiff_t>(drop * state_dim_));
 }
 
-double ImitationDataset::train(PolicyAgent& agent, std::size_t epochs, std::size_t batch_size,
+double ImitationDataset::train(ReinforceAgent& agent, std::size_t epochs, std::size_t batch_size,
                                Rng& rng) const {
   MLFS_EXPECT(!empty());
   MLFS_EXPECT(batch_size > 0);
@@ -56,7 +56,7 @@ double ImitationDataset::train(PolicyAgent& agent, std::size_t epochs, std::size
   return last_epoch_loss;
 }
 
-double ImitationDataset::evaluate_accuracy(PolicyAgent& agent) const {
+double ImitationDataset::evaluate_accuracy(ReinforceAgent& agent) const {
   if (empty()) return 0.0;
   std::size_t correct = 0;
   std::vector<double> state(state_dim_);

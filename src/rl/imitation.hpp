@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "rl/agent.hpp"
 #include "rl/reinforce.hpp"
 
 namespace mlfs::rl {
@@ -31,10 +30,10 @@ class ImitationDataset {
 
   /// Mini-batched cross-entropy training for `epochs` passes; returns the
   /// final-epoch mean loss. Shuffles with `rng`.
-  double train(PolicyAgent& agent, std::size_t epochs, std::size_t batch_size, Rng& rng) const;
+  double train(ReinforceAgent& agent, std::size_t epochs, std::size_t batch_size, Rng& rng) const;
 
   /// Fraction of samples where the agent's greedy action matches the expert.
-  double evaluate_accuracy(PolicyAgent& agent) const;
+  double evaluate_accuracy(ReinforceAgent& agent) const;
 
   /// Bit-exact dataset round-trip for engine snapshots.
   void save_state(io::BinWriter& w) const;

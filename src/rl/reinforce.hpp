@@ -1,7 +1,9 @@
 // REINFORCE with a learned value baseline — the policy-gradient method the
 // paper cites ([51], Sutton et al.) as the training algorithm of the DNN
 // agent in MLF-RL. The agent owns a softmax policy network and a value
-// network over the same state features.
+// network over the same state features. It is the only trainable policy
+// agent: MLF-RL (core/mlfs.hpp) and the RL baseline (sched/rl_baseline.hpp)
+// both hold one.
 #pragma once
 
 #include <iosfwd>
@@ -11,10 +13,17 @@
 
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
-#include "rl/agent.hpp"
 #include "rl/returns.hpp"
 
 namespace mlfs::rl {
+
+/// Statistics from one update() call, for training diagnostics.
+struct UpdateStats {
+  double policy_loss = 0.0;
+  double value_loss = 0.0;
+  double mean_return = 0.0;
+  double mean_entropy = 0.0;
+};
 
 struct ReinforceConfig {
   std::size_t state_dim = 0;
@@ -29,37 +38,41 @@ struct ReinforceConfig {
 };
 
 /// Softmax-policy REINFORCE agent with a value-function baseline.
-class ReinforceAgent : public PolicyAgent {
+class ReinforceAgent {
  public:
   explicit ReinforceAgent(const ReinforceConfig& config);
 
   /// Samples an action from pi(.|state). `mask`, when given, marks valid
   /// actions: invalid logits are floored to -inf before sampling. At least
   /// one action must be valid.
-  int act(std::span<const double> state, std::span<const bool> mask = {}) override;
+  int act(std::span<const double> state, std::span<const bool> mask = {});
 
   /// Greedy argmax action (post-training inference).
-  int act_greedy(std::span<const double> state, std::span<const bool> mask = {}) override;
+  int act_greedy(std::span<const double> state, std::span<const bool> mask = {});
 
   /// Action probabilities for a state (diagnostics / tests).
-  std::vector<double> action_probabilities(std::span<const double> state) override;
+  std::vector<double> action_probabilities(std::span<const double> state);
 
   /// One policy-gradient update from complete episodes.
-  UpdateStats update(std::span<const Episode> episodes) override;
+  UpdateStats update(std::span<const Episode> episodes);
 
   /// Supervised pre-training on (state, expert action) pairs; returns the
   /// mean cross-entropy over the pass. Used for behaviour cloning from
   /// MLF-H decisions before the RL phase (paper §3.4: "uses the data
   /// [from MLF-H] to train MLF-RL").
-  double imitation_step(const nn::Matrix& states, std::span<const int> actions) override;
+  double imitation_step(const nn::Matrix& states, std::span<const int> actions);
 
   const ReinforceConfig& config() const { return config_; }
 
-  void save(std::ostream& os) const override;
-  void load(std::istream& is) override;
+  /// Network parameters only (a trained-policy checkpoint).
+  void save(std::ostream& os) const;
+  void load(std::istream& is);
 
-  void save_state(io::BinWriter& w) const override;
-  void restore_state(io::BinReader& r) override;
+  /// Full dynamic state for bit-identical engine resume (snapshot support):
+  /// network parameters, optimizer moments, AND the action-sampling RNG —
+  /// unlike save()/load(), which checkpoint parameters only.
+  void save_state(io::BinWriter& w) const;
+  void restore_state(io::BinReader& r);
 
  private:
   nn::Matrix states_to_matrix(std::span<const Episode> episodes) const;

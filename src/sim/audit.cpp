@@ -272,7 +272,7 @@ void SimAuditor::check_servers_and_tasks() const {
 
 void SimAuditor::check_load_index() const {
   const Cluster& cluster = engine_.cluster_;
-  if (!cluster.config().incremental_load_index || !cluster.index_valid_) return;
+  if (!cluster.index_valid_) return;
   const std::size_t n = cluster.server_count();
   if (cluster.index_overloaded_.size() != n || cluster.index_underloaded_.size() != n ||
       cluster.index_slots_.size() != n || cluster.index_dirty_.size() != n) {

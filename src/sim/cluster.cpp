@@ -199,52 +199,20 @@ std::size_t Cluster::up_server_count() const {
   return n;
 }
 
-std::vector<ServerId> Cluster::underloaded_servers(double hr) const {
-  if (config_.incremental_load_index) {
-    refresh_load_index(hr, index_demand_);
-    return underloaded_ids_;
-  }
-  std::vector<ServerId> out;
-  for (const Server& s : servers_) {
-    if (s.accepts_placements() && !s.overloaded(hr)) out.push_back(s.id());
-  }
-  return out;
-}
-
-void Cluster::underloaded_servers_into(double hr, std::vector<ServerId>& out) const {
-  out.clear();
-  if (config_.incremental_load_index) {
-    refresh_load_index(hr, index_demand_);
-    out.assign(underloaded_ids_.begin(), underloaded_ids_.end());
-    return;
-  }
-  for (const Server& s : servers_) {
-    if (s.accepts_placements() && !s.overloaded(hr)) out.push_back(s.id());
-  }
-}
-
-const std::vector<ServerId>& Cluster::underloaded_index(double hr) const {
-  MLFS_EXPECT(config_.incremental_load_index);
+const std::vector<ServerId>& Cluster::underloaded_servers(double hr) const {
   refresh_load_index(hr, index_demand_);
   return underloaded_ids_;
 }
 
-const PlacementIndex& Cluster::placement_index(double hr) const {
-  MLFS_EXPECT(config_.incremental_load_index && config_.placement_bucket_index);
+const std::vector<ServerId>& Cluster::overloaded_servers(double hr) const {
   refresh_load_index(hr, index_demand_);
-  return pindex_;
+  return overloaded_ids_;
 }
 
-std::vector<ServerId> Cluster::overloaded_servers(double hr) const {
-  if (config_.incremental_load_index) {
-    refresh_load_index(hr, index_demand_);
-    return overloaded_ids_;
-  }
-  std::vector<ServerId> out;
-  for (const Server& s : servers_) {
-    if (s.up() && s.overloaded(hr)) out.push_back(s.id());
-  }
-  return out;
+const PlacementIndex& Cluster::placement_index(double hr) const {
+  MLFS_EXPECT(config_.placement_bucket_index);
+  refresh_load_index(hr, index_demand_);
+  return pindex_;
 }
 
 double Cluster::overload_degree() const {
@@ -259,15 +227,8 @@ double Cluster::overload_degree() const {
 }
 
 int Cluster::estimate_free_worker_slots(double hr, double typical_demand) const {
-  if (config_.incremental_load_index) {
-    refresh_load_index(hr, typical_demand);
-    return static_cast<int>(index_total_slots_);
-  }
-  int slots = 0;
-  for (const Server& s : servers_) {
-    if (s.up()) slots += server_slot_estimate(s, hr, typical_demand);
-  }
-  return slots;
+  refresh_load_index(hr, typical_demand);
+  return static_cast<int>(index_total_slots_);
 }
 
 void Cluster::set_job_live(JobId id, bool live) {

@@ -43,20 +43,12 @@ struct ClusterConfig {
   double slow_server_fraction = 0.0;
   double slow_server_speed = 0.5;
 
-  /// Incremental load index (see DESIGN.md, "Scheduler hot path"): serve
-  /// overload/underload partitions and the free-slot estimate from
-  /// dirty-tracked per-server state instead of full fleet scans. Decisions
-  /// are identical either way; `false` keeps the reference scan
-  /// implementation for equivalence tests and the hot-path benchmark.
-  bool incremental_load_index = true;
-
   /// Bucketed feasibility index over the underloaded partition (see
   /// sim/placement_index.hpp): placement queries examine only the buckets
   /// that could pass the feasibility check instead of every underloaded
   /// server. Decisions are byte-identical either way (the pruned servers
   /// provably fail the exact check); `false` keeps the linear funnel for
   /// the equivalence tests and the large-scale benchmark's reference leg.
-  /// Requires `incremental_load_index` (ignored without it).
   bool placement_bucket_index = true;
   /// Buckets per indexed load dimension (4 dimensions: least-GPU load and
   /// the CPU/MEM/NET sums). Members strictly inside the per-dimension
@@ -156,27 +148,21 @@ class Cluster {
 
   /// Placement-eligible (accepts_placements) server ids currently not
   /// overloaded w.r.t. `hr`, ascending. With all placement caps at the
-  /// default -1 this is exactly "up and not overloaded".
-  std::vector<ServerId> underloaded_servers(double hr) const;
-  /// Same ids in the same order as underloaded_servers, written into `out`
-  /// (cleared first) so per-call reuse of the buffer avoids reallocating
-  /// the id vector on every placement query in scan mode.
-  void underloaded_servers_into(double hr, std::vector<ServerId>& out) const;
+  /// default -1 this is exactly "up and not overloaded". Served by
+  /// reference from the incremental load index (see DESIGN.md, "Scheduler
+  /// hot path"); valid until the next cluster mutation — copy it before
+  /// placing, unplacing or moving tasks while iterating.
+  const std::vector<ServerId>& underloaded_servers(double hr) const;
   /// Up server ids overloaded w.r.t. `hr`, ascending (quarantined servers
-  /// stay visible here: overload relief must still drain them).
-  std::vector<ServerId> overloaded_servers(double hr) const;
-
-  /// Reference view of the underloaded partition (same ids, same ascending
-  /// order as underloaded_servers) — avoids copying the id vector on every
-  /// placement call. Requires the incremental index; valid until the next
-  /// cluster mutation.
-  const std::vector<ServerId>& underloaded_index(double hr) const;
+  /// stay visible here: overload relief must still drain them). Same
+  /// reference semantics as underloaded_servers.
+  const std::vector<ServerId>& overloaded_servers(double hr) const;
 
   /// Utilization of `id` as of the last index refresh — bit-identical to
   /// server(id).utilization() because every usage-sum mutation (attach/
   /// detach/adjust/up-down) marks the server dirty and the refresh
   /// recomputes it. Call only after a refreshing query in the same
-  /// mutation-free window (underloaded_index performs one).
+  /// mutation-free window (underloaded_servers performs one).
   const ResourceVector& cached_utilization(ServerId id) const { return index_util_[id]; }
 
   /// Least-loaded GPU of `id` (and its load) as of the last index refresh —
@@ -201,14 +187,12 @@ class Cluster {
   std::uint64_t job_placement_epoch(JobId id) const { return job_placement_epochs_[id]; }
 
   /// The bucketed feasibility index, refreshed for `hr` (see
-  /// sim/placement_index.hpp). Only meaningful when both
-  /// `incremental_load_index` and `placement_bucket_index` are on.
+  /// sim/placement_index.hpp). Requires `placement_bucket_index`.
   const PlacementIndex& placement_index(double hr) const;
   /// Its query counters (zeros while the bucket index is off).
   const PlacementIndexStats& placement_index_stats() const { return pindex_.stats(); }
 
-  /// Instrumentation counters of the incremental load index (zeros while
-  /// `ClusterConfig::incremental_load_index` is off).
+  /// Instrumentation counters of the incremental load index.
   const LoadIndexStats& load_index_stats() const { return index_stats_; }
 
   /// Cluster overload degree O_c = mean_s ||U_s|| over up servers (§3.5).
@@ -326,7 +310,7 @@ class Cluster {
   /// Brings the index up to date for (hr, typical_demand): re-evaluates
   /// only dirty servers, or the whole fleet when the key changed.
   void refresh_load_index(double hr, double typical_demand) const;
-  /// Free-slot contribution of one up server (same arithmetic as the scan).
+  /// Free-slot contribution of one up server.
   static int server_slot_estimate(const Server& s, double hr, double typical_demand);
   /// Re-registers `job`'s flow set with the link model after a placement
   /// mutation touched one of its tasks (no-op when contention is off).

@@ -69,6 +69,7 @@ SimEngine::SimEngine(const ClusterConfig& cluster_config, const EngineConfig& en
       prediction_(engine_config.predict, engine_config.optstop_check_interval) {
   config_.fault.validate(cluster_config_.servers_per_rack);
   config_.recovery.validate();
+  for (const JobSpec& spec : specs) spec.validate();
   if (config_.recovery.enabled) {
     health_ = std::make_unique<ServerHealthTracker>(config_.recovery,
                                                     cluster_config_.server_count);
@@ -200,6 +201,7 @@ bool SimEngine::set_phase_offset(JobId job, double offset) {
 JobId SimEngine::inject_job(JobSpec spec) {
   const auto id = static_cast<JobId>(cluster_.job_count());
   spec.id = id;
+  spec.validate();
   auto inst = ModelZoo::instantiate(spec, static_cast<TaskId>(cluster_.task_count()));
   cluster_.register_job(std::move(inst.job), std::move(inst.tasks));
   job_epoch_.push_back(0);

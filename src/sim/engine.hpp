@@ -204,6 +204,7 @@ class LoadController {
 
 class SimEngine final : private SchedulerOps {
  public:
+  /// Every spec must pass JobSpec::validate (ContractViolation otherwise).
   SimEngine(const ClusterConfig& cluster_config, const EngineConfig& engine_config,
             std::vector<JobSpec> specs, Scheduler& scheduler,
             LoadController* load_controller = nullptr);
@@ -283,7 +284,8 @@ class SimEngine final : private SchedulerOps {
   /// queue. spec.id is overwritten with the next dense job id. Injected
   /// jobs are excluded from config_fingerprint() (they are dynamic inputs,
   /// journaled and carried in the snapshot's "injected" section instead).
-  /// Returns the assigned id.
+  /// Returns the assigned id. A spec failing JobSpec::validate throws
+  /// ContractViolation before any engine state changes.
   JobId inject_job(JobSpec spec);
 
   /// Jobs injected after construction, in injection order (specs as

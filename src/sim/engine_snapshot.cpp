@@ -83,7 +83,10 @@ std::uint64_t SimEngine::compute_config_fingerprint() const {
   w.f64(cluster_config_.inter_rack_flow_bandwidth_mbps);
   w.f64(cluster_config_.slow_server_fraction);
   w.f64(cluster_config_.slow_server_speed);
-  w.boolean(cluster_config_.incremental_load_index);
+  // Historical byte of the removed full-scan load-index switch, always on
+  // then as the index is now: keeps fingerprints (and the golden_v5/v6
+  // snapshot fixtures) stable.
+  w.boolean(true);
   w.boolean(cluster_config_.placement_bucket_index);
   w.i64(cluster_config_.placement_index_buckets);
   w.boolean(cluster_config_.debug_slot_leak);

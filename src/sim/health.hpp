@@ -19,8 +19,8 @@
 //    live MTBF estimate.
 //
 // Everything defaults off: a default RecoveryConfig leaves the engine
-// bit-identical to a run without this subsystem (the determinism tests
-// prove it the same way MlfsConfig::legacy_hot_path was proven).
+// bit-identical to a run without this subsystem (the determinism and
+// golden-hash tests pin it).
 #pragma once
 
 #include <cstddef>

@@ -80,10 +80,7 @@ int Server::least_loaded_gpu() const {
 }
 
 int Server::best_fitting_gpu(const Task& task, double hr) const {
-  return best_fitting_gpu_for_usage(task.demand * task.usage_factor, hr);
-}
-
-int Server::best_fitting_gpu_for_usage(const ResourceVector& usage, double hr) const {
+  const ResourceVector usage = task.demand * task.usage_factor;
   const int least = least_loaded_gpu();
   if (fits_usage_without_overload(usage, least, hr)) return least;
   int best = kNoGpu;

@@ -79,15 +79,6 @@ class Server {
   /// or kNoGpu when no GPU fits.
   int best_fitting_gpu(const Task& task, double hr) const;
 
-  /// `best_fitting_gpu` / `fits_without_overload` with the task's usage
-  /// vector (demand × usage_factor) precomputed by the caller. The
-  /// placement hot loop evaluates every underloaded server for the same
-  /// task, so hoisting the multiply out of the per-candidate checks saves
-  /// one ResourceVector product per candidate; the arithmetic — and hence
-  /// every decision — is unchanged. The Task overloads delegate here.
-  int best_fitting_gpu_for_usage(const ResourceVector& usage, double hr) const;
-  bool fits_usage_without_overload(const ResourceVector& usage, int gpu, double hr) const;
-
   /// True iff any resource utilization or any GPU load exceeds `hr`.
   bool overloaded(double hr) const;
 
@@ -111,6 +102,10 @@ class Server {
 
  private:
   friend class Cluster;  // sole writer of up_ / placement_cap_
+
+  /// fits_without_overload with the task's usage (demand × usage_factor)
+  /// computed once by the caller.
+  bool fits_usage_without_overload(const ResourceVector& usage, int gpu, double hr) const;
 
   ServerId id_;
   int gpu_count_;

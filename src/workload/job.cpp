@@ -2,13 +2,45 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/binio.hpp"
 #include "common/expect.hpp"
 
 namespace mlfs {
+
+void JobSpec::validate() const {
+  const auto fail = [this](const char* field, const char* rule, auto value) {
+    throw ContractViolation("JobSpec " + std::to_string(id) + ": " + field + " " + rule +
+                            " (got " + std::to_string(value) + ")");
+  };
+  const std::pair<const char*, double> reals[] = {
+      {"arrival", arrival},
+      {"urgency", urgency},
+      {"train_data_mb", train_data_mb},
+      {"accuracy_requirement", accuracy_requirement},
+      {"deadline_slack_hours", deadline_slack_hours},
+      {"curve.max_accuracy", curve.max_accuracy},
+      {"curve.kappa", curve.kappa},
+      {"curve.initial_loss", curve.initial_loss},
+      {"curve.final_loss", curve.final_loss},
+      {"curve.noise_sigma", curve.noise_sigma},
+      {"comm_volume_ps_mb", comm_volume_ps_mb},
+      {"comm_volume_ww_mb", comm_volume_ww_mb},
+  };
+  for (const auto& [field, value] : reals) {
+    if (!std::isfinite(value)) fail(field, "must be finite", value);
+  }
+  if (arrival < 0.0) fail("arrival", "must be >= 0", arrival);
+  if (deadline_slack_hours <= 0.0) {
+    fail("deadline_slack_hours", "must be > 0", deadline_slack_hours);
+  }
+  if (max_iterations < 1) fail("max_iterations", "must be >= 1", max_iterations);
+  if (gpu_request < 1) fail("gpu_request", "must be >= 1", gpu_request);
+}
 
 std::string to_string(MlAlgorithm a) {
   switch (a) {

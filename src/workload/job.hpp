@@ -39,6 +39,13 @@ struct JobSpec {
   StopPolicy stop_policy = StopPolicy::FixedIterations;
   StopPolicy min_allowed_policy = StopPolicy::FixedIterations;  ///< MLF-C downgrade bound (§3.5)
   std::uint64_t seed = 0;  ///< per-job stream for task-level randomness
+
+  /// Ingress check for specs from outside (trace files, injected and
+  /// journal-replayed jobs): every real-valued field finite, arrival >= 0,
+  /// deadline slack > 0, max_iterations >= 1, gpu_request >= 1. Throws
+  /// ContractViolation("JobSpec <id>: <field> ...") naming the first
+  /// offending field.
+  void validate() const;
 };
 
 /// One schedulable unit. Static fields are set once by ModelZoo; dynamic

@@ -173,7 +173,9 @@ std::vector<JobSpec> read_trace_csv(std::istream& is) {
   std::string line;
   MLFS_EXPECT(static_cast<bool>(std::getline(is, line)));  // header
   std::vector<JobSpec> jobs;
+  std::size_t line_no = 1;
   while (std::getline(is, line)) {
+    ++line_no;
     if (line.empty()) continue;
     std::vector<std::string> fields;
     std::stringstream ss(line);
@@ -203,6 +205,11 @@ std::vector<JobSpec> read_trace_csv(std::istream& is) {
     j.stop_policy = policy_from_string(fields[i++]);
     j.min_allowed_policy = policy_from_string(fields[i++]);
     j.seed = std::stoull(fields[i++]);
+    try {
+      j.validate();
+    } catch (const ContractViolation& e) {
+      throw ContractViolation("trace CSV line " + std::to_string(line_no) + ": " + e.what());
+    }
     jobs.push_back(j);
   }
   return jobs;

@@ -1,8 +1,9 @@
 // Decision equivalence of the scheduler hot path (DESIGN.md, "Scheduler
-// hot path"): the indexed implementation — incremental load index,
-// epoch-keyed comm-volume memo, decorate-sort-undecorate queue ordering —
-// must reproduce the reference full-scan scheduler's JSONL event stream
-// byte for byte, fault-free and under churn, flat and rack topologies.
+// hot path"): MLF-H must write the same JSONL event stream byte for byte
+// whatever the comm-memo capacity, and with the bucketed placement index on
+// or off — fault-free and under churn, flat and rack topologies. The hot
+// path itself has one implementation, pinned by the golden event-stream
+// hashes (tests/sched/test_golden_hashes.cpp).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -21,8 +22,8 @@ struct RunResult {
 };
 
 struct Variant {
-  bool legacy = false;
   bool bucket_index = true;
+  std::size_t memo_slots = 4096;
   FaultConfig fault;
   int servers_per_rack = 0;
   bool use_topology = false;
@@ -33,13 +34,12 @@ RunResult run(const Variant& v) {
   cluster.server_count = 8;
   cluster.gpus_per_server = 4;
   cluster.servers_per_rack = v.servers_per_rack;
-  cluster.incremental_load_index = !v.legacy;
   cluster.placement_bucket_index = v.bucket_index;
 
   MlfsConfig config;
   config.heuristic_only = true;
-  config.legacy_hot_path = v.legacy;
   config.placement.use_topology = v.use_topology;
+  config.placement.comm_memo_slots = v.memo_slots;
 
   TraceConfig trace;
   trace.num_jobs = 80;
@@ -62,30 +62,28 @@ RunResult run(const Variant& v) {
   return r;
 }
 
-void expect_equivalent(const RunResult& legacy, const RunResult& indexed) {
-  // The whole point of the hot-path work: not one decision may move.
-  ASSERT_FALSE(indexed.events.empty());
-  EXPECT_EQ(legacy.events, indexed.events);
-  // Exact (not approximate) agreement on every decision-derived metric.
-  EXPECT_EQ(legacy.metrics.average_jct_minutes(), indexed.metrics.average_jct_minutes());
-  EXPECT_EQ(legacy.metrics.makespan_hours, indexed.metrics.makespan_hours);
-  EXPECT_EQ(legacy.metrics.deadline_ratio, indexed.metrics.deadline_ratio);
-  EXPECT_EQ(legacy.metrics.bandwidth_tb, indexed.metrics.bandwidth_tb);
-  EXPECT_EQ(legacy.metrics.migrations, indexed.metrics.migrations);
-  EXPECT_EQ(legacy.metrics.preemptions, indexed.metrics.preemptions);
-  EXPECT_EQ(legacy.metrics.iterations_run, indexed.metrics.iterations_run);
-  // And the two runs really took the two different code paths.
-  EXPECT_EQ(legacy.metrics.servers_reindexed, 0u);
-  EXPECT_EQ(legacy.metrics.comm_cache_misses, 0u);
-  EXPECT_GT(indexed.metrics.servers_reindexed, 0u);
-  EXPECT_GT(indexed.metrics.comm_cache_misses, 0u);
+// The comm-volume memo against a one-slot memo, which misses on nearly
+// every query and so recomputes the volumes call after call: capacity
+// trades hits for misses and must never change a decision.
+void expect_memo_equivalent(const RunResult& thrashing, const RunResult& memoized) {
+  ASSERT_FALSE(memoized.events.empty());
+  EXPECT_EQ(thrashing.events, memoized.events);
+  EXPECT_EQ(thrashing.metrics.average_jct_minutes(), memoized.metrics.average_jct_minutes());
+  EXPECT_EQ(thrashing.metrics.makespan_hours, memoized.metrics.makespan_hours);
+  EXPECT_EQ(thrashing.metrics.deadline_ratio, memoized.metrics.deadline_ratio);
+  EXPECT_EQ(thrashing.metrics.bandwidth_tb, memoized.metrics.bandwidth_tb);
+  EXPECT_EQ(thrashing.metrics.migrations, memoized.metrics.migrations);
+  EXPECT_EQ(thrashing.metrics.preemptions, memoized.metrics.preemptions);
+  EXPECT_EQ(thrashing.metrics.iterations_run, memoized.metrics.iterations_run);
+  EXPECT_EQ(thrashing.metrics.candidates_scanned, memoized.metrics.candidates_scanned);
+  EXPECT_GT(memoized.metrics.comm_cache_hits, 0u);
+  EXPECT_GT(thrashing.metrics.comm_cache_misses, memoized.metrics.comm_cache_misses);
 }
 
 TEST(HotPathEquivalence, FaultFreeFlatNetwork) {
-  Variant legacy;
-  legacy.legacy = true;
-  Variant indexed;
-  expect_equivalent(run(legacy), run(indexed));
+  Variant thrashing;
+  thrashing.memo_slots = 1;
+  expect_memo_equivalent(run(thrashing), run(Variant{}));
 }
 
 TEST(HotPathEquivalence, UnderServerChurnAndTaskKills) {
@@ -93,23 +91,12 @@ TEST(HotPathEquivalence, UnderServerChurnAndTaskKills) {
   fault.server_mtbf_hours = 6.0;
   fault.server_mttr_hours = 0.5;
   fault.task_kill_probability = 0.002;
-  Variant legacy;
-  legacy.legacy = true;
-  legacy.fault = fault;
-  Variant indexed;
-  indexed.fault = fault;
-  expect_equivalent(run(legacy), run(indexed));
-}
-
-TEST(HotPathEquivalence, RackTopologyWithAffinityPlacement) {
-  Variant legacy;
-  legacy.legacy = true;
-  legacy.servers_per_rack = 4;
-  legacy.use_topology = true;
-  Variant indexed;
-  indexed.servers_per_rack = 4;
-  indexed.use_topology = true;
-  expect_equivalent(run(legacy), run(indexed));
+  Variant thrashing;
+  thrashing.memo_slots = 1;
+  thrashing.fault = fault;
+  Variant memoized;
+  memoized.fault = fault;
+  expect_memo_equivalent(run(thrashing), run(memoized));
 }
 
 // The bucketed placement index against the linear funnel it replaces:
@@ -156,6 +143,24 @@ TEST(HotPathEquivalence, BucketIndexUnderChurn) {
   Variant bucketed;
   bucketed.fault = fault;
   expect_bucket_equivalent(run(linear), run(bucketed));
+}
+
+TEST(HotPathEquivalence, RackTopologyWithAffinityPlacement) {
+  // Rack-affinity comm volumes (the memo's topology scatter) and
+  // cross-rack movement degradation feed the distance on the bucketed
+  // funnel's candidate set exactly as on the linear one.
+  Variant linear;
+  linear.bucket_index = false;
+  linear.servers_per_rack = 4;
+  linear.use_topology = true;
+  Variant bucketed;
+  bucketed.servers_per_rack = 4;
+  bucketed.use_topology = true;
+  const RunResult a = run(linear);
+  const RunResult b = run(bucketed);
+  expect_bucket_equivalent(a, b);
+  EXPECT_GT(b.metrics.migrations, 0u);
+  EXPECT_GT(b.metrics.comm_cache_hits, 0u);
 }
 
 }  // namespace

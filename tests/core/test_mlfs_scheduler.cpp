@@ -84,36 +84,6 @@ TEST(MlfsScheduler, RlPhaseStillCompletesEverything) {
   EXPECT_GT(m.deadline_ratio, 0.5);
 }
 
-TEST(MlfsScheduler, ActorCriticVariantCompletesWorkload) {
-  MlfsConfig config;
-  config.rl.algorithm = RlAlgorithm::ActorCritic;
-  config.rl.warmup_samples = 60;
-  MlfsScheduler scheduler(config);
-  SimEngine engine(cluster_config(), {}, trace(80, 13), scheduler);
-  const RunMetrics m = engine.run();
-  EXPECT_TRUE(scheduler.rl_active());
-  for (const Job& job : engine.cluster().jobs()) EXPECT_TRUE(job.done());
-  EXPECT_GT(m.deadline_ratio, 0.5);
-}
-
-TEST(MlfsScheduler, ReinforceAndA2cProduceDifferentButValidRuns) {
-  auto run_with = [](RlAlgorithm algorithm) {
-    MlfsConfig config;
-    config.rl.algorithm = algorithm;
-    config.rl.warmup_samples = 50;
-    MlfsScheduler scheduler(config);
-    SimEngine engine(cluster_config(), {}, trace(60, 17), scheduler);
-    return engine.run();
-  };
-  const RunMetrics reinforce = run_with(RlAlgorithm::Reinforce);
-  const RunMetrics a2c = run_with(RlAlgorithm::ActorCritic);
-  // Both must be sane; they need not match (different training dynamics).
-  EXPECT_EQ(reinforce.jct_minutes.count(), 60u);
-  EXPECT_EQ(a2c.jct_minutes.count(), 60u);
-  EXPECT_GT(reinforce.deadline_ratio, 0.5);
-  EXPECT_GT(a2c.deadline_ratio, 0.5);
-}
-
 TEST(MlfsScheduler, DeterministicEndToEnd) {
   auto run_once = [] {
     MlfsConfig config;

@@ -2,6 +2,11 @@
 // (§3.3.3) behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <vector>
+
 #include "core/migration.hpp"
 #include "core/placement.hpp"
 #include "workload/model_zoo.hpp"
@@ -201,46 +206,120 @@ TEST(Placement, MigrationDegradationPrefersSameRackDestination) {
   EXPECT_EQ(host->server, 3u);
 }
 
+/// §3.3.2 from its definition: scan every server, recompute each
+/// candidate's utilization and comm volume directly, and pick the
+/// Euclidean-nearest to the ideal virtual host (lowest id on ties). The
+/// oracle for MlfPlacement's cached, memoized, index-driven choose_host
+/// (rack spread off).
+std::optional<HostChoice> brute_force_choose_host(const SchedulerContext& ctx,
+                                                  const PlacementParams& params,
+                                                  const Task& task, bool migrating) {
+  const Cluster& cluster = ctx.cluster;
+  struct Candidate {
+    ServerId server;
+    int gpu;
+    ResourceVector util;
+    double comm;
+  };
+  std::vector<Candidate> candidates;
+  double max_comm = 0.0;
+  for (const Server& s : cluster.servers()) {
+    if (!s.accepts_placements() || s.overloaded(ctx.hr)) continue;
+    if (migrating && s.id() == task.server) continue;
+    const int gpu = s.best_fitting_gpu(task, ctx.hr);
+    if (gpu == kNoGpu) continue;
+    const double comm = params.use_topology
+                            ? MlfPlacement::comm_volume_with_server_topology(
+                                  cluster, task, s.id(), params.rack_affinity)
+                            : MlfPlacement::comm_volume_with_server(cluster, task, s.id());
+    candidates.push_back({s.id(), gpu, s.utilization(), comm});
+    max_comm = std::max(max_comm, comm);
+  }
+  if (candidates.empty()) return std::nullopt;
+  ResourceVector ideal = candidates.front().util;
+  for (const Candidate& c : candidates) {
+    for (std::size_t i = 0; i < kNumResources; ++i) {
+      ideal.at(i) = std::min(ideal.at(i), c.util.at(i));
+    }
+  }
+  const Candidate* best = nullptr;
+  double best_distance = 0.0;
+  for (const Candidate& c : candidates) {
+    double sq = 0.0;
+    for (std::size_t i = 0; i < kNumResources; ++i) {
+      const double d = c.util.at(i) - ideal.at(i);
+      sq += d * d;
+    }
+    if (params.use_bandwidth && max_comm > 0.0) {
+      const double d = c.comm / max_comm - 1.0;
+      sq += d * d;
+    }
+    if (migrating) {
+      const double q =
+          task.state_size_mb / cluster.flow_bandwidth_between(task.server, c.server) / 60.0;
+      sq += q * q;
+    }
+    const double distance = std::sqrt(sq);
+    if (best == nullptr || distance < best_distance) {
+      best = &c;
+      best_distance = distance;
+    }
+  }
+  return HostChoice{best->server, best->gpu};
+}
+
 TEST(Placement, MemoizedCommVolumesMatchDirectComputation) {
-  // The epoch-keyed comm memo must not change a single choice, with and
-  // without the rack-affinity extension.
+  // The epoch-keyed comm memo, the load-index caches and the bucket index
+  // must not change a single choice against the from-scratch definition,
+  // with and without the rack-affinity extension — and a memo entry must
+  // be refreshed once its job's placement epoch moves. Servers 3–5 start
+  // idle, so exact distance ties occur and must go to the lowest id.
   for (const bool topology : {false, true}) {
-    ClusterConfig config{4, 2, 1000.0};
-    config.servers_per_rack = 2;
-    Fixture f{config};
-    const JobId chain = f.add(MlAlgorithm::Mlp, 3, 11, CommStructure::ParameterServer);
-    const Job& job = f.cluster.job(chain);
-    f.cluster.place_task(job.task_at(0), 0, 0);
-    f.cluster.place_task(job.task_at(1), 2, 0);
-    const JobId ring = f.add(MlAlgorithm::ResNet, 3, 13, CommStructure::AllReduce);
-    f.cluster.place_task(f.cluster.job(ring).task_at(0), 1, 1);
+    for (const bool bucketed : {false, true}) {
+      ClusterConfig config{6, 2, 1000.0};
+      config.servers_per_rack = 2;
+      config.placement_bucket_index = bucketed;
+      Fixture f{config};
+      const JobId chain = f.add(MlAlgorithm::Mlp, 3, 11, CommStructure::ParameterServer);
+      const JobId ring = f.add(MlAlgorithm::ResNet, 3, 13, CommStructure::AllReduce);
+      const TaskId chain0 = f.cluster.job(chain).task_at(0);
+      const TaskId chain1 = f.cluster.job(chain).task_at(1);
+      const TaskId ring0 = f.cluster.job(ring).task_at(0);
+      f.cluster.place_task(chain0, 0, 0);
+      f.cluster.place_task(chain1, 2, 0);
+      f.cluster.place_task(ring0, 1, 1);
 
-    PlacementParams direct_params;
-    direct_params.use_topology = topology;
-    direct_params.memoize_comm = false;
-    PlacementParams memo_params = direct_params;
-    memo_params.memoize_comm = true;
-    const MlfPlacement direct{direct_params};
-    const MlfPlacement memoized{memo_params};
+      PlacementParams params;
+      params.use_topology = topology;
+      const MlfPlacement placement{params};
 
-    auto ctx = f.ctx();
-    for (const Job& j : f.cluster.jobs()) {
-      for (const TaskId tid : j.tasks()) {
-        const Task& task = f.cluster.task(tid);
-        for (const bool migrating : {false, true}) {
-          if (migrating && !task.placed()) continue;
-          const auto a = direct.choose_host(ctx, task, migrating);
-          const auto b = memoized.choose_host(ctx, task, migrating);
-          ASSERT_EQ(a.has_value(), b.has_value());
-          if (a) {
-            EXPECT_EQ(a->server, b->server);
-            EXPECT_EQ(a->gpu, b->gpu);
+      const auto check_every_task = [&] {
+        auto ctx = f.ctx();
+        for (const Job& j : f.cluster.jobs()) {
+          for (const TaskId tid : j.tasks()) {
+            const Task& task = f.cluster.task(tid);
+            for (const bool migrating : {false, true}) {
+              if (migrating && !task.placed()) continue;
+              const auto expected = brute_force_choose_host(ctx, params, task, migrating);
+              const auto actual = placement.choose_host(ctx, task, migrating);
+              ASSERT_EQ(expected.has_value(), actual.has_value());
+              if (expected) {
+                EXPECT_EQ(expected->server, actual->server);
+                EXPECT_EQ(expected->gpu, actual->gpu);
+              }
+            }
           }
         }
-      }
+      };
+      check_every_task();
+      const std::size_t misses = placement.stats().comm_cache_misses;
+      check_every_task();  // nothing moved: served from the memo
+      EXPECT_EQ(placement.stats().comm_cache_misses, misses);
+      EXPECT_GT(placement.stats().comm_cache_hits, 0u);
+      f.cluster.move_task(chain1, 3, 1);  // bumps the chain's epoch only
+      check_every_task();
+      EXPECT_GT(placement.stats().comm_cache_misses, misses);
     }
-    EXPECT_GT(memoized.stats().comm_cache_hits + memoized.stats().comm_cache_misses, 0u);
-    EXPECT_EQ(direct.stats().comm_cache_hits + direct.stats().comm_cache_misses, 0u);
   }
 }
 

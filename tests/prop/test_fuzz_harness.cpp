@@ -7,6 +7,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "exp/fuzz.hpp"
 #include "exp/registry.hpp"
@@ -64,7 +65,7 @@ TEST(FuzzGen, ConsecutiveCasesCoverEverySchedulerAndStayInBounds) {
 TEST(FuzzGen, RequestMirrorsCase) {
   FuzzCase c = tiny_case();
   c.inject_slot_leak = true;
-  c.legacy_hot_path = true;
+  c.comm_memo_slots = 7;
   const RunRequest r = to_request(c);
   EXPECT_EQ(r.cluster.server_count, c.servers);
   EXPECT_EQ(r.cluster.gpus_per_server, c.gpus_per_server);
@@ -74,7 +75,7 @@ TEST(FuzzGen, RequestMirrorsCase) {
   EXPECT_EQ(r.trace.seed, c.trace_seed);
   EXPECT_EQ(r.trace.num_jobs, c.num_jobs);
   EXPECT_EQ(r.scheduler, c.scheduler);
-  EXPECT_TRUE(r.mlfs_config.legacy_hot_path);
+  EXPECT_EQ(r.mlfs_config.placement.comm_memo_slots, 7u);
 }
 
 TEST(FuzzSerde, RoundTripsThroughText) {
@@ -89,6 +90,20 @@ TEST(FuzzSerde, RejectsUnknownKeysAndMalformedLines) {
   EXPECT_THROW(parse_fuzz_case(unknown), ContractViolation);
   std::istringstream malformed("servers\n");
   EXPECT_THROW(parse_fuzz_case(malformed), ContractViolation);
+}
+
+TEST(FuzzSerde, RejectsArtifactsNamingRemovedSwitches) {
+  // The reference placement paths are gone; an old artifact that asks for
+  // one must fail loudly instead of silently running the production path.
+  for (const char* line : {"legacy_hot_path=1\n", "incremental_load_index=0\n"}) {
+    std::istringstream in(std::string("servers=2\n") + line);
+    try {
+      parse_fuzz_case(in);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(FuzzRun, CleanCasePasses) {

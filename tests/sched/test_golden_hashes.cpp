@@ -13,6 +13,14 @@
 // prediction and MLF-C keeps downgrading the jobs that allow it. Its hashes
 // were captured before the pow3 and ilog fits became separable.
 //
+// RackAffinityMigration guards MLF-H's placement hot path on a racked
+// fleet: the topology scatter of the comm-volume memo, the rack-spread
+// dimension, and heavy overload relief (migrations) under server churn and
+// task kills. Its hashes were captured while the reference placement paths
+// (recompute-per-candidate comm volumes, full-scan load queries,
+// comparator queue sort) still existed, and all three scenarios hashed
+// identically with those paths switched on.
+//
 // A refactor of the engine, the cluster, the predictor or a scheduler that
 // claims to keep every decision must leave them unchanged. Do NOT update a
 // value to "fix" a failure: a mismatch means decisions changed.
@@ -122,6 +130,49 @@ const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>& golden_opt
   return kGolden;
 }
 
+/// 16 servers in racks of 4 with topology-aware, rack-spreading placement,
+/// server churn and task kills, and gangs of up to 12 GPUs.
+exp::RunRequest rack_affinity_migration_request(const std::string& scheduler) {
+  exp::RunRequest r;
+  r.label = "golden-rack-affinity-migration-" + scheduler;
+  r.cluster.server_count = 16;
+  r.cluster.gpus_per_server = 4;
+  r.cluster.servers_per_rack = 4;
+  r.engine.seed = 2031;
+  r.engine.max_sim_time = hours(200.0);
+  r.engine.fault.server_mtbf_hours = 20.0;
+  r.engine.fault.server_mttr_hours = 0.5;
+  r.engine.fault.task_kill_probability = 1e-3;
+  r.trace.num_jobs = 120;
+  r.trace.duration_hours = 4.0;
+  r.trace.seed = 6161;
+  r.trace.max_gpu_request = 12;
+  r.scheduler = scheduler;
+  r.mlfs_config.placement.use_topology = true;
+  r.mlfs_config.placement.spread_racks = true;
+  r.mlfs_config.rl.warmup_samples = 100;
+  return r;
+}
+
+/// (event_stream_hash, events_processed) per registered scheduler.
+const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>& golden_rack() {
+  static const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> kGolden = {
+      {"MLF-H", {0x51f774e775a6de4aull, 21193ull}},
+      {"MLF-RL", {0x953a7d8652089fb3ull, 21293ull}},
+      {"MLFS", {0x17788036080ff8bcull, 13530ull}},
+      {"TensorFlow", {0xdb03f57bb8d51804ull, 21272ull}},
+      {"Tiresias", {0x15cc9ceb3b11dd06ull, 21341ull}},
+      {"SLAQ", {0x9d7a95ec6478bcc0ull, 23471ull}},
+      {"Gandiva", {0x614447dcfb8b80d4ull, 21264ull}},
+      {"Graphene", {0xb383b977b203cb6dull, 21238ull}},
+      {"HyperSched", {0x60d24861419aea53ull, 21293ull}},
+      {"RL", {0x90a57bee70077418ull, 21324ull}},
+      {"Optimus", {0x16562d13472221a1ull, 21272ull}},
+      {"Cassini", {0x1386802fbb288e84ull, 21270ull}},
+  };
+  return kGolden;
+}
+
 RunMetrics run_golden(const std::string& scheduler) {
   exp::RunRequest request = faulty_streaming_request(scheduler);
   const auto script = exp::split_streamed_tail(request, request.trace.num_jobs / 2);
@@ -169,6 +220,22 @@ TEST_P(GoldenHashes, OverloadedOptStopUnchanged) {
   EXPECT_EQ(m.events_processed, it->second.second) << GetParam();
 }
 
+TEST_P(GoldenHashes, RackAffinityMigrationUnchanged) {
+  const RunMetrics m = exp::execute_run(rack_affinity_migration_request(GetParam()));
+  // The scenario must actually exercise what it claims to pin.
+  EXPECT_GT(m.server_failures, 0u);
+  EXPECT_GT(m.task_kills, 0u);
+  if (GetParam() == "MLF-H") {
+    EXPECT_GT(m.migrations, 0u);
+    EXPECT_GT(m.comm_cache_hits, 0u);
+  }
+
+  const auto it = golden_rack().find(GetParam());
+  ASSERT_NE(it, golden_rack().end()) << "no golden hash for " << GetParam();
+  EXPECT_EQ(m.event_stream_hash, it->second.first) << GetParam();
+  EXPECT_EQ(m.events_processed, it->second.second) << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllRegistered, GoldenHashes,
                          ::testing::ValuesIn(exp::registered_scheduler_names()),
                          [](const auto& info) {
@@ -183,9 +250,11 @@ TEST(GoldenHashesCoverage, EveryRegisteredSchedulerIsPinned) {
   const auto names = exp::registered_scheduler_names();
   EXPECT_EQ(names.size(), golden().size());
   EXPECT_EQ(names.size(), golden_optstop().size());
+  EXPECT_EQ(names.size(), golden_rack().size());
   for (const auto& name : names) {
     EXPECT_EQ(golden().count(name), 1u) << name;
     EXPECT_EQ(golden_optstop().count(name), 1u) << name;
+    EXPECT_EQ(golden_rack().count(name), 1u) << name;
   }
 }
 

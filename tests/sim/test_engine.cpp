@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sched/fair.hpp"
 #include "sched/util.hpp"
 #include "workload/trace.hpp"
@@ -208,6 +210,33 @@ TEST(SimEngine, BandwidthAccruesForCrossServerJobs) {
   SimEngine engine(four_by_four(), {}, specs, scheduler);
   const RunMetrics m = engine.run();
   EXPECT_GT(m.bandwidth_tb, 0.0);
+}
+
+TEST(SimEngine, ConstructorRejectsANonFiniteArrival) {
+  GreedyScheduler scheduler;
+  auto specs = small_trace(3);
+  specs[1].arrival = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(SimEngine(four_by_four(), {}, specs, scheduler), ContractViolation);
+}
+
+TEST(SimEngine, InjectRejectsAnInvalidSpecBeforeTouchingState) {
+  GreedyScheduler scheduler;
+  SimEngine engine(four_by_four(), {}, small_trace(4), scheduler);
+  for (int i = 0; i < 20 && engine.step(); ++i) {
+  }
+  const std::size_t jobs = engine.cluster().job_count();
+  const std::size_t tasks = engine.cluster().task_count();
+  JobSpec bad = small_trace(1, 5).front();
+  bad.arrival = engine.now();
+  bad.deadline_slack_hours = -1.0;
+  EXPECT_THROW(engine.inject_job(bad), ContractViolation);
+  EXPECT_EQ(engine.cluster().job_count(), jobs);
+  EXPECT_EQ(engine.cluster().task_count(), tasks);
+  EXPECT_TRUE(engine.injected_specs().empty());
+  // The run carries on as if the spec had never been offered.
+  while (engine.step()) {
+  }
+  for (const Job& job : engine.cluster().jobs()) EXPECT_TRUE(job.done());
 }
 
 }  // namespace

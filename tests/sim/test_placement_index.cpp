@@ -1,8 +1,8 @@
 // PlacementIndex unit tests: bucket-boundary edge cases (empty buckets,
 // all-equal loads, single feasible server, FP-drift negatives) plus a
 // randomized index-vs-brute-force equivalence sweep, and the cluster-level
-// contracts that ride on the index (noop-reindex dedupe,
-// underloaded_servers_into buffer reuse).
+// contracts that ride on the index (noop-reindex dedupe, the served
+// partitions against a brute-force fleet walk).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -303,28 +303,38 @@ TEST(PlacementIndex, NoopReindexSkipsUnchangedDirtyServers) {
 }
 
 TEST(PlacementIndex, UnderloadedServersIntoMatchesVectorReturn) {
+  // The index-served partitions against a brute-force walk of the fleet,
+  // with an overloaded, a down and a quarantined server in it.
   ClusterConfig cfg;
-  cfg.server_count = 5;
+  cfg.server_count = 6;
   cfg.gpus_per_server = 2;
   Cluster cluster(cfg);
   const JobId id = add_job(cluster, 2);
   cluster.place_task(cluster.job(id).task_at(0), 1, 0);
-  cluster.place_task(cluster.job(id).task_at(1), 1, 1);
+  cluster.place_task(cluster.job(id).task_at(1), 1, 0);
+  cluster.set_server_up(3, false);
+  cluster.set_placement_cap(4, 0);
 
-  std::vector<ServerId> buf{99, 99, 99};  // stale contents must be discarded
-  cluster.underloaded_servers_into(kHr, buf);
-  EXPECT_EQ(buf, cluster.underloaded_servers(kHr));
+  const auto brute_force = [&cluster](bool under) {
+    std::vector<ServerId> ids;
+    for (const Server& s : cluster.servers()) {
+      const bool pick = under ? s.accepts_placements() && !s.overloaded(kHr)
+                              : s.up() && s.overloaded(kHr);
+      if (pick) ids.push_back(s.id());
+    }
+    return ids;
+  };
+  const std::vector<ServerId> expected_under = brute_force(true);
+  ASSERT_EQ(expected_under, (std::vector<ServerId>{0, 2, 5}));
+  EXPECT_EQ(cluster.underloaded_servers(kHr), expected_under);
+  EXPECT_EQ(cluster.overloaded_servers(kHr), brute_force(false));
 
-  // Scan-mode fallback (index disabled) fills the same buffer identically.
-  ClusterConfig scan_cfg = cfg;
-  scan_cfg.incremental_load_index = false;
-  Cluster scan_cluster(scan_cfg);
-  const JobId sid = add_job(scan_cluster, 2);
-  scan_cluster.place_task(scan_cluster.job(sid).task_at(0), 1, 0);
-  scan_cluster.place_task(scan_cluster.job(sid).task_at(1), 1, 1);
-  std::vector<ServerId> scan_buf;
-  scan_cluster.underloaded_servers_into(kHr, scan_buf);
-  EXPECT_EQ(scan_buf, buf);
+  // Mutations reach the served partition through the dirty-tracked refresh.
+  cluster.unplace_task(cluster.job(id).task_at(1));
+  cluster.set_server_up(3, true);
+  cluster.set_placement_cap(4, -1);
+  EXPECT_EQ(cluster.underloaded_servers(kHr), brute_force(true));
+  EXPECT_EQ(cluster.overloaded_servers(kHr), brute_force(false));
 }
 
 }  // namespace

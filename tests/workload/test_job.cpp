@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -180,6 +181,28 @@ TEST(Job, WaitingTimeAccumulates) {
   job.add_waiting_time(10.0);
   job.add_waiting_time(5.5);
   EXPECT_DOUBLE_EQ(job.waiting_time(), 15.5);
+}
+
+TEST(JobSpec, ValidateNamesTheOffendingField) {
+  EXPECT_NO_THROW(JobSpec{}.validate());
+  const auto rejects = [](void (*corrupt)(JobSpec&), const std::string& field) {
+    JobSpec spec;
+    corrupt(spec);
+    try {
+      spec.validate();
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  rejects([](JobSpec& s) { s.urgency = std::numeric_limits<double>::infinity(); }, "urgency");
+  rejects([](JobSpec& s) { s.curve.kappa = std::numeric_limits<double>::quiet_NaN(); },
+          "curve.kappa");
+  rejects([](JobSpec& s) { s.comm_volume_ww_mb = -std::numeric_limits<double>::infinity(); },
+          "comm_volume_ww_mb");
+  rejects([](JobSpec& s) { s.arrival = -1.0; }, "arrival must be >= 0");
+  rejects([](JobSpec& s) { s.deadline_slack_hours = 0.0; }, "deadline_slack_hours must be > 0");
+  rejects([](JobSpec& s) { s.max_iterations = 0; }, "max_iterations must be >= 1");
 }
 
 }  // namespace

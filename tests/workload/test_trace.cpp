@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "workload/model_zoo.hpp"
 
@@ -179,6 +181,51 @@ TEST(Trace, RejectsBadConfig) {
   config = small_config();
   config.diurnal_amplitude = 1.5;
   EXPECT_THROW(PhillyTraceGenerator{config}, ContractViolation);
+}
+
+/// The CSV of `jobs` with column `column` of data row `row` (0-based)
+/// replaced by `value`.
+std::string csv_with_field(const std::vector<JobSpec>& jobs, std::size_t row,
+                           std::size_t column, const std::string& value) {
+  std::stringstream ss;
+  write_trace_csv(ss, jobs);
+  std::string out;
+  std::string line;
+  for (std::size_t n = 0; std::getline(ss, line); ++n) {
+    if (n == row + 1) {
+      std::vector<std::string> fields;
+      std::stringstream fs(line);
+      for (std::string f; std::getline(fs, f, ',');) fields.push_back(f);
+      fields.at(column) = value;
+      line.clear();
+      for (std::size_t k = 0; k < fields.size(); ++k) line += (k ? "," : "") + fields[k];
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+void expect_csv_rejected(const std::string& csv, const std::string& needle) {
+  std::istringstream is(csv);
+  try {
+    (void)read_trace_csv(is);
+    ADD_FAILURE() << "accepted a row with " << needle;
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trace CSV line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+TEST(Trace, CsvRejectsInvalidRowsNamingTheLine) {
+  auto config = small_config();
+  config.num_jobs = 3;
+  const auto jobs = PhillyTraceGenerator(config).generate();
+  // Column 3 is the arrival, column 6 the GPU request; line 3 is the second
+  // data row.
+  expect_csv_rejected(csv_with_field(jobs, 1, 3, "nan"), "arrival must be finite");
+  expect_csv_rejected(csv_with_field(jobs, 1, 3, "inf"), "arrival must be finite");
+  expect_csv_rejected(csv_with_field(jobs, 1, 6, "0"), "gpu_request must be >= 1");
 }
 
 }  // namespace

@@ -57,7 +57,6 @@ struct Options {
   int straggler_replicas = 0;
   unsigned threads = 0;  // 0 = hardware concurrency
   bool csv = false;
-  bool legacy_hotpath = false;
   bool audit = false;
   std::string event_log_file;
 
@@ -117,8 +116,6 @@ void print_usage() {
       "  --threads N          concurrent runs (default 0 = hardware concurrency;\n"
       "                       results and output order do not depend on N)\n"
       "  --csv                emit one CSV row per run instead of prose\n"
-      "  --legacy-hotpath     disable the incremental load index + comm memo\n"
-      "                       (reference scan scheduler; same decisions)\n"
       "  --audit              validate simulation invariants after every\n"
       "                       event (sim/audit.hpp); results are identical,\n"
       "                       violations abort the run with a diagnostic\n"
@@ -296,8 +293,6 @@ bool parse(int argc, char** argv, Options& options) {
       options.uplink_mbps = std::stod(v);
     } else if (arg == "--csv") {
       options.csv = true;
-    } else if (arg == "--legacy-hotpath") {
-      options.legacy_hotpath = true;
     } else if (arg == "--audit") {
       options.audit = true;
     } else if (arg == "--event-log") {
@@ -456,7 +451,6 @@ int main(int argc, char** argv) {
     cluster.servers_per_rack = options.servers_per_rack;
     cluster.slow_server_fraction = options.slow_fraction;
     cluster.total_gpus = options.total_gpus;
-    cluster.incremental_load_index = !options.legacy_hotpath;
     cluster.placement_bucket_index = !options.no_bucket_index;
     cluster.link_contention = options.contention;
     cluster.nic_capacity_mbps = options.nic_mbps;
@@ -487,9 +481,6 @@ int main(int argc, char** argv) {
     trace.max_gpu_request =
         std::min<int>(32, static_cast<int>(options.servers) * options.gpus_per_server / 2);
 
-    core::MlfsConfig mlfs_config;
-    mlfs_config.legacy_hot_path = options.legacy_hotpath;
-
     const auto shared_workload = load_trace_workload(options);
 
     // The JSONL observer writes to one file; attaching it to concurrent
@@ -511,7 +502,6 @@ int main(int argc, char** argv) {
       request.engine = engine_config;
       request.trace = trace;
       request.scheduler = name;
-      request.mlfs_config = mlfs_config;
       request.workload = shared_workload;
       requests.push_back(std::move(request));
     }
