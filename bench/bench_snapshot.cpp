@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the snapshot subsystem: snapshot
 // serialization cost and restore cost at several mid-run engine sizes, and
-// an MLFS engine's snapshot size at three depths of one run. The
+// an MLFS engine's snapshot size at three depths of one run, and the
+// trailing checksum alone (v6 FNV-1a vs the v7 word hash). The
 // save path is what a production checkpoint stride pays per snapshot, so
 // the headline number is bytes + wall time per save at a realistic event
 // depth; restore cost bounds crash-recovery latency.
@@ -11,8 +12,10 @@
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
 #include "exp/runner.hpp"
 #include "sim/engine.hpp"
+#include "sim/snapshot.hpp"
 
 namespace {
 
@@ -99,6 +102,22 @@ void BM_MlfsSnapshotSaveAtDepth(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MlfsSnapshotSaveAtDepth)->Arg(10000)->Arg(20000)->Arg(30000);
+
+/// The trailing checksum alone over a stream-durable-sized snapshot
+/// (2.34 MB, the final checkpoint of a stream-durable-mlfs session):
+/// Arg(6) is the v5/v6 byte-serial FNV-1a, Arg(7) the v7 word hash.
+void BM_SnapshotChecksum(benchmark::State& state) {
+  const auto version = static_cast<std::uint32_t>(state.range(0));
+  std::string bytes(2'340'000, '\0');
+  Rng rng(11);
+  for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snapshot_checksum(version, bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes.size()) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SnapshotChecksum)->Arg(6)->Arg(7)->Unit(benchmark::kMicrosecond);
 
 void BM_SnapshotRestore(benchmark::State& state) {
   const auto servers = static_cast<std::size_t>(state.range(0));

@@ -8,8 +8,10 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/expect.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "exp/durable.hpp"
 #include "exp/registry.hpp"
@@ -291,7 +293,9 @@ std::string serialize(const FuzzCase& c) {
 FuzzCase parse_fuzz_case(std::istream& in) {
   FuzzCase c;
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
@@ -299,55 +303,73 @@ FuzzCase parse_fuzz_case(std::istream& in) {
     }
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
-    const auto u64 = [&] { return std::stoull(value); };
-    const auto num = [&] { return std::stod(value); };
-    const auto flag = [&] { return value == "1" || value == "true"; };
-    if (key == "master_seed") c.master_seed = u64();
-    else if (key == "index") c.index = u64();
-    else if (key == "trace_seed") c.trace_seed = u64();
-    else if (key == "engine_seed") c.engine_seed = u64();
+    const auto fail = [&](const std::string& what) {
+      throw ContractViolation("fuzz case line " + std::to_string(line_no) + ": " + what);
+    };
+    // Every numeric field is a count, a seed or a non-negative knob.
+    const auto read = [&](auto& out) {
+      using T = std::remove_reference_t<decltype(out)>;
+      try {
+        out = parse_number<T>(value, key);
+      } catch (const ContractViolation& e) {
+        fail(e.what());
+      }
+      if constexpr (std::is_signed_v<T>) {
+        if (!(out >= T{0})) fail("field " + key + ": " + value + " must be >= 0");
+      }
+    };
+    const auto flag = [&] {
+      if (value != "0" && value != "1" && value != "true" && value != "false") {
+        fail("field " + key + ": '" + value + "' is not a flag (0/1/true/false)");
+      }
+      return value == "1" || value == "true";
+    };
+    if (key == "master_seed") read(c.master_seed);
+    else if (key == "index") read(c.index);
+    else if (key == "trace_seed") read(c.trace_seed);
+    else if (key == "engine_seed") read(c.engine_seed);
     else if (key == "scheduler") c.scheduler = value;
-    else if (key == "servers") c.servers = static_cast<std::size_t>(u64());
-    else if (key == "gpus_per_server") c.gpus_per_server = static_cast<int>(u64());
-    else if (key == "servers_per_rack") c.servers_per_rack = static_cast<int>(u64());
-    else if (key == "slow_fraction") c.slow_fraction = num();
-    else if (key == "num_jobs") c.num_jobs = static_cast<std::size_t>(u64());
-    else if (key == "duration_hours") c.duration_hours = num();
-    else if (key == "max_sim_hours") c.max_sim_hours = num();
-    else if (key == "max_gpu_request") c.max_gpu_request = static_cast<int>(u64());
-    else if (key == "straggler_probability") c.straggler_probability = num();
-    else if (key == "straggler_replicas") c.straggler_replicas = static_cast<int>(u64());
-    else if (key == "server_mtbf_hours") c.server_mtbf_hours = num();
-    else if (key == "server_mttr_hours") c.server_mttr_hours = num();
-    else if (key == "task_kill_probability") c.task_kill_probability = num();
-    else if (key == "rack_mtbf_hours") c.rack_mtbf_hours = num();
-    else if (key == "rack_mttr_hours") c.rack_mttr_hours = num();
-    else if (key == "checkpoint_interval") c.checkpoint_interval = static_cast<int>(u64());
-    else if (key == "flaky_fraction") c.flaky_fraction = num();
+    else if (key == "servers") read(c.servers);
+    else if (key == "gpus_per_server") read(c.gpus_per_server);
+    else if (key == "servers_per_rack") read(c.servers_per_rack);
+    else if (key == "slow_fraction") read(c.slow_fraction);
+    else if (key == "num_jobs") read(c.num_jobs);
+    else if (key == "duration_hours") read(c.duration_hours);
+    else if (key == "max_sim_hours") read(c.max_sim_hours);
+    else if (key == "max_gpu_request") read(c.max_gpu_request);
+    else if (key == "straggler_probability") read(c.straggler_probability);
+    else if (key == "straggler_replicas") read(c.straggler_replicas);
+    else if (key == "server_mtbf_hours") read(c.server_mtbf_hours);
+    else if (key == "server_mttr_hours") read(c.server_mttr_hours);
+    else if (key == "task_kill_probability") read(c.task_kill_probability);
+    else if (key == "rack_mtbf_hours") read(c.rack_mtbf_hours);
+    else if (key == "rack_mttr_hours") read(c.rack_mttr_hours);
+    else if (key == "checkpoint_interval") read(c.checkpoint_interval);
+    else if (key == "flaky_fraction") read(c.flaky_fraction);
     else if (key == "recovery") c.recovery = flag();
     else if (key == "quarantine") c.quarantine = flag();
-    else if (key == "retry_budget") c.retry_budget = static_cast<int>(u64());
+    else if (key == "retry_budget") read(c.retry_budget);
     else if (key == "adaptive_checkpoint") c.adaptive_checkpoint = flag();
     else if (key == "spread_placement") c.spread_placement = flag();
-    else if (key == "rl_warmup_samples") c.rl_warmup_samples = static_cast<std::size_t>(u64());
-    else if (key == "audit_stride") c.audit_stride = static_cast<int>(u64());
+    else if (key == "rl_warmup_samples") read(c.rl_warmup_samples);
+    else if (key == "audit_stride") read(c.audit_stride);
     else if (key == "snapshot_check") c.snapshot_check = flag();
-    else if (key == "snapshot_event") c.snapshot_event = u64();
+    else if (key == "snapshot_event") read(c.snapshot_event);
     else if (key == "placement_bucket_index") c.placement_bucket_index = flag();
-    else if (key == "placement_index_buckets") c.placement_index_buckets = static_cast<int>(u64());
-    else if (key == "comm_memo_slots") c.comm_memo_slots = static_cast<std::size_t>(u64());
-    else if (key == "total_gpus") c.total_gpus = static_cast<std::size_t>(u64());
+    else if (key == "placement_index_buckets") read(c.placement_index_buckets);
+    else if (key == "comm_memo_slots") read(c.comm_memo_slots);
+    else if (key == "total_gpus") read(c.total_gpus);
     else if (key == "index_equivalence_check") c.index_equivalence_check = flag();
     else if (key == "predict_enabled") c.predict_enabled = flag();
     else if (key == "coarsen_curve") c.coarsen_curve = flag();
     else if (key == "service_equivalence_check") c.service_equivalence_check = flag();
     else if (key == "link_contention") c.link_contention = flag();
     else if (key == "duty_cycles") c.duty_cycles = flag();
-    else if (key == "nic_capacity_mbps") c.nic_capacity_mbps = num();
-    else if (key == "rack_uplink_capacity_mbps") c.rack_uplink_capacity_mbps = num();
+    else if (key == "nic_capacity_mbps") read(c.nic_capacity_mbps);
+    else if (key == "rack_uplink_capacity_mbps") read(c.rack_uplink_capacity_mbps);
     else if (key == "crash_check") c.crash_check = flag();
-    else if (key == "crash_event") c.crash_event = u64();
-    else if (key == "stream_jobs") c.stream_jobs = static_cast<std::size_t>(u64());
+    else if (key == "crash_event") read(c.crash_event);
+    else if (key == "stream_jobs") read(c.stream_jobs);
     else if (key == "inject_slot_leak") c.inject_slot_leak = flag();
     else throw ContractViolation("fuzz case: unknown key: " + key);
   }

@@ -4,10 +4,18 @@
 
 namespace mlfs::nn {
 
+void relu_in_place(std::span<double> values) {
+  for (double& v : values) v = v > 0.0 ? v : 0.0;
+}
+
+void tanh_in_place(std::span<double> values) {
+  for (double& v : values) v = std::tanh(v);
+}
+
 Matrix Relu::forward(const Matrix& input) {
   last_input_ = input;
   Matrix out = input;
-  out.apply([](double v) { return v > 0.0 ? v : 0.0; });
+  relu_in_place(out.raw());
   return out;
 }
 
@@ -22,7 +30,7 @@ Matrix Relu::backward(const Matrix& grad_output) {
 
 Matrix Tanh::forward(const Matrix& input) {
   Matrix out = input;
-  out.apply([](double v) { return std::tanh(v); });
+  tanh_in_place(out.raw());
   last_output_ = out;
   return out;
 }

@@ -1,9 +1,16 @@
 // Parameterless activation layers.
 #pragma once
 
+#include <span>
+
 #include "nn/layer.hpp"
 
 namespace mlfs::nn {
+
+/// The activations' elementwise maps, shared by the layers' forward() and
+/// Mlp::infer.
+void relu_in_place(std::span<double> values);
+void tanh_in_place(std::span<double> values);
 
 class Relu : public Layer {
  public:

@@ -1,6 +1,8 @@
 // Fully connected layer: y = x W + b.
 #pragma once
 
+#include <span>
+
 #include "nn/layer.hpp"
 
 namespace mlfs::nn {
@@ -12,6 +14,14 @@ class Dense : public Layer {
 
   Matrix forward(const Matrix& input) override;
   Matrix backward(const Matrix& grad_output) override;
+
+  /// One sample's outputs into `out` (out_features() values), bitwise equal
+  /// to forward()'s row; caches nothing for backward.
+  void infer(std::span<const double> input, double* out) const;
+
+  /// The parameter half of backward(): accumulates grad_W += Xᵀ·G and
+  /// grad_b += column sums of G, without forming dLoss/dInput.
+  void accumulate_param_grads(const Matrix& grad_output);
 
   std::vector<Matrix*> params() override { return {&weights_, &bias_}; }
   std::vector<Matrix*> grads() override { return {&grad_weights_, &grad_bias_}; }
@@ -30,6 +40,7 @@ class Dense : public Layer {
   Matrix grad_weights_;  // same shape as weights_
   Matrix grad_bias_;     // same shape as bias_
   Matrix last_input_;    // cached for backward
+  Matrix weights_t_;     // backward scratch: weights_ transposed
 };
 
 }  // namespace mlfs::nn

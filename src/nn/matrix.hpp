@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -38,11 +37,15 @@ class Matrix {
   std::vector<double>& raw() { return data_; }
   const std::vector<double>& raw() const { return data_; }
 
-  /// this @ other. Requires cols() == other.rows().
+  /// this @ other. Requires cols() == other.rows(). Each row goes through
+  /// matmul_row, so every output keeps its k-ascending sum.
   Matrix matmul(const Matrix& other) const;
 
   /// this^T as a new matrix.
   Matrix transposed() const;
+
+  /// this^T into `out`, reusing its storage.
+  void transpose_into(Matrix& out) const;
 
   /// Elementwise in-place ops; shapes must match exactly.
   Matrix& operator+=(const Matrix& other);
@@ -54,9 +57,6 @@ class Matrix {
 
   /// Elementwise product (Hadamard) as a new matrix.
   Matrix hadamard(const Matrix& other) const;
-
-  /// Applies f to every element in place.
-  Matrix& apply(const std::function<double(double)>& f);
 
   /// Column-wise sum as a 1xC matrix (bias gradient).
   Matrix column_sums() const;
@@ -76,6 +76,21 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// The one multiply kernel under every layer (DESIGN.md §5f): for each
+/// j < cols,
+///   out[j] = (((+0.0 + x[k0]·w[k0][j]) + x[k1]·w[k1][j]) + ...) + bias[j]
+/// over k = 0..depth-1 in ascending order, where x[k] is
+/// x[k * x_stride], w is row-major depth x cols, and every term whose
+/// x[k] == 0.0 is skipped (so a zero input never turns an inf weight into
+/// NaN). The bias, when non-null, is added once after the full sum; it may
+/// alias `out`, which makes the call `out += x·w` with the fresh sum formed
+/// first. Up to sixteen outputs are accumulated per pass in vector
+/// registers, so the row costs about a third of a scalar loop while every
+/// output stays bitwise equal to the scalar sum (no contraction into FMA:
+/// the build is ISO C++, where GCC keeps -ffp-contract=off).
+void matmul_row(const double* x, std::size_t x_stride, std::size_t depth, const double* w,
+                std::size_t cols, const double* bias, double* out);
 
 Matrix operator+(Matrix lhs, const Matrix& rhs);
 Matrix operator-(Matrix lhs, const Matrix& rhs);

@@ -1,5 +1,6 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -9,10 +10,12 @@
 namespace mlfs::nn {
 
 Mlp::Mlp(const std::vector<std::size_t>& sizes, Activation hidden_activation, Rng& rng)
-    : sizes_(sizes) {
+    : sizes_(sizes), hidden_activation_(hidden_activation) {
   MLFS_EXPECT(sizes.size() >= 2);
   for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-    layers_.push_back(std::make_unique<Dense>(sizes[i], sizes[i + 1], rng));
+    auto dense = std::make_unique<Dense>(sizes[i], sizes[i + 1], rng);
+    dense_.push_back(dense.get());
+    layers_.push_back(std::move(dense));
     const bool is_last = i + 2 == sizes.size();
     if (!is_last) {
       if (hidden_activation == Activation::Relu) {
@@ -22,6 +25,9 @@ Mlp::Mlp(const std::vector<std::size_t>& sizes, Activation hidden_activation, Rn
       }
     }
   }
+  const std::size_t widest = *std::max_element(sizes.begin() + 1, sizes.end());
+  infer_in_.resize(widest);
+  infer_out_.resize(widest);
 }
 
 Matrix Mlp::forward(const Matrix& input) {
@@ -31,9 +37,30 @@ Matrix Mlp::forward(const Matrix& input) {
   return x;
 }
 
+std::span<const double> Mlp::infer(std::span<const double> input) {
+  MLFS_EXPECT(input.size() == sizes_.front());
+  std::span<const double> x = input;
+  for (std::size_t i = 0; i < dense_.size(); ++i) {
+    const std::span<double> y(infer_out_.data(), sizes_[i + 1]);
+    dense_[i]->infer(x, y.data());
+    if (i + 1 < dense_.size()) {
+      if (hidden_activation_ == Activation::Relu) {
+        relu_in_place(y);
+      } else {
+        tanh_in_place(y);
+      }
+    }
+    std::swap(infer_in_, infer_out_);
+    x = {infer_in_.data(), y.size()};
+  }
+  return x;
+}
+
 void Mlp::backward(const Matrix& grad_logits) {
+  // layers_[0] is the first Dense: only its parameter gradients are read.
   Matrix grad = grad_logits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) grad = (*it)->backward(grad);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) grad = layers_[i]->backward(grad);
+  dense_.front()->accumulate_param_grads(grad);
 }
 
 void Mlp::zero_grads() {

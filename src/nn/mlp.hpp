@@ -5,6 +5,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -29,7 +30,13 @@ class Mlp {
   /// Forward pass for a batch (rows = samples), returns logits.
   Matrix forward(const Matrix& input);
 
-  /// Backprop from dLoss/dLogits; accumulates parameter gradients.
+  /// Logits for one sample, bitwise equal to forward()'s row. Works in
+  /// member scratch (no allocation, nothing cached for backward); the view
+  /// is valid until the next infer().
+  std::span<const double> infer(std::span<const double> input);
+
+  /// Backprop from dLoss/dLogits; accumulates parameter gradients. The
+  /// network input's gradient is never formed.
   void backward(const Matrix& grad_logits);
 
   void zero_grads();
@@ -56,7 +63,11 @@ class Mlp {
 
  private:
   std::vector<std::size_t> sizes_;
-  std::vector<LayerPtr> layers_;
+  Activation hidden_activation_;
+  std::vector<LayerPtr> layers_;  ///< Dense, act, Dense, act, ..., Dense
+  std::vector<Dense*> dense_;     ///< the Dense entries of layers_, in order
+  std::vector<double> infer_in_;  ///< infer() ping-pong scratch
+  std::vector<double> infer_out_;
 };
 
 }  // namespace mlfs::nn

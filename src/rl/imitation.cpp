@@ -59,10 +59,8 @@ double ImitationDataset::train(ReinforceAgent& agent, std::size_t epochs, std::s
 double ImitationDataset::evaluate_accuracy(ReinforceAgent& agent) const {
   if (empty()) return 0.0;
   std::size_t correct = 0;
-  std::vector<double> state(state_dim_);
   for (std::size_t i = 0; i < actions_.size(); ++i) {
-    std::copy_n(states_.begin() + static_cast<std::ptrdiff_t>(i * state_dim_), state_dim_,
-                state.begin());
+    const std::span<const double> state(states_.data() + i * state_dim_, state_dim_);
     if (agent.act_greedy(state) == actions_[i]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(actions_.size());

@@ -61,29 +61,29 @@ ReinforceAgent::ReinforceAgent(const ReinforceConfig& config)
 int ReinforceAgent::sample_or_argmax(std::span<const double> state, std::span<const bool> mask,
                                      bool greedy) {
   MLFS_EXPECT(state.size() == config_.state_dim);
-  const nn::Matrix input = nn::Matrix::row({state.begin(), state.end()});
-  const nn::Matrix logits_m = policy_.forward(input);
-  std::vector<double> logits = logits_m.raw();
+  const std::span<const double> raw = policy_.infer(state);
+  std::vector<double>& logits = logits_;
+  logits.assign(raw.begin(), raw.end());
   apply_mask(logits, mask);
 
   if (greedy) {
     return static_cast<int>(std::max_element(logits.begin(), logits.end()) - logits.begin());
   }
-  // Softmax sample over the (masked) logits.
+  // Softmax sample over the (masked) logits; each logit becomes its
+  // unnormalised weight in place.
   const double maxv = *std::max_element(logits.begin(), logits.end());
-  std::vector<double> probs(logits.size());
   double sum = 0.0;
-  for (std::size_t i = 0; i < logits.size(); ++i) {
-    probs[i] = std::isinf(logits[i]) ? 0.0 : std::exp(logits[i] - maxv);
-    sum += probs[i];
+  for (double& v : logits) {
+    v = std::isinf(v) ? 0.0 : std::exp(v - maxv);
+    sum += v;
   }
   MLFS_EXPECT(sum > 0.0);
   double r = rng_.uniform() * sum;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    r -= probs[i];
+  for (std::size_t i = 0; i < logits.size(); ++i) {
+    r -= logits[i];
     if (r < 0.0) return static_cast<int>(i);
   }
-  return static_cast<int>(probs.size() - 1);
+  return static_cast<int>(logits.size() - 1);
 }
 
 int ReinforceAgent::act(std::span<const double> state, std::span<const bool> mask) {
@@ -96,8 +96,8 @@ int ReinforceAgent::act_greedy(std::span<const double> state, std::span<const bo
 
 std::vector<double> ReinforceAgent::action_probabilities(std::span<const double> state) {
   MLFS_EXPECT(state.size() == config_.state_dim);
-  const nn::Matrix input = nn::Matrix::row({state.begin(), state.end()});
-  return nn::softmax(policy_.forward(input)).raw();
+  const std::span<const double> logits = policy_.infer(state);
+  return nn::softmax(nn::Matrix::row({logits.begin(), logits.end()})).raw();
 }
 
 nn::Matrix ReinforceAgent::states_to_matrix(std::span<const Episode> episodes) const {

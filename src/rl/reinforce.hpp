@@ -84,6 +84,7 @@ class ReinforceAgent {
   nn::Mlp value_;
   nn::Adam policy_opt_;
   nn::Adam value_opt_;
+  std::vector<double> logits_;  ///< sample_or_argmax scratch
 };
 
 }  // namespace mlfs::rl

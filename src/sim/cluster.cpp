@@ -294,7 +294,6 @@ void Cluster::place_task(TaskId id, ServerId server_id, int gpu) {
   t.gpu = gpu;
   t.state = TaskState::Running;
   touch_server(server_id);
-  ++placement_epoch_;
   ++job_placement_epochs_[t.job];
   refresh_job_flows(t.job);
 }
@@ -309,7 +308,6 @@ void Cluster::unplace_task(TaskId id) {
     server(t.server).adjust_usage(t, 0.0, t.usage_factor);
   }
   touch_server(t.server);
-  ++placement_epoch_;
   ++job_placement_epochs_[t.job];
   t.server = kInvalidServer;
   t.gpu = kNoGpu;
@@ -325,7 +323,6 @@ void Cluster::move_task(TaskId id, ServerId to_server, int to_gpu) {
   server(to_server).attach_task(t, to_gpu);
   touch_server(t.server);
   touch_server(to_server);
-  ++placement_epoch_;
   ++job_placement_epochs_[t.job];
   t.server = to_server;
   t.gpu = to_gpu;
@@ -509,7 +506,6 @@ void Cluster::save_state(io::BinWriter& w) const {
   w.f64(total_bandwidth_mb_);
   w.f64(inter_rack_bandwidth_mb_);
   w.u64(transfer_count_);
-  w.u64(placement_epoch_);
   w.vec(job_placement_epochs_, [&w](std::uint64_t e) { w.u64(e); });
   w.u64(debug_unplace_count_);
 
@@ -576,7 +572,7 @@ void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   total_bandwidth_mb_ = r.f64();
   inter_rack_bandwidth_mb_ = r.f64();
   transfer_count_ = static_cast<std::size_t>(r.u64());
-  placement_epoch_ = r.u64();
+  if (version <= 6) (void)r.u64();  // the global placement epoch, dropped in v7
   job_placement_epochs_ = r.vec<std::uint64_t>([&r] { return r.u64(); });
   MLFS_EXPECT(job_placement_epochs_.size() == jobs_.size());
   debug_unplace_count_ = static_cast<std::size_t>(r.u64());

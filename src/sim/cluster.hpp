@@ -172,18 +172,12 @@ class Cluster {
   int cached_least_gpu(ServerId id) const { return index_least_gpu_[id]; }
   double cached_least_gpu_load(ServerId id) const { return index_least_load_[id]; }
 
-  /// Monotone counter bumped by every placement mutation (place/unplace/
-  /// move). Round-scoped caches key on it: an unchanged epoch guarantees no
-  /// task changed servers, so derived per-placement quantities (e.g. task↔
-  /// server communication volumes) are still valid.
-  std::uint64_t placement_epoch() const { return placement_epoch_; }
-
   /// Per-job placement epoch: bumped only when one of *this job's* tasks is
   /// placed/unplaced/moved. A task's communication volumes depend solely on
   /// where its own job's peers sit (DAG edges + all-reduce ring are
   /// job-internal), so memo entries keyed on this epoch survive unrelated
-  /// jobs' placements — the global epoch invalidated the whole memo on any
-  /// placement anywhere, collapsing the hit rate as the fleet grew.
+  /// jobs' placements (a fleet-wide epoch would invalidate the whole memo on
+  /// any placement anywhere, collapsing the hit rate as the fleet grew).
   std::uint64_t job_placement_epoch(JobId id) const { return job_placement_epochs_[id]; }
 
   /// The bucketed feasibility index, refreshed for `hr` (see
@@ -324,7 +318,6 @@ class Cluster {
   double total_bandwidth_mb_ = 0.0;
   double inter_rack_bandwidth_mb_ = 0.0;
   std::size_t transfer_count_ = 0;
-  std::uint64_t placement_epoch_ = 0;
   std::size_t debug_unplace_count_ = 0;  ///< drives ClusterConfig::debug_slot_leak
 
   // --- incremental load index (lazy; mutable because queries are const) ---

@@ -431,7 +431,8 @@ void SimEngine::restore_snapshot(std::istream& is) {
 
   {
     std::istringstream payload = section_stream(snap, "scheduler");
-    if (snap.version() == kSnapshotVersion) {
+    // Scheduler payloads last changed in v6.
+    if (snap.version() >= 6) {
       scheduler_.restore_state(payload);
     } else {
       scheduler_.restore_legacy_state(payload, snap.version());

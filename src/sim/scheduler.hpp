@@ -128,8 +128,9 @@ class Scheduler {
   /// this for every registered scheduler).
   virtual void save_state(std::ostream& os) const { (void)os; }
   virtual void restore_state(std::istream& is) { (void)is; }
-  /// Restores a payload from an older, still-readable snapshot file
-  /// (`version` < kSnapshotVersion). The default suits every scheduler
+  /// Restores a payload from a still-readable snapshot file older than v6,
+  /// the last version that changed a scheduler payload (v6 and later files
+  /// go to restore_state). The default suits every scheduler
   /// whose payload has not changed since that version; one whose payload
   /// did change overrides this to read the old layout, and a forwarding
   /// decorator forwards it.

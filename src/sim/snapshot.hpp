@@ -9,7 +9,8 @@
 //   count    u32      number of sections
 //   sections count ×  [ u32 name length | name bytes |
 //                       u64 payload length | payload bytes ]
-//   checksum u64      FNV-1a over every byte before this field
+//   checksum u64      snapshot_checksum(version, every byte before this
+//                     field): word_hash64 from v7, FNV-1a in v5 and v6
 //
 // SnapshotReader reads and validates the WHOLE file — magic, version,
 // fingerprint, section framing, checksum — before handing out a single
@@ -42,10 +43,13 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'F', 'S', 'S', 'N', 'A', 'P
 /// loss sum in place of the per-iteration loss history, which is a pure
 /// function of the curve), and the MLFS scheduler payload drops its
 /// imitation set once the policy is cloned, keeping the clone-time sample
-/// count and accuracy. v5 files are still read (the stored history is
-/// checked bitwise against the curve; no v5 writer exists); pre-v5 files
-/// are rejected by the version check.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// count and accuracy. v7: the trailing checksum is word_hash64 instead of
+/// byte-serial FNV-1a, and the "cluster" section drops the unused global
+/// placement epoch (a u64 after the transfer count). v5 and v6 files are
+/// still read (checked with FNV-1a; a v5 file's stored history is checked
+/// bitwise against the curve; no v5 or v6 writer exists); pre-v5 files are
+/// rejected by the version check.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 /// Oldest version SnapshotReader accepts; readers whose payload changed
 /// since branch on SnapshotReader::version().
 inline constexpr std::uint32_t kOldestReadableSnapshotVersion = 5;
@@ -66,10 +70,21 @@ class SnapshotError : public ContractViolation {
   std::uint64_t offset_;
 };
 
-/// FNV-1a over a byte range (the snapshot checksum; also reused for the
-/// engine's config fingerprint and event-stream hash).
+/// FNV-1a over a byte range: the checksum of v5/v6 snapshots and of
+/// journal frames, and the mixer behind the engine's config fingerprint
+/// and event-stream hash.
 std::uint64_t fnv1a(const char* data, std::size_t size,
                     std::uint64_t h = 1469598103934665603ull);
+
+/// Word-parallel 64-bit hash: four lanes of xxHash64-style rounds over
+/// 32-byte stripes (8-byte little-endian words), the tail bytes through
+/// FNV-1a, the lanes folded with the length mixed in, then a final
+/// avalanche. A change confined to one word or to the tail always changes
+/// the result (every step is a bijection of the running state).
+std::uint64_t word_hash64(const char* data, std::size_t size);
+
+/// The trailing checksum of a snapshot of the given format version.
+std::uint64_t snapshot_checksum(std::uint32_t version, const char* data, std::size_t size);
 inline std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xff;

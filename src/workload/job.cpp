@@ -35,6 +35,12 @@ void JobSpec::validate() const {
     if (!std::isfinite(value)) fail(field, "must be finite", value);
   }
   if (arrival < 0.0) fail("arrival", "must be >= 0", arrival);
+  if (train_data_mb < 0.0) fail("train_data_mb", "must be >= 0", train_data_mb);
+  if (comm_volume_ps_mb < 0.0) fail("comm_volume_ps_mb", "must be >= 0", comm_volume_ps_mb);
+  if (comm_volume_ww_mb < 0.0) fail("comm_volume_ww_mb", "must be >= 0", comm_volume_ww_mb);
+  if (!(accuracy_requirement > 0.0 && accuracy_requirement <= 1.0)) {
+    fail("accuracy_requirement", "must be in (0, 1]", accuracy_requirement);
+  }
   if (deadline_slack_hours <= 0.0) {
     fail("deadline_slack_hours", "must be > 0", deadline_slack_hours);
   }

@@ -42,6 +42,7 @@ struct JobSpec {
 
   /// Ingress check for specs from outside (trace files, injected and
   /// journal-replayed jobs): every real-valued field finite, arrival >= 0,
+  /// data and communication volumes >= 0, accuracy requirement in (0, 1],
   /// deadline slack > 0, max_iterations >= 1, gpu_request >= 1. Throws
   /// ContractViolation("JobSpec <id>: <field> ...") naming the first
   /// offending field.

@@ -8,8 +8,11 @@
 #include <numbers>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/expect.hpp"
+#include "common/parse.hpp"
 
 namespace mlfs {
 
@@ -181,31 +184,39 @@ std::vector<JobSpec> read_trace_csv(std::istream& is) {
     std::stringstream ss(line);
     std::string field;
     while (std::getline(ss, field, ',')) fields.push_back(field);
-    MLFS_EXPECT(fields.size() == 21);
     JobSpec j;
-    std::size_t i = 0;
-    j.id = static_cast<JobId>(std::stoul(fields[i++]));
-    j.algorithm = algorithm_from_string(fields[i++]);
-    j.comm = comm_from_string(fields[i++]);
-    j.arrival = std::stod(fields[i++]);
-    j.urgency = std::stod(fields[i++]);
-    j.max_iterations = std::stoi(fields[i++]);
-    j.gpu_request = std::stoi(fields[i++]);
-    j.train_data_mb = std::stod(fields[i++]);
-    j.accuracy_requirement = std::stod(fields[i++]);
-    j.deadline_slack_hours = std::stod(fields[i++]);
-    j.curve.max_accuracy = std::stod(fields[i++]);
-    j.curve.kappa = std::stod(fields[i++]);
-    j.curve.initial_loss = std::stod(fields[i++]);
-    j.curve.final_loss = std::stod(fields[i++]);
-    j.curve.noise_sigma = std::stod(fields[i++]);
-    j.curve.noise_seed = std::stoull(fields[i++]);
-    j.comm_volume_ps_mb = std::stod(fields[i++]);
-    j.comm_volume_ww_mb = std::stod(fields[i++]);
-    j.stop_policy = policy_from_string(fields[i++]);
-    j.min_allowed_policy = policy_from_string(fields[i++]);
-    j.seed = std::stoull(fields[i++]);
     try {
+      if (fields.size() != 21) {
+        throw ContractViolation("expected 21 fields, got " + std::to_string(fields.size()));
+      }
+      std::size_t i = 0;
+      const auto read = [&](auto& out, std::string_view name) {
+        out = parse_number<std::remove_reference_t<decltype(out)>>(fields[i++], name);
+      };
+      read(j.id, "id");
+      if (j.id == kInvalidJob) {
+        throw ContractViolation("field id: " + std::to_string(j.id) + " is reserved");
+      }
+      j.algorithm = algorithm_from_string(fields[i++]);
+      j.comm = comm_from_string(fields[i++]);
+      read(j.arrival, "arrival");
+      read(j.urgency, "urgency");
+      read(j.max_iterations, "max_iterations");
+      read(j.gpu_request, "gpu_request");
+      read(j.train_data_mb, "train_data_mb");
+      read(j.accuracy_requirement, "accuracy_requirement");
+      read(j.deadline_slack_hours, "deadline_slack_hours");
+      read(j.curve.max_accuracy, "curve.max_accuracy");
+      read(j.curve.kappa, "curve.kappa");
+      read(j.curve.initial_loss, "curve.initial_loss");
+      read(j.curve.final_loss, "curve.final_loss");
+      read(j.curve.noise_sigma, "curve.noise_sigma");
+      read(j.curve.noise_seed, "curve.noise_seed");
+      read(j.comm_volume_ps_mb, "comm_volume_ps_mb");
+      read(j.comm_volume_ww_mb, "comm_volume_ww_mb");
+      j.stop_policy = policy_from_string(fields[i++]);
+      j.min_allowed_policy = policy_from_string(fields[i++]);
+      read(j.seed, "seed");
       j.validate();
     } catch (const ContractViolation& e) {
       throw ContractViolation("trace CSV line " + std::to_string(line_no) + ": " + e.what());

@@ -401,10 +401,11 @@ TEST(DurableSession, FailedSnapshotWriteNeverLeavesAFinalSnapshot) {
 // buffers: the newest snapshot (snap-800.bin) and its journal segment,
 // which carries seven journaled arrivals past the snapshot. The run was
 // halted at event 1100 of 5172. tests/data/golden_v6/snap-800.bin is that
-// v5 snapshot restored and saved again by the first snapshot-v6 code (the
-// journal format did not change, so v6 resumes use the v5 journal). These
-// files are never regenerated: they prove the current code still reads
-// and writes the same bytes.
+// v5 snapshot restored and saved again by the first snapshot-v6 code, and
+// tests/data/golden_v7/snap-800.bin is the v6 one restored and saved again
+// by the first snapshot-v7 code (the journal format did not change, so
+// every resume uses the v5 journal). These files are never regenerated:
+// they prove the current code still reads and writes the same bytes.
 
 exp::RunRequest golden_request() {
   exp::RunRequest r;
@@ -473,6 +474,10 @@ TEST(GoldenFormat, V6FixtureCheckpointResumesToPinnedHash) {
   expect_fixture_resumes_to_pinned_hash("golden_v6");
 }
 
+TEST(GoldenFormat, V7FixtureCheckpointResumesToPinnedHash) {
+  expect_fixture_resumes_to_pinned_hash("golden_v7");
+}
+
 /// Restores `snapshot` into a fresh golden engine and saves it again.
 std::string restore_and_save(const std::string& snapshot) {
   exp::RunRequest request = golden_request();
@@ -491,15 +496,75 @@ std::string restore_and_save(const std::string& snapshot) {
 TEST(GoldenFormat, FixtureSnapshotReserializesToTheSameBytes) {
   // Restored state includes the wall-clock accumulators, so an unchanged
   // format re-serializes every byte, checksum included.
-  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v6"));
+  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v7"));
   EXPECT_TRUE(restore_and_save(golden) == golden)
       << "re-serialized snapshot differs from the fixture";
 }
 
-TEST(GoldenFormat, V5FixtureUpgradesToTheV6FixtureBytes) {
+TEST(GoldenFormat, V5FixtureUpgradesToTheV7FixtureBytes) {
   const std::string v5 = slurp(golden_path("snap-800.bin"));
+  const std::string v7 = slurp(golden_path("snap-800.bin", "golden_v7"));
+  EXPECT_TRUE(restore_and_save(v5) == v7) << "upgraded v5 snapshot differs from the v7 fixture";
+}
+
+TEST(GoldenFormat, V6FixtureUpgradesToTheV7FixtureBytes) {
   const std::string v6 = slurp(golden_path("snap-800.bin", "golden_v6"));
-  EXPECT_TRUE(restore_and_save(v5) == v6) << "upgraded v5 snapshot differs from the v6 fixture";
+  const std::string v7 = slurp(golden_path("snap-800.bin", "golden_v7"));
+  EXPECT_TRUE(restore_and_save(v6) == v7) << "upgraded v6 snapshot differs from the v7 fixture";
+}
+
+/// (name, payload) of every section of a snapshot file, in file order.
+std::vector<std::pair<std::string, std::string>> snapshot_sections(const std::string& file) {
+  io::BinReader r(file);
+  (void)r.view(sizeof(kSnapshotMagic) + 4 + 8);  // magic, version, fingerprint
+  const std::uint32_t count = r.u32();
+  std::vector<std::pair<std::string, std::string>> sections;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::string name(r.view(r.u32()));
+    std::string payload(r.view(static_cast<std::size_t>(r.u64())));
+    sections.emplace_back(std::move(name), std::move(payload));
+  }
+  EXPECT_EQ(r.remaining(), 8u) << "expected only the checksum after the sections";
+  return sections;
+}
+
+TEST(GoldenFormat, V7FixtureDiffersFromV6OnlyInVersionEpochAndTrailer) {
+  const std::string v6 = slurp(golden_path("snap-800.bin", "golden_v6"));
+  const std::string v7 = slurp(golden_path("snap-800.bin", "golden_v7"));
+  ASSERT_EQ(v6.size(), v7.size() + 8);
+
+  // Header: magic and fingerprint equal, version 6 -> 7.
+  EXPECT_EQ(v6.substr(0, 8), v7.substr(0, 8));
+  EXPECT_EQ(io::BinReader(std::string_view(v6).substr(8, 4)).u32(), 6u);
+  EXPECT_EQ(io::BinReader(std::string_view(v7).substr(8, 4)).u32(), 7u);
+  EXPECT_EQ(v6.substr(12, 12), v7.substr(12, 12));
+
+  // Sections: same names and payloads, except that "cluster" (and so its
+  // framed length) lost exactly one u64, the global placement epoch.
+  const auto s6 = snapshot_sections(v6);
+  const auto s7 = snapshot_sections(v7);
+  ASSERT_EQ(s6.size(), s7.size());
+  for (std::size_t i = 0; i < s6.size(); ++i) {
+    ASSERT_EQ(s6[i].first, s7[i].first);
+    const std::string& p6 = s6[i].second;
+    const std::string& p7 = s7[i].second;
+    if (s6[i].first != "cluster") {
+      EXPECT_TRUE(p6 == p7) << "section " << s6[i].first << " changed";
+      continue;
+    }
+    ASSERT_EQ(p6.size(), p7.size() + 8);
+    const auto first_difference = std::mismatch(p7.begin(), p7.end(), p6.begin()).first;
+    const auto at = static_cast<std::size_t>(first_difference - p7.begin());
+    EXPECT_TRUE(p6.compare(at + 8, std::string::npos, p7, at) == 0)
+        << "cluster differs by more than one dropped u64";
+  }
+
+  // Trailer: each file's checksum is its own version's function.
+  const auto trailer = [](const std::string& file) {
+    return io::BinReader(std::string_view(file).substr(file.size() - 8)).u64();
+  };
+  EXPECT_EQ(trailer(v6), fnv1a(v6.data(), v6.size() - 8));
+  EXPECT_EQ(trailer(v7), word_hash64(v7.data(), v7.size() - 8));
 }
 
 TEST(GoldenFormat, V5FixtureWithATamperedLossValueIsRejected) {
@@ -529,7 +594,7 @@ TEST(GoldenFormat, V5FixtureWithATamperedLossValueIsRejected) {
   bytes[at] = static_cast<char>(bytes[at] ^ 1);
   // Re-seal so only the loss check can fire.
   const std::size_t body = bytes.size() - 8;
-  const std::uint64_t checksum = fnv1a(bytes.data(), body);
+  const std::uint64_t checksum = snapshot_checksum(5, bytes.data(), body);
   std::memcpy(bytes.data() + body, &checksum, sizeof(checksum));
 
   exp::EngineBundle victim = exp::build_engine(request);

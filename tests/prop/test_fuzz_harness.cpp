@@ -92,6 +92,26 @@ TEST(FuzzSerde, RejectsUnknownKeysAndMalformedLines) {
   EXPECT_THROW(parse_fuzz_case(malformed), ContractViolation);
 }
 
+TEST(FuzzSerde, RejectsASeedWithTrailingJunk) {
+  std::istringstream in("servers=2\ntrace_seed=3abc\n");
+  try {
+    parse_fuzz_case(in);
+    ADD_FAILURE() << "accepted trace_seed=3abc";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fuzz case line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("field trace_seed: '3abc'"), std::string::npos) << what;
+  }
+}
+
+TEST(FuzzSerde, RejectsOutOfRangeAndNegativeCountsAndBadFlags) {
+  for (const char* line : {"servers=-1\n", "gpus_per_server=-4\n", "gpus_per_server=4294967296\n",
+                           "slow_fraction=0.5x\n", "slow_fraction=-0.5\n", "recovery=yes\n"}) {
+    std::istringstream in(line);
+    EXPECT_THROW(parse_fuzz_case(in), ContractViolation) << line;
+  }
+}
+
 TEST(FuzzSerde, RejectsArtifactsNamingRemovedSwitches) {
   // The reference placement paths are gone; an old artifact that asks for
   // one must fail loudly instead of silently running the production path.

@@ -45,8 +45,10 @@ std::string write_sample(std::uint64_t fingerprint = 0xfeedu) {
   return os.str();
 }
 
+/// Re-seals `bytes` with the checksum of the version its header names.
 std::string patch_checksum(std::string bytes) {
-  const std::uint64_t sum = fnv1a(bytes.data(), bytes.size() - 8);
+  const std::uint32_t version = io::BinReader(std::string_view(bytes).substr(8, 4)).u32();
+  const std::uint64_t sum = snapshot_checksum(version, bytes.data(), bytes.size() - 8);
   for (int i = 0; i < 8; ++i) {
     bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<char>((sum >> (8 * i)) & 0xff);
@@ -93,12 +95,49 @@ TEST(SnapshotContainer, TruncationAtEveryByteRejected) {
 }
 
 TEST(SnapshotContainer, AnySingleBitFlipRejected) {
+  // Every bit of every byte, across the v7 word hash's 32-byte stripes and
+  // its FNV-1a tail: a flip in a payload or the fingerprint must fail the
+  // checksum; a flip in the framing may fail earlier, but only as a
+  // structured rejection.
   const std::string bytes = write_sample();
+  ASSERT_GT(bytes.size(), 64u);
+  const std::size_t text_at = bytes.find("payload");
+  ASSERT_NE(text_at, std::string::npos);
   for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::string corrupt = bytes;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x20);
-    std::istringstream is(corrupt, std::ios::binary);
-    EXPECT_THROW(SnapshotReader(is, 0xfeedu), SnapshotError) << "flipped byte " << i;
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = bytes;
+      corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << bit));
+      std::istringstream is(corrupt, std::ios::binary);
+      try {
+        SnapshotReader reader(is, 0xfeedu);
+        ADD_FAILURE() << "accepted a flip of bit " << bit << " in byte " << i;
+      } catch (const SnapshotError& e) {
+        // A framing error names "header" or the section being framed
+        // (whose name may be the flipped one).
+        const bool in_payload_text = i >= text_at && i < text_at + 7;
+        const bool in_fingerprint = i >= 12 && i < 20;
+        if (in_payload_text || in_fingerprint) {
+          EXPECT_EQ(e.section(), "checksum") << "byte " << i << " bit " << bit;
+        }
+      }
+    }
+  }
+}
+
+TEST(SnapshotContainer, WordHashSeesEveryBitOfStripesAndTail) {
+  // Lengths around the 32-byte stripe: all tail, one stripe, stripe + tail.
+  for (const std::size_t size : {0u, 1u, 7u, 31u, 32u, 33u, 64u, 95u}) {
+    std::string data(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) data[i] = static_cast<char>(i * 37 + 11);
+    const std::uint64_t base = word_hash64(data.data(), data.size());
+    for (std::size_t i = 0; i < size; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = data;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        EXPECT_NE(word_hash64(flipped.data(), flipped.size()), base)
+            << "size " << size << " byte " << i << " bit " << bit;
+      }
+    }
   }
 }
 
@@ -161,6 +200,19 @@ TEST(SnapshotContainer, V5FilesStillRead) {
   std::istringstream is(bytes, std::ios::binary);
   const SnapshotReader reader(is, 0xfeedu);
   EXPECT_EQ(reader.version(), 5u);
+}
+
+TEST(SnapshotContainer, V6FilesStillRead) {
+  // v6 differs from v7 in the checksum function and the "cluster" payload,
+  // whose reader branches on version().
+  std::string bytes = write_sample();
+  bytes[8] = static_cast<char>(6);
+  bytes = patch_checksum(std::move(bytes));
+  EXPECT_EQ(io::BinReader(std::string_view(bytes).substr(bytes.size() - 8)).u64(),
+            fnv1a(bytes.data(), bytes.size() - 8));
+  std::istringstream is(bytes, std::ios::binary);
+  const SnapshotReader reader(is, 0xfeedu);
+  EXPECT_EQ(reader.version(), 6u);
 }
 
 TEST(SnapshotContainer, FingerprintMismatchRejected) {

@@ -203,6 +203,17 @@ TEST(JobSpec, ValidateNamesTheOffendingField) {
   rejects([](JobSpec& s) { s.arrival = -1.0; }, "arrival must be >= 0");
   rejects([](JobSpec& s) { s.deadline_slack_hours = 0.0; }, "deadline_slack_hours must be > 0");
   rejects([](JobSpec& s) { s.max_iterations = 0; }, "max_iterations must be >= 1");
+  rejects([](JobSpec& s) { s.train_data_mb = -1.0; }, "train_data_mb must be >= 0");
+  rejects([](JobSpec& s) { s.comm_volume_ps_mb = -0.5; }, "comm_volume_ps_mb must be >= 0");
+  rejects([](JobSpec& s) { s.comm_volume_ww_mb = -2.0; }, "comm_volume_ww_mb must be >= 0");
+  rejects([](JobSpec& s) { s.accuracy_requirement = 0.0; }, "accuracy_requirement must be in");
+  rejects([](JobSpec& s) { s.accuracy_requirement = 1.01; }, "accuracy_requirement must be in");
+  JobSpec edge;  // the inclusive ends of the size bounds
+  edge.train_data_mb = 0.0;
+  edge.comm_volume_ps_mb = 0.0;
+  edge.comm_volume_ww_mb = 0.0;
+  edge.accuracy_requirement = 1.0;
+  EXPECT_NO_THROW(edge.validate());
 }
 
 }  // namespace

@@ -228,5 +228,34 @@ TEST(Trace, CsvRejectsInvalidRowsNamingTheLine) {
   expect_csv_rejected(csv_with_field(jobs, 1, 6, "0"), "gpu_request must be >= 1");
 }
 
+// Column 0 is the id; every numeric field must be consumed whole and fit
+// its type.
+TEST(Trace, CsvRejectsAGpuRequestWithTrailingJunk) {
+  auto config = small_config();
+  config.num_jobs = 3;
+  const auto jobs = PhillyTraceGenerator(config).generate();
+  expect_csv_rejected(csv_with_field(jobs, 1, 6, "2junk"), "field gpu_request: '2junk'");
+}
+
+TEST(Trace, CsvRejectsANegativeId) {
+  auto config = small_config();
+  config.num_jobs = 3;
+  const auto jobs = PhillyTraceGenerator(config).generate();
+  expect_csv_rejected(csv_with_field(jobs, 1, 0, "-1"), "field id: '-1'");
+  expect_csv_rejected(csv_with_field(jobs, 1, 0, "4294967295"), "field id: 4294967295 is reserved");
+  expect_csv_rejected(csv_with_field(jobs, 1, 0, "4294967296"),
+                      "field id: '4294967296' is out of range");
+}
+
+TEST(Trace, CsvRejectsAnArrivalWithTrailingJunk) {
+  auto config = small_config();
+  config.num_jobs = 3;
+  const auto jobs = PhillyTraceGenerator(config).generate();
+  expect_csv_rejected(csv_with_field(jobs, 1, 3, "1.5x"), "field arrival: '1.5x'");
+  expect_csv_rejected(csv_with_field(jobs, 1, 3, " 1.5"), "field arrival: ' 1.5'");
+  expect_csv_rejected(csv_with_field(jobs, 1, 6, "99999999999"),
+                      "field gpu_request: '99999999999' is out of range");
+}
+
 }  // namespace
 }  // namespace mlfs
