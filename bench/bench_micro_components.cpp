@@ -161,7 +161,8 @@ Job make_curve_job(int min_iters) {
 
 /// The engine's OptStop pattern: one job advances iteration by iteration
 /// with a predict_at_max query at every check point. Arg selects the mode:
-/// 0 = legacy stateless cold fits (the full chain recomputed per check),
+/// 0 = a fresh service per check (the stateless reference: the full chain
+///     recomputed from scratch each time),
 /// 1 = the incremental service (one new warm link per check),
 /// 2 = service + an immediately repeated query per check (the MLF-C
 ///     controller's pattern — the memo hit).
@@ -171,9 +172,7 @@ void BM_CurveFitChain(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Job job = make_curve_job(100);
-    PredictConfig pc;
-    pc.enabled = mode != 0;
-    PredictionService service(pc, kCheckInterval);
+    PredictionService service(kCheckInterval);
     const int iters = std::min(100, job.spec().max_iterations);
     state.ResumeTiming();
     double acc = 0.0;
@@ -181,12 +180,16 @@ void BM_CurveFitChain(benchmark::State& state) {
       job.complete_iteration();
       service.on_iteration_complete(job);
       if (job.completed_iterations() % kCheckInterval != 0) continue;
+      if (mode == 0) {
+        acc += PredictionService(kCheckInterval).predict_at_max(job).accuracy;
+        continue;
+      }
       acc += service.predict_at_max(job).accuracy;
       if (mode == 2) acc += service.predict_at_max(job).accuracy;
     }
     benchmark::DoNotOptimize(acc);
   }
-  state.SetLabel(mode == 0 ? "legacy-cold" : mode == 1 ? "service" : "service+memo");
+  state.SetLabel(mode == 0 ? "fresh-per-check" : mode == 1 ? "service" : "service+memo");
 }
 BENCHMARK(BM_CurveFitChain)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 

@@ -121,16 +121,8 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
   if (c.placement_bucket_index && !c.snapshot_check && rng.bernoulli(0.3)) {
     c.index_equivalence_check = true;
   }
-  // Prediction-service dimensions: newest draws, appended last (prefix
-  // rule). The equivalence rerun is skipped alongside snapshot_check (that
-  // case already runs three engines) and alongside index_equivalence_check
-  // (one flag-flip rerun per case keeps the sweep's cost linear).
-  c.predict_enabled = !rng.bernoulli(0.2);
-  if (c.predict_enabled && rng.bernoulli(0.2)) c.coarsen_curve = true;
-  if (c.predict_enabled && !c.snapshot_check && !c.index_equivalence_check &&
-      rng.bernoulli(0.3)) {
-    c.service_equivalence_check = true;
-  }
+  // Prediction-service dimension, drawn after the blocks above (prefix rule).
+  c.coarsen_curve = rng.bernoulli(0.2);
   // Link-contention dimensions: newest draws, appended last (prefix rule).
   if (rng.bernoulli(0.35)) {
     c.link_contention = true;
@@ -141,8 +133,7 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
   // Crash-recovery dimension: newest draws, appended last (prefix rule).
   // Skipped alongside the other multi-engine reruns so the sweep's cost
   // stays linear in the case count.
-  if (!c.snapshot_check && !c.index_equivalence_check && !c.service_equivalence_check &&
-      rng.bernoulli(0.15)) {
+  if (!c.snapshot_check && !c.index_equivalence_check && rng.bernoulli(0.15)) {
     c.crash_check = true;
     c.crash_event = rng.next_u64();
     c.stream_jobs = static_cast<std::size_t>(rng.uniform_int(0, 3));
@@ -181,8 +172,7 @@ RunRequest to_request(const FuzzCase& c) {
   r.engine.recovery.retry_budget = c.retry_budget;
   r.engine.recovery.adaptive_checkpoint = c.adaptive_checkpoint;
   r.engine.recovery.spread_placement = c.spread_placement;
-  r.engine.predict.enabled = c.predict_enabled;
-  r.engine.predict.coarsen = c.coarsen_curve;
+  r.engine.coarsen_curve = c.coarsen_curve;
   r.engine.audit.enabled = true;
   r.engine.audit.stride = c.audit_stride;
   r.trace.num_jobs = c.num_jobs;
@@ -219,9 +209,7 @@ std::string describe(const FuzzCase& c) {
   if (c.comm_memo_slots != 4096) out << ", memo-slots=" << c.comm_memo_slots;
   if (c.total_gpus > 0) out << ", total-gpus=" << c.total_gpus;
   if (c.index_equivalence_check) out << ", index-equivalence";
-  if (!c.predict_enabled) out << ", legacy-curve-fit";
   if (c.coarsen_curve) out << ", coarsen-curve";
-  if (c.service_equivalence_check) out << ", service-equivalence";
   if (c.link_contention) {
     out << ", link-contention";
     if (c.duty_cycles) out << "+duty";
@@ -276,9 +264,7 @@ std::string serialize(const FuzzCase& c) {
       << "comm_memo_slots=" << c.comm_memo_slots << "\n"
       << "total_gpus=" << c.total_gpus << "\n"
       << "index_equivalence_check=" << (c.index_equivalence_check ? 1 : 0) << "\n"
-      << "predict_enabled=" << (c.predict_enabled ? 1 : 0) << "\n"
       << "coarsen_curve=" << (c.coarsen_curve ? 1 : 0) << "\n"
-      << "service_equivalence_check=" << (c.service_equivalence_check ? 1 : 0) << "\n"
       << "link_contention=" << (c.link_contention ? 1 : 0) << "\n"
       << "duty_cycles=" << (c.duty_cycles ? 1 : 0) << "\n"
       << "nic_capacity_mbps=" << c.nic_capacity_mbps << "\n"
@@ -360,9 +346,7 @@ FuzzCase parse_fuzz_case(std::istream& in) {
     else if (key == "comm_memo_slots") read(c.comm_memo_slots);
     else if (key == "total_gpus") read(c.total_gpus);
     else if (key == "index_equivalence_check") c.index_equivalence_check = flag();
-    else if (key == "predict_enabled") c.predict_enabled = flag();
     else if (key == "coarsen_curve") c.coarsen_curve = flag();
-    else if (key == "service_equivalence_check") c.service_equivalence_check = flag();
     else if (key == "link_contention") c.link_contention = flag();
     else if (key == "duty_cycles") c.duty_cycles = flag();
     else if (key == "nic_capacity_mbps") read(c.nic_capacity_mbps);
@@ -430,31 +414,6 @@ std::optional<FuzzFailure> run_fuzz_case(const FuzzCase& c, bool check_determini
                            "bucket index vs linear scan: " + diff.str()};
       }
     }
-    if (c.service_equivalence_check && c.predict_enabled) {
-      // Service-vs-legacy equivalence: the memoized, warm-started service
-      // must make byte-identical decisions to the stateless cold-fit path
-      // (chain-canonical semantics; see predict/service.hpp).
-      RunRequest legacy = request;
-      legacy.engine.predict.enabled = false;
-      const RunMetrics cold = execute_run(legacy);
-      std::ostringstream diff;
-      if (first.event_stream_hash != cold.event_stream_hash) {
-        diff << "event_stream_hash " << first.event_stream_hash << " vs "
-             << cold.event_stream_hash << "; ";
-      }
-      if (first.makespan_hours != cold.makespan_hours) diff << "makespan diverged; ";
-      if (first.migrations != cold.migrations) diff << "migrations diverged; ";
-      if (first.preemptions != cold.preemptions) diff << "preemptions diverged; ";
-      if (first.iterations_run != cold.iterations_run) diff << "iterations diverged; ";
-      if (first.fits_cold + first.fits_warm > cold.fits_cold + cold.fits_warm) {
-        diff << "service ran more fits (" << first.fits_cold + first.fits_warm << ") than "
-             << "the legacy path (" << cold.fits_cold + cold.fits_warm << "); ";
-      }
-      if (!diff.str().empty()) {
-        return FuzzFailure{c, "service-equivalence",
-                           "prediction service vs legacy cold-fit: " + diff.str()};
-      }
-    }
     if (check_determinism) {
       const RunMetrics second = execute_run(request);
       if (!deterministic_equal(first, second)) {
@@ -515,11 +474,8 @@ ShrinkResult shrink_case(const FuzzCase& original, const FuzzFailure& original_f
       // the flag, shrinks: dropping snapshot_check would change the failing
       // invariant, so that candidate is always rejected anyway.
       [](FuzzCase& c) { c.snapshot_event /= 2; },
-      // Prediction-service dimensions shrink toward the defaults (service
-      // on, no coarsening); a "service-equivalence" failure keeps its
-      // rerun flag the same way index-equivalence keeps the bucket index.
+      // The prediction-service dimension shrinks toward the default.
       [](FuzzCase& c) { c.coarsen_curve = false; },
-      [](FuzzCase& c) { c.predict_enabled = true; },
       // Link-contention dimensions shrink toward the defaults. Dropping
       // contention entirely is attempted too, but a "link-model" /
       // "link-share" failure rejects that candidate (the invariants only

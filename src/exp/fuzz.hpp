@@ -86,17 +86,9 @@ struct FuzzCase {
   std::size_t comm_memo_slots = 4096;
   bool index_equivalence_check = false;
 
-  // Prediction-service dimensions (predict/service.hpp): the incremental
-  // memoized service vs the legacy stateless cold-fit path, plus the
-  // opt-in coarsening approximation. When `service_equivalence_check` is
-  // set the case runs a second time with the service disabled and any
-  // divergence in the event-stream hash / decision metrics fails with
-  // invariant "service-equivalence" (the chain-canonical semantics make
-  // the two paths byte-identical — with or without coarsening, which
-  // applies to both).
-  bool predict_enabled = true;
+  // Prediction-service dimension (predict/service.hpp): the opt-in
+  // observation-coarsening approximation.
   bool coarsen_curve = false;
-  bool service_equivalence_check = false;
 
   // Link-contention dimensions (sim/link_model.hpp): max-min fair link
   // sharing, optionally with compute/communicate duty cycles, under

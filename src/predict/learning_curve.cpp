@@ -195,7 +195,7 @@ FitResult fit_basis(const Basis& basis, FitPoints points, const std::vector<doub
   return {std::move(params), value, 1};
 }
 
-CurvePrediction combine_fits(const std::vector<BasisFit>& fits, double residual_scale) {
+CurvePrediction combine_fits(const std::vector<BasisFit>& fits) {
   // Weight each basis by its goodness of fit (Gaussian kernel on RMSE).
   // The bandwidth adapts to the best fit: a basis that explains the data
   // an order of magnitude worse than the best contributes ~nothing, so a
@@ -226,17 +226,11 @@ CurvePrediction combine_fits(const std::vector<BasisFit>& fits, double residual_
   double best_rmse = fits.front().rmse;
   for (const auto& f : fits) best_rmse = std::min(best_rmse, f.rmse);
   const double confidence =
-      std::exp(-spread / residual_scale) * std::exp(-best_rmse / residual_scale);
+      std::exp(-spread / kCurveResidualScale) * std::exp(-best_rmse / kCurveResidualScale);
   return {std::clamp(prediction, 0.0, 1.0), std::clamp(confidence, 0.0, 1.0)};
 }
 
 }  // namespace curve_detail
-
-LearningCurvePredictor::LearningCurvePredictor(const LearningCurveConfig& config)
-    : config_(config) {
-  MLFS_EXPECT(config_.min_observations >= 2);
-  MLFS_EXPECT(config_.residual_scale > 0.0);
-}
 
 std::vector<std::string> LearningCurvePredictor::basis_names() {
   std::vector<std::string> names;
@@ -247,7 +241,7 @@ std::vector<std::string> LearningCurvePredictor::basis_names() {
 CurvePrediction LearningCurvePredictor::predict_at(std::span<const double> observed,
                                                    int target_iteration) const {
   MLFS_EXPECT(target_iteration >= 1);
-  if (observed.size() < config_.min_observations) {
+  if (observed.size() < kMinCurveObservations) {
     return {observed.empty() ? 0.0 : observed.back(), 0.0};
   }
 
@@ -261,7 +255,7 @@ CurvePrediction LearningCurvePredictor::predict_at(std::span<const double> obser
         std::clamp(basis.eval(result.params, static_cast<double>(target_iteration)), 0.0, 1.0);
     fits.push_back(fit);
   }
-  return curve_detail::combine_fits(fits, config_.residual_scale);
+  return curve_detail::combine_fits(fits);
 }
 
 }  // namespace mlfs

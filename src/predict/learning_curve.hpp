@@ -88,30 +88,26 @@ struct BasisFit {
 /// The residual-weighted combination + confidence step shared by
 /// LearningCurvePredictor::predict_at and the PredictionService. Bitwise
 /// identical to the historical inline computation.
-CurvePrediction combine_fits(const std::vector<BasisFit>& fits, double residual_scale);
+CurvePrediction combine_fits(const std::vector<BasisFit>& fits);
 
 }  // namespace curve_detail
 
-struct LearningCurveConfig {
-  std::size_t min_observations = 3;  ///< below this, predict_at falls back
-  double residual_scale = 0.02;      ///< basis-weighting bandwidth (accuracy units)
-};
+/// Fewest observations a curve is fitted to; below this, predict_at falls
+/// back to the last observation.
+inline constexpr std::size_t kMinCurveObservations = 3;
+/// Confidence bandwidth of combine_fits, in accuracy units.
+inline constexpr double kCurveResidualScale = 0.02;
 
 class LearningCurvePredictor {
  public:
-  explicit LearningCurvePredictor(const LearningCurveConfig& config = {});
-
   /// `observed[i]` = accuracy after iteration i+1. Predicts the accuracy
   /// at `target_iteration` (1-based, may be <= observed.size() for
-  /// interpolation checks). With fewer than min_observations points, the
-  /// prediction is the last observation with zero confidence.
+  /// interpolation checks). With fewer than kMinCurveObservations points,
+  /// the prediction is the last observation with zero confidence.
   CurvePrediction predict_at(std::span<const double> observed, int target_iteration) const;
 
   /// Names of the basis curves (diagnostics/tests).
   static std::vector<std::string> basis_names();
-
- private:
-  LearningCurveConfig config_;
 };
 
 }  // namespace mlfs

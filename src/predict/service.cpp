@@ -3,61 +3,21 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "common/expect.hpp"
 
 namespace mlfs {
 
-void PredictConfig::validate() const {
-  if (warm_step_scale <= 0.0) {
-    throw ContractViolation("PredictConfig: warm_step_scale must be > 0");
-  }
-  if (warm_step_floor <= 0.0 || warm_step_floor > 0.25) {
-    throw ContractViolation("PredictConfig: warm_step_floor must be in (0, 0.25]");
-  }
-  if (restart_budget < 0) {
-    throw ContractViolation("PredictConfig: restart_budget must be >= 0");
-  }
-  if (regression_factor < 1.0) {
-    throw ContractViolation("PredictConfig: regression_factor must be >= 1");
-  }
-  if (regression_epsilon < 0.0) {
-    throw ContractViolation("PredictConfig: regression_epsilon must be >= 0");
-  }
-  if (settle_factor < 1.0) {
-    throw ContractViolation("PredictConfig: settle_factor must be >= 1");
-  }
-  if (settle_epsilon < 0.0) {
-    throw ContractViolation("PredictConfig: settle_epsilon must be >= 0");
-  }
-  if (freeze_weight_threshold < 0.0 || freeze_weight_threshold >= 1.0) {
-    throw ContractViolation("PredictConfig: freeze_weight_threshold must be in [0, 1)");
-  }
-  if (freeze_streak < 1) {
-    throw ContractViolation("PredictConfig: freeze_streak must be >= 1");
-  }
-  if (freeze_min_links < 1) {
-    throw ContractViolation("PredictConfig: freeze_min_links must be >= 1");
-  }
-  if (coarsen_head < 3) {
-    throw ContractViolation("PredictConfig: coarsen_head must be >= 3");
-  }
-  if (coarsen_per_octave < 1) {
-    throw ContractViolation("PredictConfig: coarsen_per_octave must be >= 1");
-  }
-}
-
-PredictionService::PredictionService(const PredictConfig& config, int check_interval,
-                                     const LearningCurveConfig& curve_config)
-    : config_(config), check_interval_(check_interval), curve_config_(curve_config) {
-  config_.validate();
+PredictionService::PredictionService(int check_interval, bool coarsen)
+    : check_interval_(check_interval), coarsen_(coarsen) {
   MLFS_EXPECT(check_interval_ >= 1);
 }
 
 int PredictionService::first_link() const {
   // Smallest multiple of the check interval that passes the engine's
   // OptStop gate (done >= 3) and carries enough points to fit.
-  const int least = std::max(3, static_cast<int>(curve_config_.min_observations));
+  const int least = std::max(3, static_cast<int>(kMinCurveObservations));
   return ((least + check_interval_ - 1) / check_interval_) * check_interval_;
 }
 
@@ -110,8 +70,8 @@ void PredictionService::fit_link(JobState& st, int done) {
   const std::span<const double> obs(st.observed.data(), static_cast<std::size_t>(done));
   std::vector<double> xs, ys;
   curve_detail::FitPoints points{obs};
-  if (config_.coarsen && done > config_.coarsen_head) {
-    build_coarse_points(obs, config_.coarsen_head, config_.coarsen_per_octave, xs, ys);
+  if (coarsen_ && done > kCoarsenHead) {
+    build_coarse_points(obs, kCoarsenHead, kCoarsenPerOctave, xs, ys);
     points = {ys, xs};
   }
 
@@ -141,7 +101,7 @@ void PredictionService::fit_link(JobState& st, int done) {
       res = fit(basis.init, kColdStep);
       ++stats_.fits_cold;
       out.restarts = 0;
-    } else if (pb->restarts >= config_.restart_budget) {
+    } else if (pb->restarts >= kRestartBudget) {
       // Budget spent: this basis regresses chronically under warm starts;
       // one cold fit per link beats warm-then-cold double fits.
       res = fit(basis.init, kColdStep);
@@ -152,7 +112,7 @@ void PredictionService::fit_link(JobState& st, int done) {
       // prefix, carry them forward for one objective evaluation.
       ++stats_.nm_objective_evals;
       const double probe = curve_detail::fit_residual(basis, pb->params, points);
-      if (probe <= config_.settle_factor * pb->value + config_.settle_epsilon) {
+      if (probe <= kSettleFactor * pb->value + kSettleEpsilon) {
         out.params = pb->params;
         out.value = probe;
         out.rmse = std::sqrt(std::max(probe, 0.0));
@@ -163,12 +123,11 @@ void PredictionService::fit_link(JobState& st, int done) {
         const double step =
             pb->drift < 0.0
                 ? kColdStep
-                : std::clamp(config_.warm_step_scale * pb->drift, config_.warm_step_floor,
-                             kColdStep);
+                : std::clamp(kWarmStepScale * pb->drift, kWarmStepFloor, kColdStep);
         res = fit(pb->params, step);
         ++stats_.fits_warm;
         out.restarts = pb->restarts;
-        if (res.value > config_.regression_factor * pb->value + config_.regression_epsilon) {
+        if (res.value > kRegressionFactor * pb->value + kRegressionEpsilon) {
           curve_detail::FitResult cold = fit(basis.init, kColdStep);
           ++stats_.fits_cold;
           ++out.restarts;
@@ -210,12 +169,12 @@ void PredictionService::fit_link(JobState& st, int done) {
   for (std::size_t bi = 0; bi < rec.basis.size(); ++bi) {
     BasisFitRec& b = rec.basis[bi];
     if (b.frozen) continue;
-    if (bi != best && weights[bi] / weight_sum < config_.freeze_weight_threshold) {
+    if (bi != best && weights[bi] / weight_sum < kFreezeWeightThreshold) {
       ++b.low_streak;
     } else {
       b.low_streak = 0;
     }
-    if (link_index >= config_.freeze_min_links && b.low_streak >= config_.freeze_streak) {
+    if (link_index >= kFreezeMinLinks && b.low_streak >= kFreezeStreak) {
       b.frozen = true;
     }
   }
@@ -248,7 +207,7 @@ CurvePrediction PredictionService::prediction_from(const LinkRecord& rec, int ta
     fits[bi].prediction = std::clamp(
         bs[bi].eval(rec.basis[bi].params, static_cast<double>(target)), 0.0, 1.0);
   }
-  return curve_detail::combine_fits(fits, curve_config_.residual_scale);
+  return curve_detail::combine_fits(fits);
 }
 
 CurvePrediction PredictionService::predict_at_max(const Job& job) {
@@ -260,42 +219,25 @@ CurvePrediction PredictionService::predict_at_max(const Job& job) {
     return {done <= 0 ? 0.0 : job.curve().accuracy_at(done), 0.0};
   }
 
-  if (config_.enabled) {
-    JobState& st = states_[job.id()];
-    if (st.memo_valid && st.memo_done == link && st.memo_target == target) {
-      ++stats_.cache_hits;
-      return st.memo;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    backfill(st, job, done);
-    const LinkRecord* rec = advance_links(st, link);
-    const CurvePrediction out = prediction_from(*rec, target);
-    st.memo_valid = true;
-    st.memo_done = link;
-    st.memo_target = target;
-    st.memo = out;
-    stats_.fit_wall_ms +=
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return out;
+  JobState& st = states_[job.id()];
+  if (st.memo_valid && st.memo_done == link && st.memo_target == target) {
+    ++stats_.cache_hits;
+    return st.memo;
   }
-
-  // Legacy cold-fit path: rebuild the observation vector (the historical
-  // O(done) copy) and recompute the whole chain from scratch — identical
-  // arithmetic, nothing cached.
   const auto t0 = std::chrono::steady_clock::now();
-  JobState scratch;
-  backfill(scratch, job, done);
-  const LinkRecord* rec = advance_links(scratch, link);
+  backfill(st, job, done);
+  const LinkRecord* rec = advance_links(st, link);
   const CurvePrediction out = prediction_from(*rec, target);
+  st.memo_valid = true;
+  st.memo_done = link;
+  st.memo_target = target;
+  st.memo = out;
   stats_.fit_wall_ms +=
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-          .count();
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   return out;
 }
 
 void PredictionService::on_iteration_complete(const Job& job) {
-  if (!config_.enabled) return;
   if (job.active_policy() != StopPolicy::OptStop) return;
   backfill(states_[job.id()], job, job.completed_iterations());
 }
@@ -339,27 +281,55 @@ void PredictionService::save_state(io::BinWriter& w) const {
   }
 }
 
-void PredictionService::restore_state(io::BinReader& r) {
-  stats_.fits_cold = static_cast<std::size_t>(r.u64());
-  stats_.fits_warm = static_cast<std::size_t>(r.u64());
-  stats_.cache_hits = static_cast<std::size_t>(r.u64());
-  stats_.nm_objective_evals = static_cast<std::size_t>(r.u64());
-  stats_.fit_wall_ms = r.f64();
-  states_.clear();
+PredictionService::SavedState PredictionService::read_state(io::BinReader& r) const {
+  SavedState saved;
+  PredictStats& stats = saved.stats;
+  stats.fits_cold = static_cast<std::size_t>(r.u64());
+  stats.fits_warm = static_cast<std::size_t>(r.u64());
+  stats.cache_hits = static_cast<std::size_t>(r.u64());
+  stats.nm_objective_evals = static_cast<std::size_t>(r.u64());
+  stats.fit_wall_ms = r.f64();
+  const auto& bs = curve_detail::bases();
   const std::uint64_t jobs = r.u64();
   for (std::uint64_t j = 0; j < jobs; ++j) {
     const JobId id = static_cast<JobId>(r.u64());
+    if (!saved.states.empty() && id <= saved.states.rbegin()->first) {
+      throw ContractViolation("predict: job " + std::to_string(id) +
+                              " is not in ascending id order");
+    }
     JobState st;
     st.observed = r.vec_f64();
     const std::uint64_t links = r.u64();
-    st.links.reserve(static_cast<std::size_t>(links));
     for (std::uint64_t l = 0; l < links; ++l) {
+      // The chain is contiguous from the first canonical link (only whole
+      // jobs are ever evicted), and every link is covered by observations.
+      const std::int64_t done = r.i64();
+      const std::int64_t want =
+          first_link() + static_cast<std::int64_t>(l) * check_interval_;
+      if (done != want || done > static_cast<std::int64_t>(st.observed.size())) {
+        throw ContractViolation("predict: job " + std::to_string(id) + " link " +
+                                std::to_string(l) + " at done=" + std::to_string(done) +
+                                " is not the canonical point " + std::to_string(want) +
+                                " within " + std::to_string(st.observed.size()) +
+                                " observations");
+      }
       LinkRecord rec;
-      rec.done = static_cast<int>(r.i64());
+      rec.done = static_cast<int>(done);
       const std::uint64_t nb = r.u64();
-      rec.basis.resize(static_cast<std::size_t>(nb));
-      for (BasisFitRec& b : rec.basis) {
+      if (nb != bs.size()) {
+        throw ContractViolation("predict: job " + std::to_string(id) + " link at done=" +
+                                std::to_string(rec.done) + " has " + std::to_string(nb) +
+                                " basis records, want " + std::to_string(bs.size()));
+      }
+      rec.basis.resize(bs.size());
+      for (std::size_t bi = 0; bi < bs.size(); ++bi) {
+        BasisFitRec& b = rec.basis[bi];
         b.params = r.vec_f64();
+        if (b.params.size() != bs[bi].init.size()) {
+          throw ContractViolation("predict: job " + std::to_string(id) + " " + bs[bi].name +
+                                  " params have " + std::to_string(b.params.size()) +
+                                  " values, want " + std::to_string(bs[bi].init.size()));
+        }
         b.rmse = r.f64();
         b.value = r.f64();
         b.drift = r.f64();
@@ -374,8 +344,14 @@ void PredictionService::restore_state(io::BinReader& r) {
     st.memo_target = static_cast<int>(r.i64());
     st.memo.accuracy = r.f64();
     st.memo.confidence = r.f64();
-    states_.emplace(id, std::move(st));
+    saved.states.emplace_hint(saved.states.end(), id, std::move(st));
   }
+  return saved;
+}
+
+void PredictionService::restore_state(SavedState saved) {
+  stats_ = saved.stats;
+  states_ = std::move(saved.states);
 }
 
 }  // namespace mlfs

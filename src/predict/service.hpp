@@ -14,37 +14,30 @@
 //    point;
 //  * link j > 1, per basis: first a settled-fit probe — the previous
 //    link's params are re-evaluated on the new prefix (one objective
-//    evaluation); if the residual has not degraded past settle_factor ×
-//    previous value (+ settle_epsilon) the params carry forward without
+//    evaluation); if the residual has not degraded past kSettleFactor ×
+//    previous value (+ kSettleEpsilon) the params carry forward without
 //    refitting. Otherwise a warm fit seeded from the previous
 //    link's fitted params with initial_step derived from the previous
 //    parameter drift; if the warm residual regresses past
-//    regression_factor × previous value the cold fit is also computed and
-//    wins if better (a "restart", bounded by restart_budget — once the
+//    kRegressionFactor × previous value the cold fit is also computed and
+//    wins if better (a "restart", bounded by kRestartBudget — once the
 //    budget is spent the basis is refit cold directly, with no settle
 //    probe);
 //  * basis freezing: a non-best basis whose combination weight stays below
-//    freeze_weight_threshold for freeze_streak consecutive links (after
-//    freeze_min_links) stops being refit; its last (params, rmse) keep
+//    kFreezeWeightThreshold for kFreezeStreak consecutive links (after
+//    kFreezeMinLinks) stops being refit; its last (params, rmse) keep
 //    participating in the weighted prediction.
 //
-// The chain is a pure function of the observation prefix and the config, so
-// it is computed identically by two modes:
-//
-//  * enabled (the service): per-job incremental state — one new link per
-//    check, memoized predictions for repeated (job, done, target) queries,
-//    stored links reused verbatim on rollback re-entry;
-//  * disabled ("legacy cold-fit path"): stateless — the observation vector
-//    is rebuilt (O(done)) and every chain link recomputed from scratch at
-//    every check.
-//
-// Both therefore produce byte-identical predictions, decisions, and event
-// streams; the service differs only in cost (bench_largescale gates the
-// Nelder-Mead evaluation reduction and wall-clock share). Observation
-// coarsening (opt-in) is the one *approximating* mode: it subsamples the
-// tail of long observation prefixes logarithmically and changes results,
-// so it participates in the engine config fingerprint and is fuzzed under
-// equivalence-of-invariants, not hash equality.
+// The chain is a pure function of the observation prefix and the coarsen
+// setting. The service keeps per-job incremental state — one new link per
+// check, memoized predictions for repeated (job, done, target) queries,
+// stored links reused verbatim on rollback re-entry — so a freshly
+// constructed service, which has to fit the whole chain from scratch, is
+// the stateless reference it must match bit for bit (the tests compare
+// against one). Observation coarsening (opt-in) is the one *approximating*
+// mode: it subsamples the tail of long observation prefixes logarithmically
+// and changes results, so it participates in the engine config
+// fingerprint.
 //
 // Observation buffers never shrink: entry i is the ground-truth
 // LossCurve::accuracy_at(i + 1), a pure function of the index, so a fault
@@ -63,54 +56,6 @@
 
 namespace mlfs {
 
-struct PredictConfig {
-  /// Incremental service on (default). Off = the legacy stateless
-  /// cold-fit path: identical results, no caching, full chain recompute
-  /// per check.
-  bool enabled = true;
-
-  // Warm-start policy: initial simplex step for link j seeded from the
-  // previous link's params is clamp(warm_step_scale × drift_{j-1},
-  // warm_step_floor, 0.25); the first warm link (no drift yet) uses the
-  // cold default step 0.25.
-  double warm_step_scale = 4.0;
-  double warm_step_floor = 0.02;
-
-  /// Cold-restart budget per (job, basis): a warm fit whose objective
-  /// regresses past regression_factor × previous value (+ epsilon) also
-  /// runs the cold fit and takes the better result, consuming one restart;
-  /// with the budget spent the basis is simply refit cold each link.
-  int restart_budget = 4;
-  double regression_factor = 1.5;
-  double regression_epsilon = 1e-10;
-
-  /// Settled-fit carry-forward: before warm-fitting link j the previous
-  /// link's params are re-evaluated on the new prefix; a residual within
-  /// settle_factor × previous value (+ settle_epsilon) means the fit still
-  /// explains the data and carries forward for one objective evaluation
-  /// instead of a full Nelder-Mead run. The epsilon floor lets
-  /// numerically-exact fits (residual ~ 0) settle despite large relative
-  /// wobble.
-  double settle_factor = 1.5;
-  double settle_epsilon = 1e-12;
-
-  // Basis freezing (see file comment).
-  double freeze_weight_threshold = 0.005;
-  int freeze_streak = 2;
-  int freeze_min_links = 3;
-
-  /// Opt-in observation coarsening for very long jobs: the first
-  /// coarsen_head observations are kept exactly; the tail keeps
-  /// ~coarsen_per_octave log-spaced points per octave plus always the
-  /// last observation. Changes results (approximation mode).
-  bool coarsen = false;
-  int coarsen_head = 32;
-  int coarsen_per_octave = 8;
-
-  /// Throws ContractViolation on invalid values.
-  void validate() const;
-};
-
 /// Run-long counters surfaced through RunMetrics. All except fit_wall_ms
 /// are deterministic per config (and participate in deterministic_equal);
 /// fit_wall_ms is a real clock.
@@ -124,8 +69,37 @@ struct PredictStats {
 
 class PredictionService {
  public:
-  PredictionService(const PredictConfig& config, int check_interval,
-                    const LearningCurveConfig& curve_config = {});
+  // Fixed tuning of the fit chain (see the file comment and DESIGN.md §5d).
+  /// Warm-start step for link j: clamp(kWarmStepScale × drift_{j-1},
+  /// kWarmStepFloor, 0.25); the first warm link (no drift yet) uses the
+  /// cold default step 0.25.
+  static constexpr double kWarmStepScale = 4.0;
+  static constexpr double kWarmStepFloor = 0.02;
+  /// Cold restarts per (job, basis): a warm fit whose objective regresses
+  /// past kRegressionFactor × previous value (+ epsilon) also runs the
+  /// cold fit and takes the better result, consuming one restart; with the
+  /// budget spent the basis is simply refit cold each link.
+  static constexpr int kRestartBudget = 4;
+  static constexpr double kRegressionFactor = 1.5;
+  static constexpr double kRegressionEpsilon = 1e-10;
+  /// Settled-fit carry-forward: a probe residual within kSettleFactor ×
+  /// previous value (+ kSettleEpsilon) keeps the previous params for one
+  /// objective evaluation. The epsilon floor lets numerically exact fits
+  /// (residual ~ 0) settle despite large relative wobble.
+  static constexpr double kSettleFactor = 1.5;
+  static constexpr double kSettleEpsilon = 1e-12;
+  static constexpr double kFreezeWeightThreshold = 0.005;
+  static constexpr int kFreezeStreak = 2;
+  static constexpr int kFreezeMinLinks = 3;
+  /// Coarsening keeps the first kCoarsenHead observations exactly; the
+  /// tail keeps ~kCoarsenPerOctave log-spaced points per octave plus
+  /// always the last observation.
+  static constexpr int kCoarsenHead = 32;
+  static constexpr int kCoarsenPerOctave = 8;
+
+  /// `coarsen` turns on observation coarsening for long jobs (changes
+  /// results; EngineConfig::coarsen_curve).
+  explicit PredictionService(int check_interval, bool coarsen = false);
 
   /// OptStop substrate: prediction at job.spec().max_iterations given the
   /// job's completed iterations, under the chain-canonical semantics
@@ -134,8 +108,8 @@ class PredictionService {
   CurvePrediction predict_at_max(const Job& job);
 
   /// Appends newly available observations for an OptStop job (no-op when
-  /// the service is disabled or the job's active policy is not OptStop —
-  /// a later policy downgrade backfills lazily at query time).
+  /// the job's active policy is not OptStop — a later policy downgrade
+  /// backfills lazily at query time).
   void on_iteration_complete(const Job& job);
 
   /// Terminal-state hooks: completion feeds the runtime predictor's
@@ -166,7 +140,6 @@ class PredictionService {
   RuntimePredictor& runtime() { return runtime_; }
   const RuntimePredictor& runtime() const { return runtime_; }
 
-  const PredictConfig& config() const { return config_; }
   const PredictStats& stats() const { return stats_; }
   int check_interval() const { return check_interval_; }
   /// Smallest canonical chain link (first OptStop check point).
@@ -203,14 +176,26 @@ class PredictionService {
     int memo_target = 0;
     CurvePrediction memo;
   };
-  /// Live per-job curve-fit state (empty while disabled — the audit's
-  /// zero-when-disabled contract).
+  /// Live per-job curve-fit state.
   const std::map<JobId, JobState>& cached_states() const { return states_; }
 
   /// Snapshot hooks: curve-fit caches + counters. The runtime predictor
   /// serializes separately (SimEngine's stable "predictor" section).
+  /// Restoring is two steps so a caller can decode before it changes any
+  /// other state: read_state checks the payload without touching the
+  /// service, restore_state installs it.
+  struct SavedState {
+    PredictStats stats;
+    std::map<JobId, JobState> states;
+  };
   void save_state(io::BinWriter& w) const;
-  void restore_state(io::BinReader& r);
+  /// Throws ContractViolation on a payload the fit code would misread: job
+  /// ids not strictly ascending, a link chain that is not the contiguous
+  /// canonical sequence from first_link() within the job's observations, a
+  /// basis count other than bases().size(), or a params vector whose length
+  /// is not its basis' arity.
+  SavedState read_state(io::BinReader& r) const;
+  void restore_state(SavedState saved);
 
  private:
   /// Ensures `st` holds ground-truth observations through iteration
@@ -223,9 +208,8 @@ class PredictionService {
   void fit_link(JobState& st, int done);
   CurvePrediction prediction_from(const LinkRecord& rec, int target) const;
 
-  PredictConfig config_;
   int check_interval_;
-  LearningCurveConfig curve_config_;
+  bool coarsen_;
   RuntimePredictor runtime_;
   std::map<JobId, JobState> states_;
   PredictStats stats_;

@@ -649,15 +649,6 @@ void SimAuditor::check_jobs() const {
 void SimAuditor::check_prediction_service() const {
   const PredictionService& svc = engine_.prediction_;
   const Cluster& cluster = engine_.cluster_;
-  if (!engine_.config_.predict.enabled) {
-    if (!svc.cached_states().empty()) {
-      fail("prediction-cache", "service disabled but " +
-                                   std::to_string(svc.cached_states().size()) +
-                                   " job states are cached");
-    }
-    return;
-  }
-  const PredictConfig& pc = svc.config();
   const std::size_t basis_count = curve_detail::bases().size();
   for (const auto& [id, st] : svc.cached_states()) {
     if (id >= cluster.job_count()) {
@@ -704,8 +695,8 @@ void SimAuditor::check_prediction_service() const {
                                          std::to_string(rec.done));
           }
         }
-        if (!(b.rmse >= 0.0) || b.restarts < 0 || b.restarts > pc.restart_budget ||
-            b.low_streak < 0) {
+        if (!(b.rmse >= 0.0) || b.restarts < 0 ||
+            b.restarts > PredictionService::kRestartBudget || b.low_streak < 0) {
           fail("prediction-cache", "job " + std::to_string(id) + " basis fit at done=" +
                                        std::to_string(rec.done) +
                                        " violates rmse/restart/streak bounds");
@@ -898,18 +889,12 @@ void SimAuditor::check_metrics(const RunMetrics& m) const {
     fail_m("contention slowdown " + std::to_string(m.contention_slowdown_seconds) +
            " outside [0, link_busy_seconds]");
   }
-  // Prediction-service ledger: RunMetrics mirrors the service counters,
-  // and the cache counter is zero on the legacy cold-fit path (which
-  // recomputes every chain from scratch and caches nothing; the chain
-  // itself still warm-starts links internally, so fits_warm survives).
+  // Prediction-service ledger: RunMetrics mirrors the service counters.
   const PredictStats& ps = engine_.prediction_.stats();
   if (m.fits_cold != ps.fits_cold || m.fits_warm != ps.fits_warm ||
       m.prediction_cache_hits != ps.cache_hits ||
       m.nm_objective_evals != ps.nm_objective_evals) {
     fail_m("prediction counters do not reconcile with the service's stats");
-  }
-  if (!engine_.config_.predict.enabled && m.prediction_cache_hits != 0) {
-    fail_m("prediction cache hits are nonzero but the service is disabled");
   }
 }
 

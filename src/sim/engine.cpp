@@ -66,7 +66,7 @@ SimEngine::SimEngine(const ClusterConfig& cluster_config, const EngineConfig& en
       rng_(engine_config.seed),
       fault_rng_(engine_config.seed ^ 0xfa17f5eedULL),
       recovery_rng_(engine_config.seed ^ 0x4ec0fe41eadULL),
-      prediction_(engine_config.predict, engine_config.optstop_check_interval) {
+      prediction_(engine_config.optstop_check_interval, engine_config.coarsen_curve) {
   config_.fault.validate(cluster_config_.servers_per_rack);
   config_.recovery.validate();
   for (const JobSpec& spec : specs) spec.validate();

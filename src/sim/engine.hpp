@@ -100,11 +100,11 @@ struct EngineConfig {
   double optstop_near_max_fraction = 0.99;  ///< stop when acc >= frac × predicted max
   double optstop_confidence_threshold = 0.6;  ///< needed to stop a hopeless job early
 
-  /// Prediction subsystem (predict/service.hpp): incremental, memoized,
-  /// warm-started curve fitting behind the OptStop checks and the
-  /// scheduler-facing prediction substrate. enabled = false selects the
-  /// legacy stateless cold-fit path (byte-identical results, no caching).
-  PredictConfig predict;
+  /// Opt-in observation coarsening in the prediction service
+  /// (predict/service.hpp), which fits the OptStop learning curves
+  /// incrementally: long observation tails are log-subsampled before each
+  /// fit. Changes results (an approximation mode).
+  bool coarsen_curve = false;
 
   /// Watchdog: if nothing runs for this many consecutive ticks while tasks
   /// wait, the most-incomplete partially-placed job is evicted to unwedge

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -143,24 +144,25 @@ std::uint64_t SimEngine::compute_config_fingerprint() const {
   w.i64(rc.max_checkpoint_interval);
   w.boolean(rc.spread_placement);
 
-  // Prediction service: every field shapes the fit chains (enabled /
-  // legacy produce identical results but different cached state and
-  // counters; coarsening changes results outright).
-  const PredictConfig& pc = config_.predict;
-  w.boolean(pc.enabled);
-  w.f64(pc.warm_step_scale);
-  w.f64(pc.warm_step_floor);
-  w.i64(pc.restart_budget);
-  w.f64(pc.regression_factor);
-  w.f64(pc.regression_epsilon);
-  w.f64(pc.settle_factor);
-  w.f64(pc.settle_epsilon);
-  w.f64(pc.freeze_weight_threshold);
-  w.i64(pc.freeze_streak);
-  w.i64(pc.freeze_min_links);
-  w.boolean(pc.coarsen);
-  w.i64(pc.coarsen_head);
-  w.i64(pc.coarsen_per_octave);
+  // Prediction service. The fit-chain tuning used to be settable and was
+  // fingerprinted here; its constants (and a true byte where the removed
+  // service on/off switch stood) keep the bytes, and so the fingerprints of
+  // older snapshots, unchanged. Coarsening changes results outright.
+  using PS = PredictionService;
+  w.boolean(true);
+  w.f64(PS::kWarmStepScale);
+  w.f64(PS::kWarmStepFloor);
+  w.i64(PS::kRestartBudget);
+  w.f64(PS::kRegressionFactor);
+  w.f64(PS::kRegressionEpsilon);
+  w.f64(PS::kSettleFactor);
+  w.f64(PS::kSettleEpsilon);
+  w.f64(PS::kFreezeWeightThreshold);
+  w.i64(PS::kFreezeStreak);
+  w.i64(PS::kFreezeMinLinks);
+  w.boolean(config_.coarsen_curve);
+  w.i64(PS::kCoarsenHead);
+  w.i64(PS::kCoarsenPerOctave);
 
   w.str(scheduler_.name());
   w.str(load_controller_ != nullptr ? load_controller_->name() : std::string());
@@ -307,6 +309,16 @@ void SimEngine::restore_snapshot(std::istream& is) {
     throw SnapshotError("links", 0,
                         "links section presence does not match the link-contention config");
   }
+  // Decoded (and checked) up front, installed in section order below.
+  PredictionService::SavedState predict_state;
+  {
+    io::BinReader r = snap.section("predict");
+    try {
+      predict_state = prediction_.read_state(r);
+    } catch (const ContractViolation& e) {
+      throw SnapshotError("predict", r.pos(), e.what());
+    }
+  }
 
   {
     // Injected jobs first: registering them re-grows the cluster/engine to
@@ -424,10 +436,7 @@ void SimEngine::restore_snapshot(std::istream& is) {
     io::BinReader r = snap.section("predictor");
     prediction_.runtime().restore_state(r);
   }
-  {
-    io::BinReader r = snap.section("predict");
-    prediction_.restore_state(r);
-  }
+  prediction_.restore_state(std::move(predict_state));
 
   {
     std::istringstream payload = section_stream(snap, "scheduler");

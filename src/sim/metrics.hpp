@@ -101,7 +101,7 @@ struct RunMetrics {
   // -- prediction service (predict/service.hpp) --
   std::size_t fits_cold = 0;           ///< curve fits from the basis' init point
   std::size_t fits_warm = 0;           ///< fits seeded from a previous chain link
-  std::size_t prediction_cache_hits = 0;  ///< memo / stored-link reuse (0 when disabled)
+  std::size_t prediction_cache_hits = 0;  ///< memo / stored-link reuse (no fitting at all)
   std::size_t nm_objective_evals = 0;  ///< residual evaluations across all fits and probes
   /// Wall-clock spent fitting/combining curve predictions (real clock —
   /// excluded from deterministic_equal, like sched_overhead_ms).

@@ -74,7 +74,7 @@ TEST(FitRecovery, WarmStartedChainRecoversLikeColdFits) {
   spec.seed = 7;
   Job job = std::move(ModelZoo::instantiate(spec, 0).job);
 
-  PredictionService service({}, /*check_interval=*/4);
+  PredictionService service(/*check_interval=*/4);
   CurvePrediction chain_tip{0.0, 0.0};
   for (int i = 0; i < 40; ++i) {
     job.complete_iteration();

@@ -1,15 +1,24 @@
 // PredictionService (predict/service.hpp): the incremental memoized
-// service must be byte-identical to the legacy stateless cold-fit path
-// (chain-canonical semantics), reuse stored links on rollback re-entry,
+// service must be byte-identical to the stateless reference — a freshly
+// constructed service, which fits the whole chain from scratch — at every
+// check point (chain-canonical semantics), also inside a faulty engine run
+// with a mid-run restore; it must reuse stored links on rollback re-entry,
 // memoize repeated queries, evict terminal jobs, survive a snapshot
-// round-trip bit-exactly, and reject invalid configurations.
+// round-trip bit-exactly, and reject a snapshot payload it would misread.
 #include "predict/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "common/expect.hpp"
+#include "exp/runner.hpp"
+#include "sim/engine.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace mlfs {
@@ -38,36 +47,14 @@ void advance(Job& job, PredictionService& svc, int iterations) {
   }
 }
 
-TEST(PredictConfigValidate, RejectsInvalidFields) {
-  const auto expect_reject = [](auto&& mutate) {
-    PredictConfig config;
-    mutate(config);
-    EXPECT_THROW(config.validate(), ContractViolation);
-  };
-  expect_reject([](PredictConfig& c) { c.warm_step_scale = 0.0; });
-  expect_reject([](PredictConfig& c) { c.warm_step_floor = 0.0; });
-  expect_reject([](PredictConfig& c) { c.warm_step_floor = 0.3; });
-  expect_reject([](PredictConfig& c) { c.restart_budget = -1; });
-  expect_reject([](PredictConfig& c) { c.regression_factor = 0.9; });
-  expect_reject([](PredictConfig& c) { c.regression_epsilon = -1e-9; });
-  expect_reject([](PredictConfig& c) { c.settle_factor = 0.9; });
-  expect_reject([](PredictConfig& c) { c.settle_epsilon = -1e-12; });
-  expect_reject([](PredictConfig& c) { c.freeze_weight_threshold = 1.0; });
-  expect_reject([](PredictConfig& c) { c.freeze_streak = 0; });
-  expect_reject([](PredictConfig& c) { c.freeze_min_links = 0; });
-  expect_reject([](PredictConfig& c) { c.coarsen_head = 2; });
-  expect_reject([](PredictConfig& c) { c.coarsen_per_octave = 0; });
-  EXPECT_NO_THROW(PredictConfig{}.validate());
-}
-
 TEST(PredictionService, CanonicalLinkArithmetic) {
-  const PredictionService svc({}, /*check_interval=*/5);
-  // min_observations = 3 → first check point at or after 3 on the 5-grid.
+  const PredictionService svc(/*check_interval=*/5);
+  // kMinCurveObservations = 3 → first check point at or after 3 on the 5-grid.
   EXPECT_EQ(svc.first_link(), 5);
   EXPECT_EQ(svc.quantize(4), 0);   // before the first link: fallback regime
   EXPECT_EQ(svc.quantize(5), 5);
   EXPECT_EQ(svc.quantize(14), 10);
-  const PredictionService unit({}, /*check_interval=*/1);
+  const PredictionService unit(/*check_interval=*/1);
   EXPECT_EQ(unit.first_link(), 3);
   EXPECT_EQ(unit.quantize(2), 0);
   EXPECT_EQ(unit.quantize(3), 3);
@@ -75,36 +62,32 @@ TEST(PredictionService, CanonicalLinkArithmetic) {
 
 TEST(PredictionService, MatchesLegacyColdFitPathBitwise) {
   // The tentpole equivalence: at every OptStop check point the service's
-  // incremental warm-started chain must reproduce the legacy stateless
-  // recompute bit for bit.
+  // incremental warm-started chain must reproduce a fresh service's
+  // from-scratch recompute bit for bit.
   for (const int interval : {1, 4}) {
-    Job a = make_job();
-    Job b = make_job();
-    PredictConfig on;
-    PredictConfig off;
-    off.enabled = false;
-    PredictionService service(on, interval);
-    PredictionService legacy(off, interval);
-    for (int i = 0; i < a.spec().max_iterations; ++i) {
-      advance(a, service, 1);
-      advance(b, legacy, 1);
-      if (a.completed_iterations() % interval != 0) continue;
-      const CurvePrediction ps = service.predict_at_max(a);
-      const CurvePrediction pl = legacy.predict_at_max(b);
-      EXPECT_EQ(ps.accuracy, pl.accuracy) << "done=" << a.completed_iterations();
-      EXPECT_EQ(ps.confidence, pl.confidence) << "done=" << a.completed_iterations();
+    Job job = make_job();
+    PredictionService service(interval);
+    std::size_t fresh_evals = 0;
+    for (int i = 0; i < job.spec().max_iterations; ++i) {
+      advance(job, service, 1);
+      if (job.completed_iterations() % interval != 0) continue;
+      PredictionService fresh(interval);
+      const CurvePrediction ps = service.predict_at_max(job);
+      const CurvePrediction pf = fresh.predict_at_max(job);
+      EXPECT_EQ(ps.accuracy, pf.accuracy) << "done=" << job.completed_iterations();
+      EXPECT_EQ(ps.confidence, pf.confidence) << "done=" << job.completed_iterations();
+      fresh_evals += fresh.stats().nm_objective_evals;
     }
     EXPECT_GT(service.stats().nm_objective_evals, 0u);
-    // The legacy path recomputes every chain prefix; the service fits each
+    // Fresh services recompute every chain prefix; the service fits each
     // link once, so it must do strictly less Nelder-Mead work.
-    EXPECT_LT(service.stats().nm_objective_evals, legacy.stats().nm_objective_evals);
-    EXPECT_TRUE(legacy.cached_states().empty());
+    EXPECT_LT(service.stats().nm_objective_evals, fresh_evals);
   }
 }
 
 TEST(PredictionService, BelowFirstLinkFallsBackToLastObservation) {
   Job job = make_job();
-  PredictionService svc({}, /*check_interval=*/5);
+  PredictionService svc(/*check_interval=*/5);
   const CurvePrediction empty = svc.predict_at_max(job);
   EXPECT_EQ(empty.accuracy, 0.0);
   EXPECT_EQ(empty.confidence, 0.0);
@@ -117,7 +100,7 @@ TEST(PredictionService, BelowFirstLinkFallsBackToLastObservation) {
 
 TEST(PredictionService, MemoizesRepeatedQueries) {
   Job job = make_job();
-  PredictionService svc({}, /*check_interval=*/3);
+  PredictionService svc(/*check_interval=*/3);
   advance(job, svc, 9);
   const CurvePrediction first = svc.predict_at_max(job);
   const std::size_t evals = svc.stats().nm_objective_evals;
@@ -134,7 +117,7 @@ TEST(PredictionService, RollbackReentryReusesStoredLinks) {
   // the chain is a pure function of the observation prefix, so the stored
   // link answers without any fitting.
   Job job = make_job();
-  PredictionService svc({}, /*check_interval=*/3);
+  PredictionService svc(/*check_interval=*/3);
   advance(job, svc, 6);
   const CurvePrediction at6 = svc.predict_at_max(job);
   advance(job, svc, 3);
@@ -150,7 +133,7 @@ TEST(PredictionService, RollbackReentryReusesStoredLinks) {
 TEST(PredictionService, TerminalJobsAreEvicted) {
   Job job = make_job();
   Job other = make_job(60, 0.85, 9.0, /*id=*/1);
-  PredictionService svc({}, /*check_interval=*/3);
+  PredictionService svc(/*check_interval=*/3);
   advance(job, svc, 6);
   advance(other, svc, 6);
   (void)svc.predict_at_max(job);
@@ -164,7 +147,7 @@ TEST(PredictionService, TerminalJobsAreEvicted) {
 
 TEST(PredictionService, SnapshotRoundTripIsBitExact) {
   Job job = make_job();
-  PredictionService svc({}, /*check_interval=*/3);
+  PredictionService svc(/*check_interval=*/3);
   advance(job, svc, 9);
   (void)svc.predict_at_max(job);
 
@@ -173,10 +156,10 @@ TEST(PredictionService, SnapshotRoundTripIsBitExact) {
     io::BinWriter w(bytes);
     svc.save_state(w);
   }
-  PredictionService restored({}, /*check_interval=*/3);
+  PredictionService restored(/*check_interval=*/3);
   {
     io::BinReader r(bytes);
-    restored.restore_state(r);
+    restored.restore_state(restored.read_state(r));
   }
   EXPECT_EQ(restored.stats().fits_cold, svc.stats().fits_cold);
   EXPECT_EQ(restored.stats().fits_warm, svc.stats().fits_warm);
@@ -202,36 +185,141 @@ TEST(PredictionService, SnapshotRoundTripIsBitExact) {
 
 TEST(PredictionService, CoarseningIsDeterministicAcrossModes) {
   // Coarsening changes the fit (approximation mode) but applies to the
-  // service and the legacy path alike, so the two still agree bit for bit
-  // — and the coarse fit must differ from the exact one on a long tail.
-  PredictConfig coarse_on;
-  coarse_on.coarsen = true;
-  coarse_on.coarsen_head = 8;
-  coarse_on.coarsen_per_octave = 4;
-  PredictConfig coarse_legacy = coarse_on;
-  coarse_legacy.enabled = false;
-
-  Job a = make_job(120);
-  Job b = make_job(120);
-  Job c = make_job(120);
-  PredictionService svc(coarse_on, /*check_interval=*/4);
-  PredictionService legacy(coarse_legacy, /*check_interval=*/4);
-  PredictionService exact({}, /*check_interval=*/4);
+  // incremental chain and a fresh service alike, so the two still agree
+  // bit for bit — and the coarse fit must differ from the exact one once
+  // the job is past the exactly-kept head. A slow-learning curve (large
+  // kappa) keeps the fits moving there; on a fast one every basis has
+  // settled or frozen by then, and both modes carry the same params.
+  constexpr int kIterations = 4 * PredictionService::kCoarsenHead;
+  Job a = make_job(kIterations, 0.85, /*kappa=*/1000.0);
+  Job c = make_job(kIterations, 0.85, /*kappa=*/1000.0);
+  PredictionService svc(/*check_interval=*/4, /*coarsen=*/true);
+  PredictionService exact(/*check_interval=*/4);
   bool coarse_diverged_from_exact = false;
-  for (int i = 0; i < 120; ++i) {
+  for (int i = 0; i < kIterations; ++i) {
     advance(a, svc, 1);
-    advance(b, legacy, 1);
     advance(c, exact, 1);
     if (a.completed_iterations() % 4 != 0) continue;
+    PredictionService fresh(/*check_interval=*/4, /*coarsen=*/true);
     const CurvePrediction ps = svc.predict_at_max(a);
-    const CurvePrediction pl = legacy.predict_at_max(b);
+    const CurvePrediction pf = fresh.predict_at_max(a);
     const CurvePrediction pe = exact.predict_at_max(c);
-    EXPECT_EQ(ps.accuracy, pl.accuracy) << "done=" << a.completed_iterations();
-    EXPECT_EQ(ps.confidence, pl.confidence) << "done=" << a.completed_iterations();
+    EXPECT_EQ(ps.accuracy, pf.accuracy) << "done=" << a.completed_iterations();
+    EXPECT_EQ(ps.confidence, pf.confidence) << "done=" << a.completed_iterations();
     if (ps.accuracy != pe.accuracy) coarse_diverged_from_exact = true;
   }
   EXPECT_TRUE(coarse_diverged_from_exact);
   EXPECT_GT(svc.stats().fits_cold + svc.stats().fits_warm, 0u);
+}
+
+/// Every field of one chain link, doubles by bit pattern.
+std::string link_bytes(const PredictionService::LinkRecord& rec) {
+  std::string out;
+  io::BinWriter w(out);
+  w.i64(rec.done);
+  for (const PredictionService::BasisFitRec& b : rec.basis) {
+    w.vec_f64(b.params);
+    w.f64(b.rmse);
+    w.f64(b.value);
+    w.f64(b.drift);
+    w.boolean(b.frozen);
+    w.i64(b.low_streak);
+    w.i64(b.restarts);
+  }
+  return out;
+}
+
+/// Checks one job's cached chain against a fresh service queried at the
+/// memoized check point: the memoized prediction and every stored link up
+/// to that point must be bitwise what the from-scratch chain computes.
+void expect_matches_fresh_service(const SimEngine& engine, JobId id,
+                                  const PredictionService::JobState& st) {
+  const PredictionService& svc = engine.prediction_service();
+  Job probe = engine.cluster().job(id);
+  probe.rollback_iterations(std::max(0, probe.completed_iterations() - st.memo_done));
+  while (probe.completed_iterations() < st.memo_done) probe.complete_iteration();
+  ASSERT_EQ(st.memo_target, probe.spec().max_iterations);
+
+  PredictionService fresh(svc.check_interval(), engine.config().coarsen_curve);
+  const CurvePrediction expected = fresh.predict_at_max(probe);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st.memo.accuracy),
+            std::bit_cast<std::uint64_t>(expected.accuracy))
+      << "job " << id << " done=" << st.memo_done;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st.memo.confidence),
+            std::bit_cast<std::uint64_t>(expected.confidence))
+      << "job " << id << " done=" << st.memo_done;
+  const std::vector<PredictionService::LinkRecord>& chain =
+      fresh.cached_states().at(id).links;
+  ASSERT_LE(chain.size(), st.links.size()) << "job " << id;
+  for (std::size_t l = 0; l < chain.size(); ++l) {
+    EXPECT_EQ(link_bytes(st.links[l]), link_bytes(chain[l]))
+        << "job " << id << " link at done=" << chain[l].done;
+  }
+}
+
+TEST(PredictionServiceEngine, StoredLinksMatchAFreshServiceAcrossRollbacksAndRestore) {
+  // OptStop jobs only, on a fleet whose crashes and kills roll jobs back
+  // to a checkpoint up to eleven iterations old — past more than one check
+  // point — so OptStop checks re-enter links the chain already holds. The
+  // engine is saved and restored into a fresh one mid-run. Every time a
+  // job's memoized prediction moves, it and the links under it are
+  // compared with a fresh service's.
+  exp::RunRequest r;
+  r.label = "chain-oracle";
+  r.cluster.server_count = 4;
+  r.cluster.gpus_per_server = 4;
+  r.engine.seed = 11;
+  r.engine.max_sim_time = hours(72.0);
+  r.engine.fault.server_mtbf_hours = 2.0;
+  r.engine.fault.task_kill_probability = 0.005;
+  r.engine.fault.checkpoint_interval_iterations = 12;
+  r.trace.num_jobs = 16;
+  r.trace.duration_hours = 1.0;
+  r.trace.seed = 3;
+  r.trace.max_gpu_request = 4;
+  r.trace.max_iterations = 160;
+  r.trace.policy_fixed_fraction = 0.0;
+  r.trace.policy_optstop_fraction = 1.0;
+  r.scheduler = "MLF-H";
+
+  exp::EngineBundle bundle = exp::build_engine(r);
+  std::map<JobId, std::tuple<bool, int, int>> seen;  // job -> last memo key
+  std::size_t checks = 0;
+  std::size_t reentries = 0;
+  const auto check_moved_memos = [&](const SimEngine& engine) {
+    for (const auto& [id, st] : engine.prediction_service().cached_states()) {
+      const std::tuple<bool, int, int> key{st.memo_valid, st.memo_done, st.memo_target};
+      auto it = seen.find(id);
+      if (it != seen.end() && it->second == key) continue;
+      if (it != seen.end() && st.memo_done < std::get<1>(it->second)) ++reentries;
+      seen[id] = key;
+      if (!st.memo_valid) continue;
+      expect_matches_fresh_service(engine, id, st);
+      ++checks;
+    }
+  };
+
+  constexpr int kRestoreAt = 1000;
+  for (int i = 0; i < kRestoreAt && bundle.engine->step(); ++i) {
+    check_moved_memos(*bundle.engine);
+  }
+  std::ostringstream saved(std::ios::binary);
+  bundle.engine->save_snapshot(saved);
+  exp::EngineBundle restored = exp::build_engine(r);
+  {
+    std::istringstream is(saved.str(), std::ios::binary);
+    restored.engine->restore_snapshot(is);
+  }
+  // Everything the restored service holds, checked once in full.
+  for (const auto& [id, st] : restored.engine->prediction_service().cached_states()) {
+    if (st.memo_valid) expect_matches_fresh_service(*restored.engine, id, st);
+  }
+  while (restored.engine->step()) check_moved_memos(*restored.engine);
+
+  const RunMetrics m = restored.engine->finalize();
+  EXPECT_GT(m.iterations_rolled_back, 0u);
+  EXPECT_GT(reentries, 0u);
+  EXPECT_GT(checks, 20u);
 }
 
 }  // namespace

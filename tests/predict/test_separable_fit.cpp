@@ -167,7 +167,7 @@ TEST(SeparableFit, IlogRecoversAnExactIlogCurve) {
 }
 
 TEST(SeparableFit, DegenerateInputsStayFiniteAndBounded) {
-  const std::size_t min_n = LearningCurveConfig{}.min_observations;
+  const std::size_t min_n = kMinCurveObservations;
   std::vector<std::pair<std::string, std::vector<double>>> inputs;
   inputs.emplace_back("constant", std::vector<double>(20, 0.42));
   std::vector<double> log_curve(40);  // pow3's optimum sits at alpha -> 0

@@ -113,9 +113,11 @@ TEST(FuzzSerde, RejectsOutOfRangeAndNegativeCountsAndBadFlags) {
 }
 
 TEST(FuzzSerde, RejectsArtifactsNamingRemovedSwitches) {
-  // The reference placement paths are gone; an old artifact that asks for
-  // one must fail loudly instead of silently running the production path.
-  for (const char* line : {"legacy_hot_path=1\n", "incremental_load_index=0\n"}) {
+  // The reference placement and cold-fit paths are gone; an old artifact
+  // that asks for one must fail loudly instead of silently running the
+  // production path.
+  for (const char* line : {"legacy_hot_path=1\n", "incremental_load_index=0\n",
+                           "predict_enabled=0\n", "service_equivalence_check=1\n"}) {
     std::istringstream in(std::string("servers=2\n") + line);
     try {
       parse_fuzz_case(in);

@@ -532,6 +532,284 @@ TEST(SnapshotEngine, RestoreFromWrongConfigRejected) {
   EXPECT_THROW(victim.engine->restore_snapshot(is), SnapshotError);
 }
 
+TEST(SnapshotEngine, EveryConfigFieldMovesTheFingerprint) {
+  const auto fingerprint = [](const exp::RunRequest& r) {
+    return exp::build_engine(r).engine->config_fingerprint();
+  };
+  const std::uint64_t base = fingerprint(engine_request());
+  // Written by the build before the prediction tuning became constants:
+  // the constants must reproduce its bytes exactly.
+  EXPECT_EQ(base, 0x12ffdd1c6a56fe02ull);
+
+  using Mutation = void (*)(exp::RunRequest&);
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"server_count", [](exp::RunRequest& r) { r.cluster.server_count = 4; }},
+      {"gpus_per_server", [](exp::RunRequest& r) { r.cluster.gpus_per_server = 5; }},
+      {"total_gpus", [](exp::RunRequest& r) { r.cluster.total_gpus = 10; }},
+      {"server_bandwidth_mbps", [](exp::RunRequest& r) { r.cluster.server_bandwidth_mbps = 900; }},
+      {"effective_flow_bandwidth_mbps",
+       [](exp::RunRequest& r) { r.cluster.effective_flow_bandwidth_mbps = 400; }},
+      {"servers_per_rack", [](exp::RunRequest& r) { r.cluster.servers_per_rack = 3; }},
+      {"inter_rack_flow_bandwidth_mbps",
+       [](exp::RunRequest& r) { r.cluster.inter_rack_flow_bandwidth_mbps = 120; }},
+      {"slow_server_fraction", [](exp::RunRequest& r) { r.cluster.slow_server_fraction = 0.5; }},
+      {"slow_server_speed", [](exp::RunRequest& r) { r.cluster.slow_server_speed = 0.6; }},
+      {"placement_bucket_index",
+       [](exp::RunRequest& r) { r.cluster.placement_bucket_index = false; }},
+      {"placement_index_buckets",
+       [](exp::RunRequest& r) { r.cluster.placement_index_buckets = 64; }},
+      {"debug_slot_leak", [](exp::RunRequest& r) { r.cluster.debug_slot_leak = true; }},
+      {"link_contention", [](exp::RunRequest& r) { r.cluster.link_contention = true; }},
+      {"nic_capacity_mbps", [](exp::RunRequest& r) { r.cluster.nic_capacity_mbps = 800; }},
+      {"rack_uplink_capacity_mbps",
+       [](exp::RunRequest& r) { r.cluster.rack_uplink_capacity_mbps = 500; }},
+      {"duty_cycles", [](exp::RunRequest& r) { r.cluster.duty_cycles = true; }},
+      {"tick_interval", [](exp::RunRequest& r) { r.engine.tick_interval = minutes(2); }},
+      {"hr", [](exp::RunRequest& r) { r.engine.hr = 0.8; }},
+      {"usage_noise_sigma", [](exp::RunRequest& r) { r.engine.usage_noise_sigma = 0.1; }},
+      {"migration_fixed_penalty_seconds",
+       [](exp::RunRequest& r) { r.engine.migration_fixed_penalty_seconds = 6; }},
+      {"max_sim_time", [](exp::RunRequest& r) { r.engine.max_sim_time = hours(47.0); }},
+      {"seed", [](exp::RunRequest& r) { r.engine.seed = 18; }},
+      {"optstop_check_interval", [](exp::RunRequest& r) { r.engine.optstop_check_interval = 4; }},
+      {"optstop_near_max_fraction",
+       [](exp::RunRequest& r) { r.engine.optstop_near_max_fraction = 0.98; }},
+      {"optstop_confidence_threshold",
+       [](exp::RunRequest& r) { r.engine.optstop_confidence_threshold = 0.5; }},
+      {"stall_ticks_before_eviction",
+       [](exp::RunRequest& r) { r.engine.stall_ticks_before_eviction = 11; }},
+      {"straggler_probability", [](exp::RunRequest& r) { r.engine.straggler_probability = 0.01; }},
+      {"straggler_slowdown", [](exp::RunRequest& r) { r.engine.straggler_slowdown = 3; }},
+      {"straggler_replicas", [](exp::RunRequest& r) { r.engine.straggler_replicas = 1; }},
+      {"partial_placement_timeout",
+       [](exp::RunRequest& r) { r.engine.partial_placement_timeout = minutes(6); }},
+      {"coarsen_curve", [](exp::RunRequest& r) { r.engine.coarsen_curve = true; }},
+      {"fault.server_mtbf_hours",
+       [](exp::RunRequest& r) { r.engine.fault.server_mtbf_hours = 25; }},
+      {"fault.server_mttr_hours",
+       [](exp::RunRequest& r) { r.engine.fault.server_mttr_hours = 0.6; }},
+      {"fault.task_kill_probability",
+       [](exp::RunRequest& r) { r.engine.fault.task_kill_probability = 0.003; }},
+      {"fault.rack_mtbf_hours", [](exp::RunRequest& r) { r.engine.fault.rack_mtbf_hours = 10; }},
+      {"fault.rack_mttr_hours", [](exp::RunRequest& r) { r.engine.fault.rack_mttr_hours = 0.3; }},
+      {"fault.checkpoint_interval_iterations",
+       [](exp::RunRequest& r) { r.engine.fault.checkpoint_interval_iterations = 3; }},
+      {"fault.flaky_server_fraction",
+       [](exp::RunRequest& r) { r.engine.fault.flaky_server_fraction = 0.3; }},
+      {"fault.flaky_rate_multiplier",
+       [](exp::RunRequest& r) { r.engine.fault.flaky_rate_multiplier = 4; }},
+      {"recovery.enabled", [](exp::RunRequest& r) { r.engine.recovery.enabled = false; }},
+      {"recovery.kill_weight", [](exp::RunRequest& r) { r.engine.recovery.kill_weight = 0.5; }},
+      {"recovery.score_halflife_hours",
+       [](exp::RunRequest& r) { r.engine.recovery.score_halflife_hours = 7; }},
+      {"recovery.quarantine_enabled",
+       [](exp::RunRequest& r) { r.engine.recovery.quarantine_enabled = false; }},
+      {"recovery.quarantine_score_threshold",
+       [](exp::RunRequest& r) { r.engine.recovery.quarantine_score_threshold = 3; }},
+      {"recovery.quarantine_base_minutes",
+       [](exp::RunRequest& r) { r.engine.recovery.quarantine_base_minutes = 20; }},
+      {"recovery.quarantine_backoff_factor",
+       [](exp::RunRequest& r) { r.engine.recovery.quarantine_backoff_factor = 3; }},
+      {"recovery.quarantine_max_minutes",
+       [](exp::RunRequest& r) { r.engine.recovery.quarantine_max_minutes = 400; }},
+      {"recovery.probation_minutes",
+       [](exp::RunRequest& r) { r.engine.recovery.probation_minutes = 50; }},
+      {"recovery.probation_task_cap",
+       [](exp::RunRequest& r) { r.engine.recovery.probation_task_cap = 2; }},
+      {"recovery.min_active_fraction",
+       [](exp::RunRequest& r) { r.engine.recovery.min_active_fraction = 0.5; }},
+      {"recovery.retry_backoff_enabled",
+       [](exp::RunRequest& r) { r.engine.recovery.retry_backoff_enabled = false; }},
+      {"recovery.retry_budget", [](exp::RunRequest& r) { r.engine.recovery.retry_budget = 3; }},
+      {"recovery.backoff_base_seconds",
+       [](exp::RunRequest& r) { r.engine.recovery.backoff_base_seconds = 20; }},
+      {"recovery.backoff_factor", [](exp::RunRequest& r) { r.engine.recovery.backoff_factor = 3; }},
+      {"recovery.backoff_max_seconds",
+       [](exp::RunRequest& r) { r.engine.recovery.backoff_max_seconds = 900; }},
+      {"recovery.backoff_jitter",
+       [](exp::RunRequest& r) { r.engine.recovery.backoff_jitter = 0.1; }},
+      {"recovery.adaptive_checkpoint",
+       [](exp::RunRequest& r) { r.engine.recovery.adaptive_checkpoint = true; }},
+      {"recovery.checkpoint_cost_seconds",
+       [](exp::RunRequest& r) { r.engine.recovery.checkpoint_cost_seconds = 3; }},
+      {"recovery.max_checkpoint_interval",
+       [](exp::RunRequest& r) { r.engine.recovery.max_checkpoint_interval = 40; }},
+      {"recovery.spread_placement",
+       [](exp::RunRequest& r) { r.engine.recovery.spread_placement = true; }},
+  };
+  for (const auto& [field, mutate] : mutations) {
+    exp::RunRequest r = engine_request();
+    mutate(r);
+    EXPECT_NE(fingerprint(r), base) << field;
+  }
+
+  // The auditor is a pure observer and stays out of the fingerprint.
+  exp::RunRequest unaudited = engine_request();
+  unaudited.engine.audit.enabled = false;
+  unaudited.engine.audit.stride = 7;
+  EXPECT_EQ(fingerprint(unaudited), base);
+}
+
+// ------------------------------------------- predict section validation
+
+/// The whole "predict" payload, written field by field in save_state's
+/// format, with the jobs in the order given (so a test can break it).
+std::string encode_predict(const PredictionService::SavedState& saved,
+                           const std::vector<JobId>& order) {
+  std::string out;
+  io::BinWriter w(out);
+  w.u64(saved.stats.fits_cold);
+  w.u64(saved.stats.fits_warm);
+  w.u64(saved.stats.cache_hits);
+  w.u64(saved.stats.nm_objective_evals);
+  w.f64(saved.stats.fit_wall_ms);
+  w.u64(order.size());
+  for (const JobId id : order) {
+    const PredictionService::JobState& st = saved.states.at(id);
+    w.u64(id);
+    w.vec_f64(st.observed);
+    w.u64(st.links.size());
+    for (const PredictionService::LinkRecord& rec : st.links) {
+      w.i64(rec.done);
+      w.u64(rec.basis.size());
+      for (const PredictionService::BasisFitRec& b : rec.basis) {
+        w.vec_f64(b.params);
+        w.f64(b.rmse);
+        w.f64(b.value);
+        w.f64(b.drift);
+        w.boolean(b.frozen);
+        w.i64(b.low_streak);
+        w.i64(b.restarts);
+      }
+    }
+    w.boolean(st.memo_valid);
+    w.i64(st.memo_done);
+    w.i64(st.memo_target);
+    w.f64(st.memo.accuracy);
+    w.f64(st.memo.confidence);
+  }
+  return out;
+}
+
+/// `file` re-framed with its "predict" section replaced by `payload`.
+std::string with_predict_payload(const std::string& file, std::uint64_t fingerprint,
+                                 const std::string& payload) {
+  std::istringstream is(file, std::ios::binary);
+  const SnapshotReader reader(is, fingerprint);
+  SnapshotWriter writer(fingerprint);
+  for (const char* name : {"engine", "events", "injected", "cluster", "links", "health",
+                           "predictor", "predict", "scheduler", "controller"}) {
+    if (!reader.has_section(name)) continue;
+    io::BinWriter& w = writer.section(name);
+    if (std::string(name) == "predict") {
+      w.bytes(payload.data(), payload.size());
+    } else {
+      io::BinReader r = reader.section(name);
+      const std::string_view bytes = r.view(r.remaining());
+      w.bytes(bytes.data(), bytes.size());
+    }
+  }
+  std::ostringstream os(std::ios::binary);
+  writer.write(os);
+  return os.str();
+}
+
+TEST(SnapshotEngine, MalformedPredictSectionRejectedBeforeAnyStateChanges) {
+  // A donor whose service holds at least two jobs with multi-link chains.
+  exp::RunRequest request = engine_request();
+  request.trace.policy_fixed_fraction = 0.0;
+  request.trace.policy_optstop_fraction = 1.0;
+  exp::EngineBundle donor = exp::build_engine(request);
+  const auto rich = [](const SimEngine& engine) {
+    std::size_t jobs = 0;
+    for (const auto& [id, st] : engine.prediction_service().cached_states()) {
+      if (st.links.size() >= 2) ++jobs;
+    }
+    return jobs >= 2;
+  };
+  for (int i = 0; i < 20000 && !rich(*donor.engine) && donor.engine->step(); ++i) {
+  }
+  ASSERT_TRUE(rich(*donor.engine));
+  const std::string file = engine_snapshot_bytes(*donor.engine);
+  const std::uint64_t fp = donor.engine->config_fingerprint();
+
+  std::istringstream is(file, std::ios::binary);
+  const SnapshotReader reader(is, fp);
+  io::BinReader section = reader.section("predict");
+  const std::string original(section.view(section.remaining()));
+  io::BinReader decode(original);
+  const PredictionService::SavedState saved =
+      donor.engine->prediction_service().read_state(decode);
+  std::vector<JobId> ids;
+  JobId target = kInvalidJob;
+  for (const auto& [id, st] : saved.states) {
+    ids.push_back(id);
+    if (target == kInvalidJob && st.links.size() >= 2) target = id;
+  }
+  // The test's encoder writes exactly what save_state wrote.
+  ASSERT_EQ(encode_predict(saved, ids), original);
+
+  using Breakage = void (*)(PredictionService::SavedState&, JobId, std::vector<JobId>&);
+  const std::vector<std::pair<const char*, Breakage>> breakages = {
+      {"four basis records",
+       [](PredictionService::SavedState& s, JobId id, std::vector<JobId>&) {
+         auto& basis = s.states.at(id).links[0].basis;
+         basis.push_back(basis.back());
+       }},
+      {"two-element pow3 params",
+       [](PredictionService::SavedState& s, JobId id, std::vector<JobId>&) {
+         s.states.at(id).links[0].basis[1].params.resize(2);
+       }},
+      {"links out of order",
+       [](PredictionService::SavedState& s, JobId id, std::vector<JobId>&) {
+         auto& links = s.states.at(id).links;
+         std::swap(links[0], links[1]);
+       }},
+      {"link off the check grid",
+       [](PredictionService::SavedState& s, JobId id, std::vector<JobId>&) {
+         ++s.states.at(id).links.back().done;
+       }},
+      {"link past the observations",
+       [](PredictionService::SavedState& s, JobId id, std::vector<JobId>&) {
+         auto& st = s.states.at(id);
+         st.observed.resize(static_cast<std::size_t>(st.links.back().done - 1));
+       }},
+      {"job ids descending",
+       [](PredictionService::SavedState&, JobId, std::vector<JobId>& order) {
+         std::reverse(order.begin(), order.end());
+       }},
+      {"job id repeated",
+       [](PredictionService::SavedState&, JobId, std::vector<JobId>& order) {
+         order.push_back(order.back());
+       }},
+  };
+
+  exp::EngineBundle victim = exp::build_engine(request);
+  for (int i = 0; i < 40 && victim.engine->step(); ++i) {
+  }
+  const std::string before = engine_snapshot_bytes(*victim.engine);
+  for (const auto& [what, breakage] : breakages) {
+    PredictionService::SavedState broken = saved;
+    std::vector<JobId> order = ids;
+    breakage(broken, target, order);
+    const std::string crafted = with_predict_payload(file, fp, encode_predict(broken, order));
+    std::istringstream in(crafted, std::ios::binary);
+    try {
+      victim.engine->restore_snapshot(in);
+      ADD_FAILURE() << "accepted a predict section with " << what;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.section(), "predict") << what << ": " << e.what();
+    }
+    EXPECT_EQ(engine_snapshot_bytes(*victim.engine), before) << what;
+  }
+
+  // The unbroken payload, re-framed the same way, still restores.
+  exp::EngineBundle twin = exp::build_engine(request);
+  std::istringstream in(with_predict_payload(file, fp, original), std::ios::binary);
+  twin.engine->restore_snapshot(in);
+  EXPECT_EQ(engine_snapshot_bytes(*twin.engine), file);
+}
+
 // -------------------------------------------------- v4: link contention
 
 exp::RunRequest contended_engine_request() {

@@ -15,8 +15,7 @@
 //            [--replicas N] [--threads N] [--csv] [--list-schedulers]
 //            [--mtbf H] [--mttr H] [--kill-prob P] [--flaky F]
 //            [--checkpoint-interval N] [--recovery] [--retry-budget N]
-//            [--adaptive-checkpoint] [--spread-placement]
-//            [--legacy-curve-fit] [--coarsen-curve]
+//            [--adaptive-checkpoint] [--spread-placement] [--coarsen-curve]
 //            [--contention] [--duty-cycle] [--nic-mbps B] [--uplink-mbps B]
 //            [--snapshot-every N] [--snapshot-dir D] [--restore FILE]
 //            [--snapshot-keep K] [--journal DIR] [--fsync every|group|off]
@@ -72,7 +71,6 @@ struct Options {
   bool spread_placement = false;
 
   // Prediction service (predict/service.hpp).
-  bool legacy_curve_fit = false;
   bool coarsen_curve = false;
 
   // Link contention (sim/link_model.hpp).
@@ -138,9 +136,6 @@ void print_usage() {
       "                       the observed MTBF (needs --recovery)\n"
       "  --spread-placement   rack-spread penalty in host choice so one rack\n"
       "                       outage cannot erase a whole job (needs --recovery)\n"
-      "  --legacy-curve-fit   stateless cold learning-curve fits at every\n"
-      "                       OptStop check instead of the incremental\n"
-      "                       memoized prediction service (identical results)\n"
       "  --coarsen-curve      log-subsample long observation tails before\n"
       "                       curve fitting (approximation; changes results)\n"
       "  --contention         enable link-level bandwidth contention: per-\n"
@@ -275,8 +270,6 @@ bool parse(int argc, char** argv, Options& options) {
       options.adaptive_checkpoint = true;
     } else if (arg == "--spread-placement") {
       options.spread_placement = true;
-    } else if (arg == "--legacy-curve-fit") {
-      options.legacy_curve_fit = true;
     } else if (arg == "--coarsen-curve") {
       options.coarsen_curve = true;
     } else if (arg == "--contention") {
@@ -471,8 +464,7 @@ int main(int argc, char** argv) {
     engine_config.recovery.retry_budget = options.retry_budget;
     engine_config.recovery.adaptive_checkpoint = options.adaptive_checkpoint;
     engine_config.recovery.spread_placement = options.spread_placement;
-    engine_config.predict.enabled = !options.legacy_curve_fit;
-    engine_config.predict.coarsen = options.coarsen_curve;
+    engine_config.coarsen_curve = options.coarsen_curve;
 
     TraceConfig trace;
     trace.num_jobs = options.jobs;
