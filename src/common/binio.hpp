@@ -12,7 +12,8 @@
 //
 // BinReader fails loudly: reading past the end of the view throws
 // ContractViolation. Nothing here knows about sections, checksums or
-// versions — that framing lives in sim/snapshot.{hpp,cpp}.
+// versions — that framing lives in sim/snapshot.{hpp,cpp}. The field-list
+// helpers below serialize a struct from its one declared list of members.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +24,9 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -173,6 +177,127 @@ class BinReader {
   std::string_view bytes_;
   std::size_t pos_ = 0;
 };
+
+// ------------------------------------------------------------ field lists
+//
+// A struct persisted value by value declares its members once, in wire
+// order: `static constexpr auto fields()` returns a tuple of member
+// pointers (e.g. sim/engine_state.hpp). write_fields / read_fields and
+// write_columns / read_columns walk that one list for save and restore,
+// and `static_assert(io::lists_every_field<T>)` beside the struct
+// (aggregate arity == list length) fails the build when a member is left
+// out. Wire types: bool → boolean, enum → u8, floating → f64, signed →
+// i64, unsigned → u64, a listed struct → its own fields, a vector → u64
+// count then each element.
+
+template <typename T>
+concept FieldListed = requires { std::tuple_size<decltype(T::fields())>::value; };
+
+template <FieldListed T>
+void write_fields(BinWriter& w, const T& obj);
+template <FieldListed T>
+void read_fields(BinReader& r, T& obj);
+
+namespace detail {
+
+/// Converts to any type: counts the initializers an aggregate accepts.
+struct AnyValue {
+  template <typename V>
+  operator V() const;
+};
+
+template <typename T, std::size_t N = 0>
+constexpr std::size_t aggregate_arity() {
+  constexpr bool takes_more = []<std::size_t... I>(std::index_sequence<I...>) {
+    return requires { T{(static_cast<void>(I), AnyValue{})...}; };
+  }(std::make_index_sequence<N + 1>{});
+  if constexpr (takes_more) return aggregate_arity<T, N + 1>();
+  return N;
+}
+
+template <typename V>
+inline constexpr bool is_vector = false;
+template <typename E>
+inline constexpr bool is_vector<std::vector<E>> = true;
+
+/// Calls f(member pointer) for fields [First, Last) of T's list, in order.
+template <typename T, std::size_t First, std::size_t Last, typename F>
+void for_fields(F&& f) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (f(std::get<First + I>(T::fields())), ...);
+  }(std::make_index_sequence<Last - First>{});
+}
+
+template <typename V>
+void write_value(BinWriter& w, const V& v) {
+  if constexpr (FieldListed<V>) write_fields(w, v);
+  else if constexpr (is_vector<V>) w.vec(v, [&w](const auto& e) { write_value(w, e); });
+  else if constexpr (std::is_same_v<V, bool>) w.boolean(v);
+  else if constexpr (std::is_enum_v<V>) w.u8(static_cast<std::uint8_t>(v));
+  else if constexpr (std::is_floating_point_v<V>) w.f64(v);
+  else if constexpr (std::is_signed_v<V>) w.i64(v);
+  else w.u64(v);
+}
+
+template <typename V>
+void read_value(BinReader& r, V& v) {
+  if constexpr (FieldListed<V>) read_fields(r, v);
+  else if constexpr (is_vector<V>) v = r.vec<typename V::value_type>([&r] {
+    typename V::value_type e;
+    read_value(r, e);
+    return e;
+  });
+  else if constexpr (std::is_same_v<V, bool>) v = r.boolean();
+  else if constexpr (std::is_enum_v<V>) v = static_cast<V>(r.u8());
+  else if constexpr (std::is_floating_point_v<V>) v = r.f64();
+  else if constexpr (std::is_signed_v<V>) v = static_cast<V>(r.i64());
+  else v = static_cast<V>(r.u64());
+}
+
+}  // namespace detail
+
+template <FieldListed T>
+inline constexpr std::size_t field_count = std::tuple_size_v<decltype(T::fields())>;
+
+/// True iff T's field list names every member of the aggregate T.
+template <FieldListed T>
+inline constexpr bool lists_every_field =
+    std::is_aggregate_v<T> && detail::aggregate_arity<T>() == field_count<T>;
+
+template <FieldListed T>
+void write_fields(BinWriter& w, const T& obj) {
+  detail::for_fields<T, 0, field_count<T>>([&](auto f) { detail::write_value(w, obj.*f); });
+}
+
+template <FieldListed T>
+void read_fields(BinReader& r, T& obj) {
+  detail::for_fields<T, 0, field_count<T>>([&](auto f) { detail::read_value(r, obj.*f); });
+}
+
+/// Fields [First, Last) of T's list as columns over `rows`: per field, the
+/// row count, then that field of every row.
+template <std::size_t First, std::size_t Last, FieldListed T>
+void write_columns(BinWriter& w, const std::vector<T>& rows) {
+  detail::for_fields<T, First, Last>([&](auto f) {
+    w.u64(rows.size());
+    for (const T& row : rows) detail::write_value(w, row.*f);
+  });
+}
+
+/// Reads what write_columns<First, Last> wrote into `rows`, which must
+/// already hold the expected number of rows: a column of any other length
+/// throws ContractViolation.
+template <std::size_t First, std::size_t Last, FieldListed T>
+void read_columns(BinReader& r, std::vector<T>& rows) {
+  detail::for_fields<T, First, Last>([&](auto f) {
+    const std::uint64_t n = r.u64();
+    if (n != rows.size()) {
+      throw ContractViolation("a column holds " + std::to_string(n) + " values for " +
+                              std::to_string(rows.size()) + " rows");
+    }
+    for (T& row : rows) detail::read_value(r, row.*f);
+  });
+}
 
 /// Everything left in `is`, read chunk by chunk straight from its stream
 /// buffer, so the stream's state flags are left as they were.

@@ -280,10 +280,7 @@ void MlfPlacement::save_state(io::BinWriter& w) const {
     const double* const begin = memo_arena_.data() + slot * memo_stride_;
     for (std::size_t i = 0; i < memo_stride_; ++i) w.f64(begin[i]);
   }
-  w.u64(stats_.candidates_scanned);
-  w.u64(stats_.candidates_linear);
-  w.u64(stats_.comm_cache_hits);
-  w.u64(stats_.comm_cache_misses);
+  io::write_fields(w, stats_);
 }
 
 void MlfPlacement::restore_state(io::BinReader& r) {
@@ -302,10 +299,7 @@ void MlfPlacement::restore_state(io::BinReader& r) {
     double* const begin = memo_arena_.data() + slot * memo_stride_;
     for (std::size_t i = 0; i < memo_stride_; ++i) begin[i] = r.f64();
   }
-  stats_.candidates_scanned = static_cast<std::size_t>(r.u64());
-  stats_.candidates_linear = static_cast<std::size_t>(r.u64());
-  stats_.comm_cache_hits = static_cast<std::size_t>(r.u64());
-  stats_.comm_cache_misses = static_cast<std::size_t>(r.u64());
+  io::read_fields(r, stats_);
 }
 
 }  // namespace mlfs::core

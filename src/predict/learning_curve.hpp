@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "predict/nelder_mead.hpp"
 
 namespace mlfs {
@@ -20,7 +21,12 @@ namespace mlfs {
 struct CurvePrediction {
   double accuracy = 0.0;    ///< predicted accuracy at the target iteration
   double confidence = 0.0;  ///< in [0, 1]; higher = tighter basis agreement
+
+  static constexpr auto fields() {
+    return std::tuple{&CurvePrediction::accuracy, &CurvePrediction::confidence};
+  }
 };
+static_assert(io::lists_every_field<CurvePrediction>);
 
 /// The predictor's parametric substrate, exposed so the incremental
 /// PredictionService (predict/service.hpp) can fit the identical basis

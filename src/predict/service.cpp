@@ -250,45 +250,19 @@ void PredictionService::on_job_complete(const Job& job) {
 void PredictionService::on_job_failed(const Job& job) { states_.erase(job.id()); }
 
 void PredictionService::save_state(io::BinWriter& w) const {
-  w.u64(stats_.fits_cold);
-  w.u64(stats_.fits_warm);
-  w.u64(stats_.cache_hits);
-  w.u64(stats_.nm_objective_evals);
-  w.f64(stats_.fit_wall_ms);
+  static_assert(io::lists_every_field<BasisFitRec> && io::lists_every_field<LinkRecord> &&
+                io::lists_every_field<JobState>);
+  io::write_fields(w, stats_);
   w.u64(states_.size());
   for (const auto& [id, st] : states_) {  // std::map: sorted, canonical bytes
     w.u64(id);
-    w.vec_f64(st.observed);
-    w.u64(st.links.size());
-    for (const LinkRecord& rec : st.links) {
-      w.i64(rec.done);
-      w.u64(rec.basis.size());
-      for (const BasisFitRec& b : rec.basis) {
-        w.vec_f64(b.params);
-        w.f64(b.rmse);
-        w.f64(b.value);
-        w.f64(b.drift);
-        w.boolean(b.frozen);
-        w.i64(b.low_streak);
-        w.i64(b.restarts);
-      }
-    }
-    w.boolean(st.memo_valid);
-    w.i64(st.memo_done);
-    w.i64(st.memo_target);
-    w.f64(st.memo.accuracy);
-    w.f64(st.memo.confidence);
+    io::write_fields(w, st);
   }
 }
 
 PredictionService::SavedState PredictionService::read_state(io::BinReader& r) const {
   SavedState saved;
-  PredictStats& stats = saved.stats;
-  stats.fits_cold = static_cast<std::size_t>(r.u64());
-  stats.fits_warm = static_cast<std::size_t>(r.u64());
-  stats.cache_hits = static_cast<std::size_t>(r.u64());
-  stats.nm_objective_evals = static_cast<std::size_t>(r.u64());
-  stats.fit_wall_ms = r.f64();
+  io::read_fields(r, saved.stats);
   const auto& bs = curve_detail::bases();
   const std::uint64_t jobs = r.u64();
   for (std::uint64_t j = 0; j < jobs; ++j) {
@@ -298,52 +272,34 @@ PredictionService::SavedState PredictionService::read_state(io::BinReader& r) co
                               " is not in ascending id order");
     }
     JobState st;
-    st.observed = r.vec_f64();
-    const std::uint64_t links = r.u64();
-    for (std::uint64_t l = 0; l < links; ++l) {
+    io::read_fields(r, st);
+    for (std::size_t l = 0; l < st.links.size(); ++l) {
       // The chain is contiguous from the first canonical link (only whole
       // jobs are ever evicted), and every link is covered by observations.
-      const std::int64_t done = r.i64();
-      const std::int64_t want =
-          first_link() + static_cast<std::int64_t>(l) * check_interval_;
-      if (done != want || done > static_cast<std::int64_t>(st.observed.size())) {
+      const LinkRecord& rec = st.links[l];
+      const int want = first_link() + static_cast<int>(l) * check_interval_;
+      if (rec.done != want || rec.done > static_cast<int>(st.observed.size())) {
         throw ContractViolation("predict: job " + std::to_string(id) + " link " +
-                                std::to_string(l) + " at done=" + std::to_string(done) +
+                                std::to_string(l) + " at done=" + std::to_string(rec.done) +
                                 " is not the canonical point " + std::to_string(want) +
                                 " within " + std::to_string(st.observed.size()) +
                                 " observations");
       }
-      LinkRecord rec;
-      rec.done = static_cast<int>(done);
-      const std::uint64_t nb = r.u64();
-      if (nb != bs.size()) {
+      if (rec.basis.size() != bs.size()) {
         throw ContractViolation("predict: job " + std::to_string(id) + " link at done=" +
-                                std::to_string(rec.done) + " has " + std::to_string(nb) +
-                                " basis records, want " + std::to_string(bs.size()));
+                                std::to_string(rec.done) + " has " +
+                                std::to_string(rec.basis.size()) + " basis records, want " +
+                                std::to_string(bs.size()));
       }
-      rec.basis.resize(bs.size());
       for (std::size_t bi = 0; bi < bs.size(); ++bi) {
-        BasisFitRec& b = rec.basis[bi];
-        b.params = r.vec_f64();
-        if (b.params.size() != bs[bi].init.size()) {
+        const std::size_t n = rec.basis[bi].params.size();
+        if (n != bs[bi].init.size()) {
           throw ContractViolation("predict: job " + std::to_string(id) + " " + bs[bi].name +
-                                  " params have " + std::to_string(b.params.size()) +
-                                  " values, want " + std::to_string(bs[bi].init.size()));
+                                  " params have " + std::to_string(n) + " values, want " +
+                                  std::to_string(bs[bi].init.size()));
         }
-        b.rmse = r.f64();
-        b.value = r.f64();
-        b.drift = r.f64();
-        b.frozen = r.boolean();
-        b.low_streak = static_cast<int>(r.i64());
-        b.restarts = static_cast<int>(r.i64());
       }
-      st.links.push_back(std::move(rec));
     }
-    st.memo_valid = r.boolean();
-    st.memo_done = static_cast<int>(r.i64());
-    st.memo_target = static_cast<int>(r.i64());
-    st.memo.accuracy = r.f64();
-    st.memo.confidence = r.f64();
     saved.states.emplace_hint(saved.states.end(), id, std::move(st));
   }
   return saved;

@@ -65,7 +65,15 @@ struct PredictStats {
   std::size_t cache_hits = 0;         ///< memo / stored-link reuse (no fitting at all)
   std::size_t nm_objective_evals = 0; ///< residual evaluations across all fits and probes
   double fit_wall_ms = 0.0;           ///< wall-clock spent fitting + combining
+
+  /// Snapshot order (io::write_fields / read_fields).
+  static constexpr auto fields() {
+    return std::tuple{&PredictStats::fits_cold, &PredictStats::fits_warm,
+                      &PredictStats::cache_hits, &PredictStats::nm_objective_evals,
+                      &PredictStats::fit_wall_ms};
+  }
 };
+static_assert(io::lists_every_field<PredictStats>);
 
 class PredictionService {
  public:
@@ -158,10 +166,20 @@ class PredictionService {
     bool frozen = false;
     int low_streak = 0;   ///< consecutive links below the freeze weight
     int restarts = 0;     ///< cold restarts consumed so far
+
+    static constexpr auto fields() {
+      using B = BasisFitRec;
+      return std::tuple{&B::params, &B::rmse,       &B::value,   &B::drift,
+                        &B::frozen, &B::low_streak, &B::restarts};
+    }
   };
   struct LinkRecord {
     int done = 0;  ///< canonical check point this link was fitted at
     std::vector<BasisFitRec> basis;
+
+    static constexpr auto fields() {
+      return std::tuple{&LinkRecord::done, &LinkRecord::basis};
+    }
   };
   struct JobState {
     /// observed[i] = ground-truth accuracy after iteration i + 1. Grows
@@ -175,6 +193,13 @@ class PredictionService {
     int memo_done = 0;
     int memo_target = 0;
     CurvePrediction memo;
+
+    /// Snapshot order.
+    static constexpr auto fields() {
+      using S = JobState;
+      return std::tuple{&S::observed,  &S::links,       &S::memo_valid,
+                        &S::memo_done, &S::memo_target, &S::memo};
+    }
   };
   /// Live per-job curve-fit state.
   const std::map<JobId, JobState>& cached_states() const { return states_; }

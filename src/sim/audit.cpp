@@ -74,14 +74,7 @@ void SimAuditor::resync_after_restore() {
   // registered injected jobs, which it covers).
   arrived_ = engine_.arrived_flags();
   last_now_ = engine_.now_;
-  last_iterations_run_ = engine_.iterations_run_;
-  last_migrations_ = engine_.migrations_;
-  last_preemptions_ = engine_.preemptions_;
-  last_jobs_completed_ = engine_.jobs_completed_;
-  last_jobs_failed_ = engine_.jobs_failed_;
-  last_retry_backoffs_ = engine_.retry_backoffs_;
-  last_server_failures_ = engine_.server_failures_;
-  last_task_kills_ = engine_.task_kills_;
+  last_counters_ = engine_.counters_;
   last_bandwidth_mb_ = engine_.cluster_.total_bandwidth_mb();
   last_inter_rack_mb_ = engine_.cluster_.inter_rack_bandwidth_mb();
   check_now("restore");
@@ -549,6 +542,7 @@ void SimAuditor::check_jobs() const {
   const SimTime now = engine_.now_;
   for (const Job& job : cluster.jobs()) {
     const JobId id = job.id();
+    const JobRuntime& rt = engine_.job_runtime_[id];
     const bool arrived = id < arrived_.size() && arrived_[id] != 0;
     const bool terminal =
         job.state() == JobState::Completed || job.state() == JobState::Failed;
@@ -577,11 +571,11 @@ void SimAuditor::check_jobs() const {
           fail("gang-execution",
                "job " + std::to_string(id) + " is running but not fully placed");
         }
-        if (engine_.iter_duration_[id] <= 0.0) {
+        if (rt.iter_duration <= 0.0) {
           fail("job-state", "job " + std::to_string(id) +
                                 " is running with no in-flight iteration");
         }
-        if (engine_.iter_started_[id] > now + 1e-9) {
+        if (rt.iter_started > now + 1e-9) {
           fail("job-state",
                "job " + std::to_string(id) + " iteration started in the future");
         }
@@ -624,21 +618,21 @@ void SimAuditor::check_jobs() const {
         break;
       }
       case JobState::Waiting: {
-        if (engine_.waiting_since_[id] > now + 1e-9) {
+        if (rt.waiting_since > now + 1e-9) {
           fail("job-state", "job " + std::to_string(id) + " waiting_since in the future");
         }
         break;
       }
     }
-    if (engine_.resume_credit_[id] < 0.0 || engine_.resume_credit_[id] > 0.95 + 1e-12) {
+    if (rt.resume_credit < 0.0 || rt.resume_credit > 0.95 + 1e-12) {
       fail("job-state", "job " + std::to_string(id) + " resume credit " +
-                            std::to_string(engine_.resume_credit_[id]) + " outside [0, 0.95]");
+                            std::to_string(rt.resume_credit) + " outside [0, 0.95]");
     }
-    if (engine_.partial_since_[id] >= 0.0 && engine_.partial_since_[id] > now + 1e-9) {
+    if (rt.partial_since >= 0.0 && rt.partial_since > now + 1e-9) {
       fail("job-state", "job " + std::to_string(id) + " partial_since in the future");
     }
-    if (engine_.fault_stopped_since_[id] >= 0.0 &&
-        engine_.fault_stopped_since_[id] > now + 1e-9) {
+    if (rt.fault_stopped_since >= 0.0 &&
+        rt.fault_stopped_since > now + 1e-9) {
       fail("job-state", "job " + std::to_string(id) + " fault_stopped_since in the future");
     }
   }
@@ -732,38 +726,38 @@ void SimAuditor::check_accounting() {
   for (TaskId tid = 0; tid < cluster.task_count(); ++tid) {
     task_migrations += cluster.task(tid).migrations;
   }
-  if (completed != engine_.jobs_completed_) {
-    fail("accounting", "jobs_completed counter " + std::to_string(engine_.jobs_completed_) +
+  const EngineCounters& c = engine_.counters_;
+  if (completed != c.jobs_completed) {
+    fail("accounting", "jobs_completed counter " + std::to_string(c.jobs_completed) +
                            " != completed jobs " + std::to_string(completed));
   }
-  if (failed != engine_.jobs_failed_) {
-    fail("accounting", "jobs_failed counter " + std::to_string(engine_.jobs_failed_) +
+  if (failed != c.jobs_failed) {
+    fail("accounting", "jobs_failed counter " + std::to_string(c.jobs_failed) +
                            " != failed-permanent jobs " + std::to_string(failed));
   }
-  if (task_migrations != static_cast<long long>(engine_.migrations_)) {
-    fail("accounting", "migration counter " + std::to_string(engine_.migrations_) +
+  if (task_migrations != static_cast<long long>(c.migrations)) {
+    fail("accounting", "migration counter " + std::to_string(c.migrations) +
                            " != sum of per-task migrations " + std::to_string(task_migrations));
   }
   // Iteration ledger: every completed iteration was executed, and every
   // rolled-back iteration was both executed and popped from its job.
-  const long long net = static_cast<long long>(engine_.iterations_run_) -
-                        static_cast<long long>(engine_.iterations_rolled_back_);
+  const long long net = static_cast<long long>(c.iterations_run) -
+                        static_cast<long long>(c.iterations_rolled_back);
   if (completed_iterations != net) {
     fail("accounting", "sum of per-job completed iterations " +
                            std::to_string(completed_iterations) + " != iterations_run - rolled_back = " +
                            std::to_string(net));
   }
-  if (engine_.inflight_work_lost_iterations_ < -1e-12 || engine_.work_lost_gpu_seconds_ < -1e-9) {
+  if (c.inflight_work_lost_iterations < -1e-12 || c.work_lost_gpu_seconds < -1e-9) {
     fail("accounting", "negative lost-work accumulators");
   }
   // Monotonicity vs the previous sweep (counters and ledgers only grow).
-  if (engine_.now_ + 1e-9 < last_now_ || engine_.iterations_run_ < last_iterations_run_ ||
-      engine_.migrations_ < last_migrations_ || engine_.preemptions_ < last_preemptions_ ||
-      engine_.jobs_completed_ < last_jobs_completed_ ||
-      engine_.jobs_failed_ < last_jobs_failed_ ||
-      engine_.retry_backoffs_ < last_retry_backoffs_ ||
-      engine_.server_failures_ < last_server_failures_ ||
-      engine_.task_kills_ < last_task_kills_ ||
+  const EngineCounters& last = last_counters_;
+  if (engine_.now_ + 1e-9 < last_now_ || c.iterations_run < last.iterations_run ||
+      c.migrations < last.migrations || c.preemptions < last.preemptions ||
+      c.jobs_completed < last.jobs_completed || c.jobs_failed < last.jobs_failed ||
+      c.retry_backoffs < last.retry_backoffs || c.server_failures < last.server_failures ||
+      c.task_kills < last.task_kills ||
       cluster.total_bandwidth_mb() + 1e-9 < last_bandwidth_mb_ ||
       cluster.inter_rack_bandwidth_mb() + 1e-9 < last_inter_rack_mb_) {
     fail("accounting", "a monotone counter decreased since the previous audit");
@@ -772,14 +766,7 @@ void SimAuditor::check_accounting() {
     fail("accounting", "inter-rack bandwidth exceeds the total ledger");
   }
   last_now_ = engine_.now_;
-  last_iterations_run_ = engine_.iterations_run_;
-  last_migrations_ = engine_.migrations_;
-  last_preemptions_ = engine_.preemptions_;
-  last_jobs_completed_ = engine_.jobs_completed_;
-  last_jobs_failed_ = engine_.jobs_failed_;
-  last_retry_backoffs_ = engine_.retry_backoffs_;
-  last_server_failures_ = engine_.server_failures_;
-  last_task_kills_ = engine_.task_kills_;
+  last_counters_ = engine_.counters_;
   last_bandwidth_mb_ = cluster.total_bandwidth_mb();
   last_inter_rack_mb_ = cluster.inter_rack_bandwidth_mb();
 }
@@ -845,8 +832,9 @@ void SimAuditor::check_metrics(const RunMetrics& m) const {
   if (m.inter_rack_tb > m.bandwidth_tb + 1e-12) {
     fail_m("inter-rack traffic exceeds total traffic");
   }
-  if (m.iterations_run != engine_.iterations_run_ || m.migrations != migrations ||
-      m.preemptions != engine_.preemptions_ || m.sched_rounds != engine_.sched_rounds_) {
+  const EngineCounters& c = engine_.counters_;
+  if (m.iterations_run != c.iterations_run || m.migrations != migrations ||
+      m.preemptions != c.preemptions || m.sched_rounds != c.sched_rounds) {
     fail_m("engine counters do not reconcile with RunMetrics");
   }
   if (m.goodput < 0.0 || m.goodput > 1.0 + 1e-12) {
@@ -855,15 +843,15 @@ void SimAuditor::check_metrics(const RunMetrics& m) const {
   // Recovery-policy ledger: the failed-permanent count must match both the
   // engine counter and the per-job terminal states, and the retry/quarantine
   // counters must match the engine's accumulators (all zero when disabled).
-  if (m.jobs_failed_permanent != engine_.jobs_failed_ ||
+  if (m.jobs_failed_permanent != c.jobs_failed ||
       m.jobs_failed_permanent != failed_permanent) {
     fail_m("jobs_failed_permanent " + std::to_string(m.jobs_failed_permanent) +
-           " does not reconcile with engine counter " + std::to_string(engine_.jobs_failed_) +
+           " does not reconcile with engine counter " + std::to_string(c.jobs_failed) +
            " / per-job states " + std::to_string(failed_permanent));
   }
-  if (m.task_retries != engine_.retry_backoffs_ ||
-      m.backoff_delay_seconds != engine_.backoff_delay_seconds_total_ ||
-      m.crashes_absorbed != engine_.crashes_absorbed_) {
+  if (m.task_retries != c.retry_backoffs ||
+      m.backoff_delay_seconds != c.backoff_delay_seconds_total ||
+      m.crashes_absorbed != c.crashes_absorbed) {
     fail_m("retry/backoff counters do not reconcile with RunMetrics");
   }
   if (!engine_.health_ &&
@@ -874,9 +862,9 @@ void SimAuditor::check_metrics(const RunMetrics& m) const {
   // Link-contention ledger: RunMetrics mirrors the engine accumulators,
   // which must stay exactly zero while the feature is off (the byte-
   // identity contract: contention-off runs never touch the link model).
-  if (m.link_busy_seconds != engine_.link_busy_seconds_ ||
-      m.contention_slowdown_seconds != engine_.contention_slowdown_seconds_ ||
-      m.phase_offset_hits != static_cast<std::size_t>(engine_.phase_offset_hits_)) {
+  if (m.link_busy_seconds != c.link_busy_seconds ||
+      m.contention_slowdown_seconds != c.contention_slowdown_seconds ||
+      m.phase_offset_hits != static_cast<std::size_t>(c.phase_offset_hits)) {
     fail_m("link-contention counters do not reconcile with RunMetrics");
   }
   if (!cluster.config().link_contention &&

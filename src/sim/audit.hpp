@@ -20,6 +20,7 @@
 
 #include "common/expect.hpp"
 #include "common/sim_time.hpp"
+#include "sim/engine_state.hpp"
 #include "workload/ids.hpp"
 
 namespace mlfs {
@@ -124,14 +125,7 @@ class SimAuditor {
   std::uint64_t audits_ = 0;
 
   // Monotone-counter snapshots from the previous sweep.
-  std::size_t last_iterations_run_ = 0;
-  std::size_t last_migrations_ = 0;
-  std::size_t last_preemptions_ = 0;
-  std::size_t last_jobs_completed_ = 0;
-  std::size_t last_jobs_failed_ = 0;
-  std::size_t last_retry_backoffs_ = 0;
-  std::size_t last_server_failures_ = 0;
-  std::size_t last_task_kills_ = 0;
+  EngineCounters last_counters_;
   double last_bandwidth_mb_ = 0.0;
   double last_inter_rack_mb_ = 0.0;
   SimTime last_now_ = 0.0;

@@ -527,10 +527,7 @@ void Cluster::save_state(io::BinWriter& w) const {
   w.i64(index_total_slots_);
   write_id_vector(w, underloaded_ids_);
   write_id_vector(w, overloaded_ids_);
-  w.u64(index_stats_.full_rebuilds);
-  w.u64(index_stats_.refreshes);
-  w.u64(index_stats_.servers_reindexed);
-  w.u64(index_stats_.noop_reindexes);
+  io::write_fields(w, index_stats_);
   // The bucket index mirrors the refresh-time caches above bit for bit, so
   // only its query counters are written; restore rebuilds the structure.
   pindex_.save_state(w);
@@ -594,10 +591,7 @@ void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   index_total_slots_ = static_cast<long long>(r.i64());
   underloaded_ids_ = read_id_vector(r);
   overloaded_ids_ = read_id_vector(r);
-  index_stats_.full_rebuilds = static_cast<std::size_t>(r.u64());
-  index_stats_.refreshes = static_cast<std::size_t>(r.u64());
-  index_stats_.servers_reindexed = static_cast<std::size_t>(r.u64());
-  index_stats_.noop_reindexes = static_cast<std::size_t>(r.u64());
+  io::read_fields(r, index_stats_);
   // Rebuild the bucket index from the restored caches it mirrors. Bucket
   // membership and values come out identical to the saving cluster's, so
   // every post-restore query examines the same servers and returns the

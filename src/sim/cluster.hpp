@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "sim/link_model.hpp"
 #include "sim/placement_index.hpp"
 #include "sim/server.hpp"
@@ -109,7 +110,14 @@ struct LoadIndexStats {
   /// by compare-and-skip, so they cost a recompute but no partition or
   /// bucket surgery and no longer inflate `servers_reindexed`.
   std::size_t noop_reindexes = 0;
+
+  /// Snapshot order (io::write_fields / read_fields).
+  static constexpr auto fields() {
+    return std::tuple{&LoadIndexStats::full_rebuilds, &LoadIndexStats::refreshes,
+                      &LoadIndexStats::servers_reindexed, &LoadIndexStats::noop_reindexes};
+  }
 };
+static_assert(io::lists_every_field<LoadIndexStats>);
 
 class Cluster {
  public:

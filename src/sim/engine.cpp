@@ -85,17 +85,9 @@ SimEngine::SimEngine(const ClusterConfig& cluster_config, const EngineConfig& en
     cluster_.register_job(std::move(inst.job), std::move(inst.tasks));
   }
   base_job_count_ = cluster_.job_count();
-  job_epoch_.assign(cluster_.job_count(), 0);
-  waiting_since_.assign(cluster_.job_count(), 0.0);
-  partial_since_.assign(cluster_.job_count(), -1.0);
-  iter_started_.assign(cluster_.job_count(), 0.0);
-  iter_duration_.assign(cluster_.job_count(), 0.0);
-  resume_credit_.assign(cluster_.job_count(), 0.0);
-  deadline_recorded_.assign(cluster_.job_count(), 0);
-  fault_stopped_since_.assign(cluster_.job_count(), -1.0);
+  job_runtime_.resize(cluster_.job_count());
   server_epoch_.assign(cluster_.server_count(), 0);
   task_in_backoff_.assign(cluster_.task_count(), 0);
-  retries_used_.assign(cluster_.job_count(), 0);
   for (const Job& job : cluster_.jobs()) {
     push_event(job.spec().arrival, EventType::Arrival, job.id());
     push_event(job.deadline(), EventType::Deadline, job.id());
@@ -146,13 +138,13 @@ void SimEngine::preempt_to_queue(TaskId task_id) {
   cluster_.unplace_task(task_id);
   t.queued_since = now_;
   queue_.push_back(task_id);
-  ++preemptions_;
+  ++counters_.preemptions;
   if (observer_ != nullptr) observer_->on_task_preempted(now_, task_id);
   Job& job = cluster_.job(t.job);
   if (job.state() == JobState::Running) {
     abort_iteration(job);
     job.set_state(JobState::Waiting);
-    waiting_since_[job.id()] = now_;
+    job_runtime_[job.id()].waiting_since = now_;
   }
 }
 
@@ -171,7 +163,7 @@ bool SimEngine::migrate(TaskId task_id, ServerId server, int gpu) {
     t.pending_penalty_seconds += t.state_size_mb / cluster_config_.server_bandwidth_mbps +
                                  config_.migration_fixed_penalty_seconds;
   }
-  ++migrations_;
+  ++counters_.migrations;
   return true;
 }
 
@@ -192,7 +184,7 @@ bool SimEngine::set_phase_offset(JobId job, double offset) {
   // network-aware scheduler run with the feature disabled stays
   // bit-identical to one that never calls it.
   const bool changed = cluster_.set_phase_offset(job, offset);
-  if (changed) ++phase_offset_hits_;
+  if (changed) ++counters_.phase_offset_hits;
   return changed;
 }
 
@@ -204,15 +196,7 @@ JobId SimEngine::inject_job(JobSpec spec) {
   spec.validate();
   auto inst = ModelZoo::instantiate(spec, static_cast<TaskId>(cluster_.task_count()));
   cluster_.register_job(std::move(inst.job), std::move(inst.tasks));
-  job_epoch_.push_back(0);
-  waiting_since_.push_back(0.0);
-  partial_since_.push_back(-1.0);
-  iter_started_.push_back(0.0);
-  iter_duration_.push_back(0.0);
-  resume_credit_.push_back(0.0);
-  deadline_recorded_.push_back(0);
-  fault_stopped_since_.push_back(-1.0);
-  retries_used_.push_back(0);
+  job_runtime_.emplace_back();
   task_in_backoff_.resize(cluster_.task_count(), 0);
   const Job& job = cluster_.job(id);
   // The arrival flows through the normal event queue (same dispatch, hash
@@ -239,7 +223,7 @@ void SimEngine::handle_arrival(JobId id) {
   Job& job = cluster_.job(id);
   job.set_state(JobState::Waiting);
   cluster_.set_job_live(id, true);
-  waiting_since_[id] = now_;
+  job_runtime_[id].waiting_since = now_;
   for (const TaskId tid : job.tasks()) {
     Task& t = cluster_.task(tid);
     t.queued_since = now_;
@@ -247,8 +231,8 @@ void SimEngine::handle_arrival(JobId id) {
   }
   scheduler_.on_job_arrival(job, now_);
   if (observer_ != nullptr) observer_->on_job_arrival(now_, id);
-  if (!tick_armed_) {
-    tick_armed_ = true;
+  if (!counters_.tick_armed) {
+    counters_.tick_armed = true;
     push_event(now_, EventType::Tick);
   }
 }
@@ -286,11 +270,11 @@ void SimEngine::run_watchdog() {
     return cluster_.job(id).state() == JobState::Running;
   });
   if (any_running || queue_.empty()) {
-    stall_ticks_ = 0;
+    counters_.stall_ticks = 0;
     return;
   }
-  if (++stall_ticks_ < config_.stall_ticks_before_eviction) return;
-  stall_ticks_ = 0;
+  if (++counters_.stall_ticks < config_.stall_ticks_before_eviction) return;
+  counters_.stall_ticks = 0;
   // Fragmentation deadlock: every waiting job is partially placed and no
   // placement can complete any of them. Evict the placed tasks of the
   // least-complete partial job so its resources unblock the others.
@@ -317,7 +301,7 @@ void SimEngine::run_watchdog() {
   }
   if (victim == kInvalidJob) return;
   MLFS_DEBUG("watchdog evicting partial job " << victim);
-  ++watchdog_evictions_;
+  ++counters_.watchdog_evictions;
   const Job& job = cluster_.job(victim);
   for (const TaskId tid : job.tasks()) {
     Task& t = cluster_.task(tid);
@@ -325,7 +309,7 @@ void SimEngine::run_watchdog() {
       cluster_.unplace_task(tid);
       t.queued_since = now_;
       queue_.push_back(tid);
-      ++preemptions_;
+      ++counters_.preemptions;
     }
   }
 }
@@ -362,10 +346,10 @@ void SimEngine::evict_task_for_fault(TaskId tid) {
     // waits base·factor^k); waiting-time priority still accrues from
     // queued_since, so backoff does not starve the job.
     task_in_backoff_[tid] = 1;
-    const double delay = backoff_delay_seconds(config_.recovery, retries_used_[t.job],
+    const double delay = backoff_delay_seconds(config_.recovery, job_runtime_[t.job].retries_used,
                                                recovery_rng_.uniform());
-    backoff_delay_seconds_total_ += delay;
-    ++retry_backoffs_;
+    counters_.backoff_delay_seconds_total += delay;
+    ++counters_.retry_backoffs;
     push_event(now_ + delay, EventType::RetryRelease, static_cast<JobId>(tid));
   } else {
     queue_.push_back(tid);
@@ -384,35 +368,36 @@ void SimEngine::handle_retry_release(TaskId tid) {
 
 void SimEngine::fault_abort(Job& job) {
   const JobId id = job.id();
+  JobRuntime& rt = job_runtime_[id];
   // Everything since the last checkpoint is destroyed: any preserved
   // resume credit, the in-flight fraction, and completed iterations past
   // the latest checkpoint-interval boundary.
-  double lost_fraction = resume_credit_[id];
-  if (job.state() == JobState::Running && iter_duration_[id] > 0.0) {
+  double lost_fraction = rt.resume_credit;
+  if (job.state() == JobState::Running && rt.iter_duration > 0.0) {
     const double elapsed =
-        std::clamp((now_ - iter_started_[id]) / iter_duration_[id], 0.0, 1.0);
+        std::clamp((now_ - rt.iter_started) / rt.iter_duration, 0.0, 1.0);
     lost_fraction = std::clamp(lost_fraction + (1.0 - lost_fraction) * elapsed, 0.0, 1.0);
   }
-  resume_credit_[id] = 0.0;
+  rt.resume_credit = 0.0;
   const int interval = checkpoint_interval_for(job);
   const int lost_iters = job.completed_iterations() % interval;
   job.rollback_iterations(lost_iters);
-  iterations_rolled_back_ += static_cast<std::size_t>(lost_iters);
-  inflight_work_lost_iterations_ += lost_fraction;
-  work_lost_gpu_seconds_ += (static_cast<double>(lost_iters) + lost_fraction) *
-                            job.ideal_iteration_seconds() *
-                            static_cast<double>(job.spec().gpu_request);
-  iter_duration_[id] = 0.0;
-  ++job_epoch_[id];  // any in-flight IterationDone is now stale
-  if (fault_stopped_since_[id] < 0.0) fault_stopped_since_[id] = now_;
+  counters_.iterations_rolled_back += static_cast<std::size_t>(lost_iters);
+  counters_.inflight_work_lost_iterations += lost_fraction;
+  counters_.work_lost_gpu_seconds += (static_cast<double>(lost_iters) + lost_fraction) *
+                                     job.ideal_iteration_seconds() *
+                                     static_cast<double>(job.spec().gpu_request);
+  rt.iter_duration = 0.0;
+  ++rt.epoch;  // any in-flight IterationDone is now stale
+  if (rt.fault_stopped_since < 0.0) rt.fault_stopped_since = now_;
   if (job.state() == JobState::Running) {
     job.set_state(JobState::Waiting);
-    waiting_since_[id] = now_;
+    rt.waiting_since = now_;
   }
   if (health_ && config_.recovery.retry_backoff_enabled) {
-    ++retries_used_[id];
+    ++rt.retries_used;
     const int budget = config_.recovery.retry_budget;
-    if (budget > 0 && retries_used_[id] > budget) fail_job(job);
+    if (budget > 0 && rt.retries_used > budget) fail_job(job);
   }
 }
 
@@ -434,10 +419,11 @@ int SimEngine::checkpoint_interval_for(const Job& job) const {
 void SimEngine::fail_job(Job& job) {
   MLFS_EXPECT(!job.done());
   const JobId id = job.id();
+  JobRuntime& rt = job_runtime_[id];
   abort_iteration(job);
-  resume_credit_[id] = 0.0;
+  rt.resume_credit = 0.0;
   if (job.state() == JobState::Waiting) {
-    job.add_waiting_time(now_ - waiting_since_[id]);
+    job.add_waiting_time(now_ - rt.waiting_since);
   }
   for (const TaskId tid : job.tasks()) {
     Task& t = cluster_.task(tid);
@@ -447,10 +433,10 @@ void SimEngine::fail_job(Job& job) {
   }
   job.set_state(JobState::Failed);
   job.set_completion_time(now_);
-  ++jobs_failed_;
+  ++counters_.jobs_failed;
   prediction_.on_job_failed(job);
-  fault_stopped_since_[id] = -1.0;
-  partial_since_[id] = -1.0;
+  rt.fault_stopped_since = -1.0;
+  rt.partial_since = -1.0;
   cluster_.set_job_live(id, false);
   // Schedulers treat this like a completion: caches are evicted, service
   // accounting closes. The runtime predictor is *not* fed — a truncated
@@ -462,14 +448,14 @@ void SimEngine::fail_job(Job& job) {
 bool SimEngine::crash_server(ServerId id, SimDuration repair_after) {
   Server& server = cluster_.server(id);
   if (!server.up()) return false;
-  ++server_failures_;
+  ++counters_.server_failures;
   if (health_) {
     health_->record_crash(id, now_);
     // A capped (quarantined/probation) server crashing empty is the
     // policy working: the crash destroyed no work.
-    if (server.task_count() == 0 && server.placement_cap() >= 0) ++crashes_absorbed_;
+    if (server.task_count() == 0 && server.placement_cap() >= 0) ++counters_.crashes_absorbed;
   }
-  if (server.task_count() > 0) ++victimful_crashes_;
+  if (server.task_count() > 0) ++counters_.victimful_crashes;
   // Evict every hosted task first (requeued with accumulated waiting-time
   // priority intact), then apply one checkpoint-loss abort per affected
   // job — a job with several tasks on the dead server rolls back once.
@@ -478,7 +464,7 @@ bool SimEngine::crash_server(ServerId id, SimDuration repair_after) {
   for (const TaskId tid : victims) {
     const JobId jid = cluster_.task(tid).job;
     evict_task_for_fault(tid);
-    ++crash_evictions_;
+    ++counters_.crash_evictions;
     if (std::find(affected.begin(), affected.end(), jid) == affected.end()) {
       affected.push_back(jid);
     }
@@ -530,7 +516,7 @@ void SimEngine::apply_health_transitions() {
 }
 
 void SimEngine::handle_rack_outage(int rack) {
-  ++rack_outages_;
+  ++counters_.rack_outages;
   // One repair draw for the whole rack: its servers fail together and
   // come back together (correlated failure domain).
   const double mttr = config_.fault.rack_mttr_hours;
@@ -564,7 +550,7 @@ void SimEngine::kill_random_tasks() {
     const JobId jid = cluster_.task(tid).job;
     if (health_) health_->record_task_kill(victim_hosts[i], now_);
     evict_task_for_fault(tid);
-    ++task_kills_;
+    ++counters_.task_kills;
     if (std::find(affected.begin(), affected.end(), jid) == affected.end()) {
       affected.push_back(jid);
     }
@@ -589,7 +575,7 @@ void SimEngine::handle_tick() {
   if (health_) apply_health_transitions();
   resample_usage();
   kill_random_tasks();
-  overload_occurrences_ += cluster_.overloaded_servers(config_.hr).size();
+  counters_.overload_occurrences += cluster_.overloaded_servers(config_.hr).size();
   compact_queue();
 
   if (load_controller_ != nullptr) {
@@ -612,9 +598,9 @@ void SimEngine::handle_tick() {
   const auto wall_start = std::chrono::steady_clock::now();
   scheduler_.schedule(ctx);
   const auto wall_end = std::chrono::steady_clock::now();
-  sched_wall_ms_total_ +=
+  counters_.sched_wall_ms_total +=
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  ++sched_rounds_;
+  ++counters_.sched_rounds;
 
   compact_queue();
   try_start_jobs();
@@ -622,10 +608,11 @@ void SimEngine::handle_tick() {
   run_watchdog();
 
   // Keep ticking while there is anything left to drive.
-  if (jobs_completed_ + jobs_failed_ < cluster_.job_count() && now_ < config_.max_sim_time) {
+  if (counters_.jobs_completed + counters_.jobs_failed < cluster_.job_count() &&
+      now_ < config_.max_sim_time) {
     push_event(now_ + config_.tick_interval, EventType::Tick);
   } else {
-    tick_armed_ = false;
+    counters_.tick_armed = false;
   }
 }
 
@@ -634,16 +621,17 @@ void SimEngine::try_start_jobs() {
     Job& job = cluster_.job(id);
     if (job.state() != JobState::Waiting) continue;
     if (!cluster_.job_fully_placed(job)) continue;
+    JobRuntime& rt = job_runtime_[id];
     // All live tasks placed: accumulate waiting, start the next iteration.
-    job.add_waiting_time(now_ - waiting_since_[job.id()]);
+    job.add_waiting_time(now_ - rt.waiting_since);
     job.set_state(JobState::Running);
-    partial_since_[job.id()] = -1.0;
-    if (fault_stopped_since_[job.id()] >= 0.0) {
+    rt.partial_since = -1.0;
+    if (rt.fault_stopped_since >= 0.0) {
       // The job is running again after a fault knocked it out: close the
       // recovery interval for the mean-recovery-time metric.
-      recovery_seconds_sum_ += now_ - fault_stopped_since_[job.id()];
-      ++recoveries_;
-      fault_stopped_since_[job.id()] = -1.0;
+      counters_.recovery_seconds_sum += now_ - rt.fault_stopped_since;
+      ++counters_.recoveries;
+      rt.fault_stopped_since = -1.0;
     }
     if (observer_ != nullptr) observer_->on_job_started(now_, job.id());
     start_iteration(job);
@@ -659,7 +647,7 @@ JobId SimEngine::protected_job() const {
   for (const JobId id : cluster_.live_jobs()) {
     const Job& job = cluster_.job(id);
     if (job.state() != JobState::Waiting) continue;
-    const double wait = job.waiting_time() + (now_ - waiting_since_[id]);
+    const double wait = job.waiting_time() + (now_ - job_runtime_[id].waiting_since);
     if (wait > best_wait) {
       best_wait = wait;
       best = id;
@@ -672,9 +660,10 @@ void SimEngine::release_stale_partial_placements() {
   const JobId protected_id = protected_job();
   for (const JobId id : cluster_.live_jobs()) {
     if (id == protected_id) continue;
+    SimTime& partial_since = job_runtime_[id].partial_since;
     const Job& job = cluster_.job(id);
     if (job.state() != JobState::Waiting) {
-      partial_since_[id] = -1.0;
+      partial_since = -1.0;
       continue;
     }
     bool any_placed = false;
@@ -685,14 +674,14 @@ void SimEngine::release_stale_partial_placements() {
       }
     }
     if (!any_placed) {
-      partial_since_[id] = -1.0;
+      partial_since = -1.0;
       continue;
     }
-    if (partial_since_[id] < 0.0) {
-      partial_since_[id] = now_;
+    if (partial_since < 0.0) {
+      partial_since = now_;
       continue;
     }
-    if (now_ - partial_since_[id] < config_.partial_placement_timeout) continue;
+    if (now_ - partial_since < config_.partial_placement_timeout) continue;
     // Idle placements held too long: give the capacity back (the job is
     // not running, so nothing is aborted) and retry as one gang later.
     for (const TaskId tid : job.tasks()) {
@@ -703,8 +692,8 @@ void SimEngine::release_stale_partial_placements() {
         queue_.push_back(tid);
       }
     }
-    partial_since_[id] = -1.0;
-    ++partial_releases_;
+    partial_since = -1.0;
+    ++counters_.partial_releases;
   }
 }
 
@@ -738,8 +727,8 @@ double SimEngine::iteration_duration(const Job& job) {
           const double shared_bw =
               cluster_.link_model().flow_bandwidth(job.id(), pt.server, t.server, base_bw);
           const double shared_comm = volume / shared_bw;
-          link_busy_seconds_ += shared_comm;
-          contention_slowdown_seconds_ += shared_comm - comm;
+          counters_.link_busy_seconds += shared_comm;
+          counters_.contention_slowdown_seconds += shared_comm - comm;
           comm = shared_comm;
         }
         any_cross_server = true;
@@ -819,8 +808,8 @@ double SimEngine::iteration_duration(const Job& job) {
       const double base_round = 2.0 * job.spec().comm_volume_ww_mb / ring_bw;
       if (contended) {
         const double shared_round = 2.0 * job.spec().comm_volume_ww_mb / shared_ring_bw;
-        link_busy_seconds_ += shared_round;
-        contention_slowdown_seconds_ += shared_round - base_round;
+        counters_.link_busy_seconds += shared_round;
+        counters_.contention_slowdown_seconds += shared_round - base_round;
         critical += shared_round;
       } else {
         critical += base_round;
@@ -832,10 +821,11 @@ double SimEngine::iteration_duration(const Job& job) {
 
 void SimEngine::start_iteration(Job& job) {
   MLFS_EXPECT(job.state() == JobState::Running);
+  JobRuntime& rt = job_runtime_[job.id()];
   // Resume credit from a previously aborted iteration (checkpointing):
   // only the unfinished remainder must be recomputed.
-  double duration = iteration_duration(job) * (1.0 - resume_credit_[job.id()]);
-  resume_credit_[job.id()] = 0.0;
+  double duration = iteration_duration(job) * (1.0 - rt.resume_credit);
+  rt.resume_credit = 0.0;
   duration = std::max(duration, 1e-3);
   if (health_ && config_.recovery.adaptive_checkpoint && config_.fault.any_faults()) {
     // Checkpointing is no longer free under the adaptive policy: the
@@ -845,23 +835,23 @@ void SimEngine::start_iteration(Job& job) {
       duration += config_.recovery.checkpoint_cost_seconds;
     }
   }
-  const std::uint64_t epoch = ++job_epoch_[job.id()];
-  iter_started_[job.id()] = now_;
-  iter_duration_[job.id()] = duration;
+  const std::uint64_t epoch = ++rt.epoch;
+  rt.iter_started = now_;
+  rt.iter_duration = duration;
   push_event(now_ + duration, EventType::IterationDone, job.id(), epoch);
 }
 
 void SimEngine::abort_iteration(Job& job) {
-  const JobId id = job.id();
-  if (job.state() == JobState::Running && iter_duration_[id] > 0.0) {
-    const double fraction = (now_ - iter_started_[id]) / iter_duration_[id];
+  JobRuntime& rt = job_runtime_[job.id()];
+  if (job.state() == JobState::Running && rt.iter_duration > 0.0) {
+    const double fraction = (now_ - rt.iter_started) / rt.iter_duration;
     // Combine with any prior credit: progress accumulates across aborts.
-    const double prior = resume_credit_[id];
-    resume_credit_[id] =
+    const double prior = rt.resume_credit;
+    rt.resume_credit =
         std::clamp(prior + (1.0 - prior) * std::clamp(fraction, 0.0, 1.0), 0.0, 0.95);
   }
-  iter_duration_[id] = 0.0;
-  ++job_epoch_[id];
+  rt.iter_duration = 0.0;
+  ++rt.epoch;
 }
 
 void SimEngine::account_iteration_bandwidth(const Job& job) {
@@ -928,7 +918,7 @@ void SimEngine::complete_job(Job& job) {
   MLFS_EXPECT(!job.done());
   abort_iteration(job);
   if (job.state() == JobState::Waiting) {
-    job.add_waiting_time(now_ - waiting_since_[job.id()]);
+    job.add_waiting_time(now_ - job_runtime_[job.id()].waiting_since);
   }
   for (const TaskId tid : job.tasks()) {
     Task& t = cluster_.task(tid);
@@ -938,8 +928,8 @@ void SimEngine::complete_job(Job& job) {
   }
   job.set_state(JobState::Completed);
   job.set_completion_time(now_);
-  ++jobs_completed_;
-  partial_since_[job.id()] = -1.0;
+  ++counters_.jobs_completed;
+  job_runtime_[job.id()].partial_since = -1.0;
   cluster_.set_job_live(job.id(), false);
   prediction_.on_job_complete(job);
   scheduler_.on_job_complete(job, now_);
@@ -948,10 +938,10 @@ void SimEngine::complete_job(Job& job) {
 
 void SimEngine::handle_iteration_done(JobId id, std::uint64_t epoch) {
   Job& job = cluster_.job(id);
-  if (job.done() || epoch != job_epoch_[id]) return;  // aborted iteration
+  if (job.done() || epoch != job_runtime_[id].epoch) return;  // aborted iteration
   MLFS_EXPECT(job.state() == JobState::Running);
   job.complete_iteration();
-  ++iterations_run_;
+  ++counters_.iterations_run;
   prediction_.on_iteration_complete(job);
   if (observer_ != nullptr) {
     observer_->on_iteration_complete(now_, id, job.completed_iterations());
@@ -966,8 +956,9 @@ void SimEngine::handle_iteration_done(JobId id, std::uint64_t epoch) {
 
 void SimEngine::handle_deadline(JobId id) {
   Job& job = cluster_.job(id);
-  if (deadline_recorded_[id]) return;
-  deadline_recorded_[id] = 1;
+  bool& recorded = job_runtime_[id].deadline_recorded;
+  if (recorded) return;
+  recorded = true;
   if (!job.done()) job.record_deadline_progress();
 }
 
@@ -1027,13 +1018,14 @@ bool SimEngine::step() {
       break;
   }
   if (auditor_) auditor_->after_event(name, ev.job);
-  return jobs_completed_ + jobs_failed_ != cluster_.job_count();
+  return counters_.jobs_completed + counters_.jobs_failed != cluster_.job_count();
 }
 
 RunMetrics SimEngine::finalize() {
-  if (jobs_completed_ + jobs_failed_ < cluster_.job_count()) {
+  const EngineCounters& c = counters_;
+  if (c.jobs_completed + c.jobs_failed < cluster_.job_count()) {
     MLFS_WARN("simulation hit max_sim_time with "
-              << (cluster_.job_count() - jobs_completed_ - jobs_failed_)
+              << (cluster_.job_count() - c.jobs_completed - c.jobs_failed)
               << " jobs incomplete (censored)");
   }
 
@@ -1086,8 +1078,8 @@ RunMetrics SimEngine::finalize() {
   m.average_accuracy = accuracy_sum / n;
   m.bandwidth_tb = cluster_.total_bandwidth_mb() / 1e6;
   m.inter_rack_tb = cluster_.inter_rack_bandwidth_mb() / 1e6;
-  m.sched_overhead_ms = sched_rounds_ > 0 ? sched_wall_ms_total_ / sched_rounds_ : 0.0;
-  m.sched_rounds = sched_rounds_;
+  m.sched_overhead_ms = c.sched_rounds > 0 ? c.sched_wall_ms_total / c.sched_rounds : 0.0;
+  m.sched_rounds = c.sched_rounds;
   const SchedStats sstats = scheduler_.sched_stats();
   m.candidates_scanned = sstats.candidates_scanned;
   m.candidates_linear = sstats.candidates_linear;
@@ -1103,9 +1095,9 @@ RunMetrics SimEngine::finalize() {
   m.pindex_servers_pruned = pstats.servers_pruned;
   m.pindex_buckets_pruned = pstats.buckets_pruned;
   m.pindex_servers_bypassed = pstats.servers_bypassed;
-  m.link_busy_seconds = link_busy_seconds_;
-  m.contention_slowdown_seconds = contention_slowdown_seconds_;
-  m.phase_offset_hits = static_cast<std::size_t>(phase_offset_hits_);
+  m.link_busy_seconds = c.link_busy_seconds;
+  m.contention_slowdown_seconds = c.contention_slowdown_seconds;
+  m.phase_offset_hits = static_cast<std::size_t>(c.phase_offset_hits);
   const PredictStats& predict_stats = prediction_.stats();
   m.fits_cold = predict_stats.fits_cold;
   m.fits_warm = predict_stats.fits_warm;
@@ -1113,44 +1105,44 @@ RunMetrics SimEngine::finalize() {
   m.nm_objective_evals = predict_stats.nm_objective_evals;
   m.fit_wall_ms = predict_stats.fit_wall_ms;
   m.run_wall_ms = run_wall_ms_;
-  m.overload_occurrences = overload_occurrences_;
-  m.migrations = migrations_;
-  m.preemptions = preemptions_;
-  m.partial_releases = partial_releases_;
-  m.watchdog_evictions = watchdog_evictions_;
-  m.iterations_run = iterations_run_;
+  m.overload_occurrences = c.overload_occurrences;
+  m.migrations = c.migrations;
+  m.preemptions = c.preemptions;
+  m.partial_releases = c.partial_releases;
+  m.watchdog_evictions = c.watchdog_evictions;
+  m.iterations_run = c.iterations_run;
   m.iterations_saved = iterations_saved;
   m.urgent_deadline_ratio =
       urgent_total > 0 ? static_cast<double>(urgent_met) / urgent_total : 0.0;
-  m.server_failures = server_failures_;
-  m.rack_outages = rack_outages_;
-  m.task_kills = task_kills_;
-  m.crash_evictions = crash_evictions_;
-  m.iterations_rolled_back = iterations_rolled_back_;
-  m.work_lost_gpu_seconds = work_lost_gpu_seconds_;
+  m.server_failures = c.server_failures;
+  m.rack_outages = c.rack_outages;
+  m.task_kills = c.task_kills;
+  m.crash_evictions = c.crash_evictions;
+  m.iterations_rolled_back = c.iterations_rolled_back;
+  m.work_lost_gpu_seconds = c.work_lost_gpu_seconds;
   m.mean_recovery_seconds =
-      recoveries_ > 0 ? recovery_seconds_sum_ / static_cast<double>(recoveries_) : 0.0;
+      c.recoveries > 0 ? c.recovery_seconds_sum / static_cast<double>(c.recoveries) : 0.0;
   m.quarantines = health_ ? health_->quarantines() : 0;
   m.quarantine_valve_saves = health_ ? health_->valve_saves() : 0;
-  m.task_retries = retry_backoffs_;
-  m.backoff_delay_seconds = backoff_delay_seconds_total_;
-  m.jobs_failed_permanent = jobs_failed_;
-  m.crashes_absorbed = crashes_absorbed_;
+  m.task_retries = c.retry_backoffs;
+  m.backoff_delay_seconds = c.backoff_delay_seconds_total;
+  m.jobs_failed_permanent = c.jobs_failed;
+  m.crashes_absorbed = c.crashes_absorbed;
   // Estimated wasted work the quarantine avoided: each crash absorbed by
   // an empty capped server would, on average, have cost what a victimful
   // crash cost in this run.
   m.wasted_work_avoided_gpu_seconds =
-      victimful_crashes_ > 0
-          ? static_cast<double>(crashes_absorbed_) *
-                (work_lost_gpu_seconds_ / static_cast<double>(victimful_crashes_))
+      c.victimful_crashes > 0
+          ? static_cast<double>(c.crashes_absorbed) *
+                (c.work_lost_gpu_seconds / static_cast<double>(c.victimful_crashes))
           : 0.0;
   // Goodput: rolled-back iterations were executed (counted in
-  // iterations_run_) but not useful; discarded in-flight fractions were
+  // iterations_run) but not useful; discarded in-flight fractions were
   // executed but never counted.
-  const double useful = static_cast<double>(iterations_run_) -
-                        static_cast<double>(iterations_rolled_back_);
+  const double useful = static_cast<double>(c.iterations_run) -
+                        static_cast<double>(c.iterations_rolled_back);
   const double executed =
-      static_cast<double>(iterations_run_) + inflight_work_lost_iterations_;
+      static_cast<double>(c.iterations_run) + c.inflight_work_lost_iterations;
   m.goodput = executed > 0.0 ? useful / executed : 1.0;
   if (auditor_) {
     auditor_->check_now("end-of-run");

@@ -27,6 +27,7 @@
 #include "predict/service.hpp"
 #include "sim/audit.hpp"
 #include "sim/cluster.hpp"
+#include "sim/engine_state.hpp"
 #include "sim/event_log.hpp"
 #include "sim/health.hpp"
 #include "sim/metrics.hpp"
@@ -324,6 +325,10 @@ class SimEngine final : private SchedulerOps {
       if (time != o.time) return time > o.time;
       return seq > o.seq;
     }
+    /// Snapshot order.
+    static constexpr auto fields() {
+      return std::tuple{&Event::time, &Event::seq, &Event::type, &Event::job, &Event::epoch};
+    }
   };
   void push_event(SimTime time, EventType type, JobId job = kInvalidJob,
                   std::uint64_t epoch = 0);
@@ -434,60 +439,18 @@ class SimEngine final : private SchedulerOps {
   std::vector<char> queue_seen_;     // compact_queue scratch, all-zero between calls
   std::vector<JobId> live_scratch_;  // copy of the live set for walks that complete jobs
   std::vector<double> finish_scratch_;  // iteration_duration's per-node finish times
-  std::vector<std::uint64_t> job_epoch_;     // per job, bumped on abort/start
-  std::vector<SimTime> waiting_since_;       // per job, valid while Waiting
-  std::vector<SimTime> partial_since_;       // per job, -1 = not partially placed
-  std::vector<char> deadline_recorded_;
-  // Checkpoint/resume model: an aborted iteration keeps the fraction of
-  // progress it had made; the job's next iteration start subtracts it.
-  std::vector<SimTime> iter_started_;        // per job, start of in-flight iteration
-  std::vector<double> iter_duration_;        // per job, planned duration
-  std::vector<double> resume_credit_;        // per job, completed fraction in [0, 0.95]
+  std::vector<JobRuntime> job_runtime_;  // per job
 
-  // Fault-injection state: per-server up/down transition counter (stale
-  // ServerDown/Up events carry the epoch they were scheduled under and
-  // are dropped when it no longer matches), and per-job fault-impact time
-  // for the recovery-latency metric (-1 = not currently impacted).
+  // Per-server up/down transition counter: stale ServerDown/Up events
+  // carry the epoch they were scheduled under and are dropped when it no
+  // longer matches.
   std::vector<std::uint64_t> server_epoch_;
-  std::vector<SimTime> fault_stopped_since_;
-
-  // Recovery-policy state: tasks currently held out of the queue by a
-  // backoff window (their RetryRelease event re-admits them), and the
-  // fault rollbacks each job has absorbed against its retry budget.
+  // Per task: held out of the queue by a retry-backoff window (its
+  // RetryRelease event re-admits it).
   std::vector<char> task_in_backoff_;
-  std::vector<int> retries_used_;
 
-  std::size_t jobs_completed_ = 0;
-  std::size_t jobs_failed_ = 0;
-  std::size_t overload_occurrences_ = 0;
-  std::size_t migrations_ = 0;
-  std::size_t preemptions_ = 0;
-  std::size_t partial_releases_ = 0;
-  std::size_t watchdog_evictions_ = 0;
-  std::size_t iterations_run_ = 0;
-  std::size_t server_failures_ = 0;
-  std::size_t rack_outages_ = 0;
-  std::size_t task_kills_ = 0;
-  std::size_t crash_evictions_ = 0;
-  std::size_t retry_backoffs_ = 0;
-  double backoff_delay_seconds_total_ = 0.0;
-  std::size_t crashes_absorbed_ = 0;   ///< crashes of capped servers with no victims
-  std::size_t victimful_crashes_ = 0;  ///< crashes that evicted at least one task
-  std::size_t iterations_rolled_back_ = 0;
-  double inflight_work_lost_iterations_ = 0.0;  ///< discarded partial-iteration fractions
-  double work_lost_gpu_seconds_ = 0.0;
-  double recovery_seconds_sum_ = 0.0;
-  std::size_t recoveries_ = 0;
-  double sched_wall_ms_total_ = 0.0;
+  EngineCounters counters_;
   double run_wall_ms_ = 0.0;  ///< wall-clock of run()'s event loop (0 if manually stepped)
-  std::size_t sched_rounds_ = 0;
-  // Link-contention accounting (all stay zero while
-  // ClusterConfig::link_contention is off — the zero-when-disabled audit).
-  double link_busy_seconds_ = 0.0;  ///< cross-server comm seconds under the link model
-  double contention_slowdown_seconds_ = 0.0;  ///< comm seconds lost to link sharing
-  std::uint64_t phase_offset_hits_ = 0;  ///< scheduler phase-offset changes applied
-  int stall_ticks_ = 0;
-  bool tick_armed_ = false;
 };
 
 }  // namespace mlfs

@@ -9,7 +9,7 @@
 // (magic, version, framing, checksum, fingerprint) before a single engine
 // field is touched, so a rejected file leaves the engine unchanged.
 
-#include <bit>
+#include <array>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -28,20 +28,6 @@ namespace {
 
 void write_rng(io::BinWriter& w, const Rng& rng) {
   for (const std::uint64_t word : rng.state()) w.u64(word);
-}
-
-void read_rng(io::BinReader& r, Rng& rng) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = r.u64();
-  rng.set_state(state);
-}
-
-void write_char_vec(io::BinWriter& w, const std::vector<char>& v) {
-  w.vec(v, [&w](char c) { w.u8(static_cast<std::uint8_t>(c)); });
-}
-
-std::vector<char> read_char_vec(io::BinReader& r) {
-  return r.vec<char>([&r] { return static_cast<char>(r.u8()); });
 }
 
 // The public Scheduler / LoadController hooks speak streams; these two
@@ -194,63 +180,25 @@ void SimEngine::save_snapshot(std::ostream& os) const {
     write_rng(w, fault_rng_);
     write_rng(w, recovery_rng_);
     w.vec(queue_, [&w](TaskId t) { w.u64(t); });
-    w.vec_u64(job_epoch_);
-    w.vec_f64(waiting_since_);
-    w.vec_f64(partial_since_);
-    write_char_vec(w, deadline_recorded_);
-    w.vec_f64(iter_started_);
-    w.vec_f64(iter_duration_);
-    w.vec_f64(resume_credit_);
+    // JobRuntime's columns in their historical order, around the
+    // per-server and per-task ones.
+    io::write_columns<0, 7>(w, job_runtime_);
     w.vec_u64(server_epoch_);
-    w.vec_f64(fault_stopped_since_);
-    write_char_vec(w, task_in_backoff_);
-    w.vec(retries_used_, [&w](int v) { w.i64(v); });
-    w.u64(jobs_completed_);
-    w.u64(jobs_failed_);
-    w.u64(overload_occurrences_);
-    w.u64(migrations_);
-    w.u64(preemptions_);
-    w.u64(partial_releases_);
-    w.u64(watchdog_evictions_);
-    w.u64(iterations_run_);
-    w.u64(server_failures_);
-    w.u64(rack_outages_);
-    w.u64(task_kills_);
-    w.u64(crash_evictions_);
-    w.u64(retry_backoffs_);
-    w.f64(backoff_delay_seconds_total_);
-    w.u64(crashes_absorbed_);
-    w.u64(victimful_crashes_);
-    w.u64(iterations_rolled_back_);
-    w.f64(inflight_work_lost_iterations_);
-    w.f64(work_lost_gpu_seconds_);
-    w.f64(recovery_seconds_sum_);
-    w.u64(recoveries_);
-    w.f64(sched_wall_ms_total_);
-    w.u64(sched_rounds_);
-    w.f64(link_busy_seconds_);
-    w.f64(contention_slowdown_seconds_);
-    w.u64(phase_offset_hits_);
-    w.i64(stall_ticks_);
-    w.boolean(tick_armed_);
+    io::write_columns<7, 8>(w, job_runtime_);
+    w.vec(task_in_backoff_, [&w](char c) { w.u8(static_cast<std::uint8_t>(c)); });
+    io::write_columns<8, 9>(w, job_runtime_);
+    io::write_fields(w, counters_);
   }
 
   {
     // The pending event queue, drained from a copy in priority order.
     // Event ordering is a total order (seq is a unique FIFO tiebreak), so
-    // re-pushing on restore reproduces the identical pop sequence.
+    // rebuilding the heap on restore reproduces the identical pop sequence.
+    static_assert(io::lists_every_field<Event>);
     io::BinWriter& w = snap.section("events");
     auto pending = events_;
     w.u64(pending.size());
-    while (!pending.empty()) {
-      const Event& ev = pending.top();
-      w.f64(ev.time);
-      w.u64(ev.seq);
-      w.u8(static_cast<std::uint8_t>(ev.type));
-      w.u64(ev.job);
-      w.u64(ev.epoch);
-      pending.pop();
-    }
+    for (; !pending.empty(); pending.pop()) io::write_fields(w, pending.top());
   }
 
   {
@@ -320,96 +268,116 @@ void SimEngine::restore_snapshot(std::istream& is) {
     }
   }
 
+  // Injected jobs: decoded and checked here, registered at commit.
+  // The target engine must be injection-free (freshly constructed from the
+  // base workload) — re-registering on top of live injections would
+  // duplicate jobs.
+  if (!injected_specs_.empty()) {
+    throw SnapshotError("injected", 0,
+                        "restore target already has injected jobs; restore requires a "
+                        "freshly constructed engine");
+  }
+  std::vector<JobSpec> injected;
+  std::size_t task_count = cluster_.task_count();
   {
-    // Injected jobs first: registering them re-grows the cluster/engine to
-    // the size every following section was serialized under. The target
-    // engine must be injection-free (freshly constructed from the base
-    // workload) — re-registering on top of live injections would duplicate
-    // jobs.
     io::BinReader r = snap.section("injected");
-    const std::uint64_t count = r.u64();
-    if (!injected_specs_.empty()) {
-      throw SnapshotError("injected", 0,
-                          "restore target already has injected jobs; restore requires a "
-                          "freshly constructed engine");
-    }
-    for (std::uint64_t i = 0; i < count; ++i) {
-      JobSpec spec = read_job_spec(r);
-      MLFS_EXPECT(spec.id == static_cast<JobId>(cluster_.job_count()));
-      auto inst = ModelZoo::instantiate(spec, static_cast<TaskId>(cluster_.task_count()));
-      cluster_.register_job(std::move(inst.job), std::move(inst.tasks));
-      injected_specs_.push_back(spec);
+    try {
+      for (std::uint64_t i = 0, count = r.u64(); i < count; ++i) {
+        const JobSpec& spec = injected.emplace_back(read_job_spec(r));
+        MLFS_EXPECT(spec.id == base_job_count_ + i);
+        spec.validate();
+        task_count += ModelZoo::task_count(spec);
+      }
+    } catch (const ContractViolation& e) {
+      throw SnapshotError("injected", r.pos(), e.what());
     }
   }
 
+  // The engine and events sections, decoded whole. Every per-job,
+  // per-server and per-task column must match the grown engine's counts.
+  const std::size_t job_count = base_job_count_ + injected.size();
+  std::array<std::array<std::uint64_t, 4>, 3> rng_states;
+  SimTime now = 0.0;
+  std::uint64_t event_seq = 0;
+  std::uint64_t events_processed = 0;
+  std::uint64_t event_hash = 0;
+  std::vector<TaskId> queue;
+  std::vector<JobRuntime> job_runtime(job_count);
+  std::vector<std::uint64_t> server_epoch;
+  std::vector<char> task_in_backoff;
+  EngineCounters counters;
   {
     io::BinReader r = snap.section("engine");
-    now_ = r.f64();
-    event_seq_ = r.u64();
-    events_processed_ = r.u64();
-    event_hash_ = r.u64();
-    read_rng(r, rng_);
-    read_rng(r, fault_rng_);
-    read_rng(r, recovery_rng_);
-    queue_ = r.vec<TaskId>([&r] { return static_cast<TaskId>(r.u64()); });
-    job_epoch_ = r.vec_u64();
-    waiting_since_ = r.vec_f64();
-    partial_since_ = r.vec_f64();
-    deadline_recorded_ = read_char_vec(r);
-    iter_started_ = r.vec_f64();
-    iter_duration_ = r.vec_f64();
-    resume_credit_ = r.vec_f64();
-    server_epoch_ = r.vec_u64();
-    fault_stopped_since_ = r.vec_f64();
-    task_in_backoff_ = read_char_vec(r);
-    retries_used_ = r.vec<int>([&r] { return static_cast<int>(r.i64()); });
-    jobs_completed_ = static_cast<std::size_t>(r.u64());
-    jobs_failed_ = static_cast<std::size_t>(r.u64());
-    overload_occurrences_ = static_cast<std::size_t>(r.u64());
-    migrations_ = static_cast<std::size_t>(r.u64());
-    preemptions_ = static_cast<std::size_t>(r.u64());
-    partial_releases_ = static_cast<std::size_t>(r.u64());
-    watchdog_evictions_ = static_cast<std::size_t>(r.u64());
-    iterations_run_ = static_cast<std::size_t>(r.u64());
-    server_failures_ = static_cast<std::size_t>(r.u64());
-    rack_outages_ = static_cast<std::size_t>(r.u64());
-    task_kills_ = static_cast<std::size_t>(r.u64());
-    crash_evictions_ = static_cast<std::size_t>(r.u64());
-    retry_backoffs_ = static_cast<std::size_t>(r.u64());
-    backoff_delay_seconds_total_ = r.f64();
-    crashes_absorbed_ = static_cast<std::size_t>(r.u64());
-    victimful_crashes_ = static_cast<std::size_t>(r.u64());
-    iterations_rolled_back_ = static_cast<std::size_t>(r.u64());
-    inflight_work_lost_iterations_ = r.f64();
-    work_lost_gpu_seconds_ = r.f64();
-    recovery_seconds_sum_ = r.f64();
-    recoveries_ = static_cast<std::size_t>(r.u64());
-    sched_wall_ms_total_ = r.f64();
-    sched_rounds_ = static_cast<std::size_t>(r.u64());
-    link_busy_seconds_ = r.f64();
-    contention_slowdown_seconds_ = r.f64();
-    phase_offset_hits_ = r.u64();
-    stall_ticks_ = static_cast<int>(r.i64());
-    tick_armed_ = r.boolean();
-    MLFS_EXPECT(job_epoch_.size() == cluster_.job_count());
-    MLFS_EXPECT(server_epoch_.size() == cluster_.server_count());
-    MLFS_EXPECT(task_in_backoff_.size() == cluster_.task_count());
-  }
-
-  {
-    io::BinReader r = snap.section("events");
-    events_ = {};  // drop the fresh-constructor arrivals/crash seeds
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      Event ev;
-      ev.time = r.f64();
-      ev.seq = r.u64();
-      ev.type = static_cast<EventType>(r.u8());
-      ev.job = static_cast<JobId>(r.u64());
-      ev.epoch = r.u64();
-      events_.push(ev);
+    try {
+      now = r.f64();
+      event_seq = r.u64();
+      events_processed = r.u64();
+      event_hash = r.u64();
+      for (auto& state : rng_states) {
+        for (std::uint64_t& word : state) word = r.u64();
+      }
+      queue = r.vec<TaskId>([&r] { return static_cast<TaskId>(r.u64()); });
+      for (const TaskId t : queue) MLFS_EXPECT(t < task_count);
+      io::read_columns<0, 7>(r, job_runtime);
+      server_epoch = r.vec_u64();
+      MLFS_EXPECT(server_epoch.size() == cluster_.server_count());
+      io::read_columns<7, 8>(r, job_runtime);
+      task_in_backoff = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
+      MLFS_EXPECT(task_in_backoff.size() == task_count);
+      io::read_columns<8, 9>(r, job_runtime);
+      io::read_fields(r, counters);
+      MLFS_EXPECT(r.at_end());
+    } catch (const ContractViolation& e) {
+      throw SnapshotError("engine", r.pos(), e.what());
     }
   }
+  std::vector<Event> events;
+  {
+    io::BinReader r = snap.section("events");
+    try {
+      events = r.vec<Event>([&] {
+        Event ev;
+        io::read_fields(r, ev);
+        switch (ev.type) {
+          case EventType::Arrival:
+          case EventType::IterationDone:
+          case EventType::Deadline: MLFS_EXPECT(ev.job < job_count); break;
+          case EventType::ServerDown:
+          case EventType::ServerUp: MLFS_EXPECT(ev.job < cluster_.server_count()); break;
+          case EventType::RetryRelease: MLFS_EXPECT(ev.job < task_count); break;
+          case EventType::Tick:
+          case EventType::RackOutage: break;
+          default: throw ContractViolation("unknown event type");
+        }
+        return ev;
+      });
+    } catch (const ContractViolation& e) {
+      throw SnapshotError("events", r.pos(), e.what());
+    }
+  }
+
+  // Commit. Registering the injected jobs re-grows the cluster to the size
+  // every following section was serialized under.
+  for (const JobSpec& spec : injected) {
+    auto inst = ModelZoo::instantiate(spec, static_cast<TaskId>(cluster_.task_count()));
+    cluster_.register_job(std::move(inst.job), std::move(inst.tasks));
+  }
+  injected_specs_ = std::move(injected);
+  now_ = now;
+  event_seq_ = event_seq;
+  events_processed_ = events_processed;
+  event_hash_ = event_hash;
+  rng_.set_state(rng_states[0]);
+  fault_rng_.set_state(rng_states[1]);
+  recovery_rng_.set_state(rng_states[2]);
+  queue_ = std::move(queue);
+  job_runtime_ = std::move(job_runtime);
+  server_epoch_ = std::move(server_epoch);
+  task_in_backoff_ = std::move(task_in_backoff);
+  counters_ = counters;
+  // Replaces the fresh-constructor arrivals/crash seeds. The event order is
+  // total (seq is a unique tiebreak), so heapifying pops the same sequence.
+  events_ = decltype(events_)(std::greater<>(), std::move(events));
 
   {
     io::BinReader r = snap.section("cluster");

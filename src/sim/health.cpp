@@ -209,16 +209,8 @@ double ServerHealthTracker::score(ServerId server, SimTime now) const {
 }
 
 void ServerHealthTracker::save_state(io::BinWriter& w) const {
-  w.u64(state_.size());
-  for (const ServerState& s : state_) {
-    w.u8(static_cast<std::uint8_t>(s.health));
-    w.f64(s.score);
-    w.f64(s.score_time);
-    w.boolean(s.up);
-    w.f64(s.up_since);
-    w.f64(s.window_until);
-    w.i64(s.quarantine_count);
-  }
+  static_assert(io::lists_every_field<ServerState>);
+  w.vec(state_, [&w](const ServerState& s) { io::write_fields(w, s); });
   w.f64(uptime_sum_);
   w.u64(crashes_);
   w.u64(quarantines_);
@@ -228,15 +220,7 @@ void ServerHealthTracker::save_state(io::BinWriter& w) const {
 void ServerHealthTracker::restore_state(io::BinReader& r) {
   const std::uint64_t count = r.u64();
   MLFS_EXPECT(count == state_.size());  // fleet size is static
-  for (ServerState& s : state_) {
-    s.health = static_cast<ServerHealth>(r.u8());
-    s.score = r.f64();
-    s.score_time = r.f64();
-    s.up = r.boolean();
-    s.up_since = r.f64();
-    s.window_until = r.f64();
-    s.quarantine_count = static_cast<int>(r.i64());
-  }
+  for (ServerState& s : state_) io::read_fields(r, s);
   uptime_sum_ = r.f64();
   crashes_ = static_cast<std::size_t>(r.u64());
   quarantines_ = static_cast<std::size_t>(r.u64());

@@ -175,6 +175,13 @@ class ServerHealthTracker {
     SimTime up_since = 0.0;
     SimTime window_until = 0.0;  ///< quarantine or probation end
     int quarantine_count = 0;    ///< drives the window backoff
+
+    /// Snapshot order.
+    static constexpr auto fields() {
+      using S = ServerState;
+      return std::tuple{&S::health,   &S::score,        &S::score_time,      &S::up,
+                        &S::up_since, &S::window_until, &S::quarantine_count};
+    }
   };
 
   void decay_score(ServerState& s, SimTime now) const;

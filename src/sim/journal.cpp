@@ -36,53 +36,11 @@ JournalError::JournalError(std::string section, std::uint64_t offset,
       section_(std::move(section)),
       offset_(offset) {}
 
-void write_job_spec(io::BinWriter& w, const JobSpec& s) {
-  w.u64(s.id);
-  w.u8(static_cast<std::uint8_t>(s.algorithm));
-  w.u8(static_cast<std::uint8_t>(s.comm));
-  w.f64(s.arrival);
-  w.f64(s.urgency);
-  w.i64(s.max_iterations);
-  w.i64(s.gpu_request);
-  w.f64(s.train_data_mb);
-  w.f64(s.accuracy_requirement);
-  w.f64(s.deadline_slack_hours);
-  w.f64(s.curve.max_accuracy);
-  w.f64(s.curve.kappa);
-  w.f64(s.curve.initial_loss);
-  w.f64(s.curve.final_loss);
-  w.f64(s.curve.noise_sigma);
-  w.u64(s.curve.noise_seed);
-  w.f64(s.comm_volume_ps_mb);
-  w.f64(s.comm_volume_ww_mb);
-  w.u8(static_cast<std::uint8_t>(s.stop_policy));
-  w.u8(static_cast<std::uint8_t>(s.min_allowed_policy));
-  w.u64(s.seed);
-}
+void write_job_spec(io::BinWriter& w, const JobSpec& s) { io::write_fields(w, s); }
 
 JobSpec read_job_spec(io::BinReader& r) {
   JobSpec s;
-  s.id = static_cast<JobId>(r.u64());
-  s.algorithm = static_cast<MlAlgorithm>(r.u8());
-  s.comm = static_cast<CommStructure>(r.u8());
-  s.arrival = r.f64();
-  s.urgency = r.f64();
-  s.max_iterations = static_cast<int>(r.i64());
-  s.gpu_request = static_cast<int>(r.i64());
-  s.train_data_mb = r.f64();
-  s.accuracy_requirement = r.f64();
-  s.deadline_slack_hours = r.f64();
-  s.curve.max_accuracy = r.f64();
-  s.curve.kappa = r.f64();
-  s.curve.initial_loss = r.f64();
-  s.curve.final_loss = r.f64();
-  s.curve.noise_sigma = r.f64();
-  s.curve.noise_seed = r.u64();
-  s.comm_volume_ps_mb = r.f64();
-  s.comm_volume_ww_mb = r.f64();
-  s.stop_policy = static_cast<StopPolicy>(r.u8());
-  s.min_allowed_policy = static_cast<StopPolicy>(r.u8());
-  s.seed = r.u64();
+  io::read_fields(r, s);
   return s;
 }
 

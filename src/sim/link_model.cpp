@@ -205,12 +205,10 @@ void LinkModel::save_state(io::BinWriter& w) const {
   // the dynamic per-job state is written. Flow sets are a pure function of
   // placements, but persisting them keeps restore independent of replay
   // order and lets the auditor's conservation check run immediately.
+  static_assert(io::lists_every_field<Flow>);
   w.u64(flows_.size());
   for (JobId j = 0; j < flows_.size(); ++j) {
-    w.vec(flows_[j], [&w](const Flow& f) {
-      w.u64(f.a);
-      w.u64(f.b);
-    });
+    w.vec(flows_[j], [&w](const Flow& f) { io::write_fields(w, f); });
     w.f64(duty_[j]);
     w.f64(phase_[j]);
   }
@@ -228,8 +226,7 @@ void LinkModel::restore_state(io::BinReader& r) {
   for (std::uint64_t j = 0; j < jobs; ++j) {
     std::vector<Flow> flows = r.vec<Flow>([&r] {
       Flow f;
-      f.a = static_cast<ServerId>(r.u64());
-      f.b = static_cast<ServerId>(r.u64());
+      io::read_fields(r, f);
       return f;
     });
     const double duty = r.f64();

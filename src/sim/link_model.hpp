@@ -37,6 +37,7 @@ class LinkModel {
     friend bool operator==(const Flow& x, const Flow& y) {
       return x.a == y.a && x.b == y.b;
     }
+    static constexpr auto fields() { return std::tuple{&Flow::a, &Flow::b}; }
   };
 
   /// Per-link registration: `flows` of `job` traverse the link.

@@ -57,48 +57,4 @@ std::string RunMetrics::summary() const {
   return os.str();
 }
 
-bool deterministic_equal(const RunMetrics& a, const RunMetrics& b) {
-  return a.scheduler == b.scheduler && a.job_count == b.job_count &&
-         a.jobs_injected == b.jobs_injected &&
-         a.jct_minutes == b.jct_minutes && a.makespan_hours == b.makespan_hours &&
-         a.deadline_ratio == b.deadline_ratio && a.waiting_seconds == b.waiting_seconds &&
-         a.average_accuracy == b.average_accuracy && a.accuracy_ratio == b.accuracy_ratio &&
-         a.bandwidth_tb == b.bandwidth_tb && a.inter_rack_tb == b.inter_rack_tb &&
-         a.overload_occurrences == b.overload_occurrences && a.migrations == b.migrations &&
-         a.preemptions == b.preemptions && a.partial_releases == b.partial_releases &&
-         a.watchdog_evictions == b.watchdog_evictions && a.iterations_run == b.iterations_run &&
-         a.iterations_saved == b.iterations_saved &&
-         a.urgent_deadline_ratio == b.urgent_deadline_ratio &&
-         a.server_failures == b.server_failures && a.rack_outages == b.rack_outages &&
-         a.task_kills == b.task_kills && a.crash_evictions == b.crash_evictions &&
-         a.iterations_rolled_back == b.iterations_rolled_back &&
-         a.work_lost_gpu_seconds == b.work_lost_gpu_seconds &&
-         a.mean_recovery_seconds == b.mean_recovery_seconds && a.goodput == b.goodput &&
-         a.quarantines == b.quarantines &&
-         a.quarantine_valve_saves == b.quarantine_valve_saves &&
-         a.task_retries == b.task_retries &&
-         a.backoff_delay_seconds == b.backoff_delay_seconds &&
-         a.jobs_failed_permanent == b.jobs_failed_permanent &&
-         a.crashes_absorbed == b.crashes_absorbed &&
-         a.wasted_work_avoided_gpu_seconds == b.wasted_work_avoided_gpu_seconds &&
-         a.events_processed == b.events_processed &&
-         a.event_stream_hash == b.event_stream_hash &&
-         a.sched_rounds == b.sched_rounds && a.candidates_scanned == b.candidates_scanned &&
-         a.candidates_linear == b.candidates_linear &&
-         a.comm_cache_hits == b.comm_cache_hits && a.comm_cache_misses == b.comm_cache_misses &&
-         a.load_index_rebuilds == b.load_index_rebuilds &&
-         a.load_index_refreshes == b.load_index_refreshes &&
-         a.servers_reindexed == b.servers_reindexed && a.noop_reindexes == b.noop_reindexes &&
-         a.pindex_queries == b.pindex_queries &&
-         a.pindex_servers_pruned == b.pindex_servers_pruned &&
-         a.pindex_buckets_pruned == b.pindex_buckets_pruned &&
-         a.pindex_servers_bypassed == b.pindex_servers_bypassed &&
-         a.link_busy_seconds == b.link_busy_seconds &&
-         a.contention_slowdown_seconds == b.contention_slowdown_seconds &&
-         a.phase_offset_hits == b.phase_offset_hits &&
-         a.fits_cold == b.fits_cold && a.fits_warm == b.fits_warm &&
-         a.prediction_cache_hits == b.prediction_cache_hits &&
-         a.nm_objective_evals == b.nm_objective_evals;
-}
-
 }  // namespace mlfs

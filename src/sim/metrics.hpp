@@ -12,7 +12,9 @@ namespace mlfs {
 
 class Cluster;
 
-struct RunMetrics {
+/// Every simulation-derived field: a pure function of the run's inputs,
+/// compared whole by deterministic_equal.
+struct DeterministicMetrics {
   std::string scheduler;
   std::size_t job_count = 0;
   /// Jobs streamed into the live engine (SimEngine::inject_job) rather
@@ -27,7 +29,6 @@ struct RunMetrics {
   double accuracy_ratio = 0.0;      ///< accuracy requirement met by deadline (f)
   double bandwidth_tb = 0.0;        ///< total cross-server traffic (g)
   double inter_rack_tb = 0.0;       ///< rack-crossing share (topology extension)
-  double sched_overhead_ms = 0.0;   ///< mean wall-clock per scheduling round (h)
 
   std::size_t overload_occurrences = 0;  ///< server-tick overload events (Fig. 8(a))
   std::size_t migrations = 0;
@@ -103,13 +104,19 @@ struct RunMetrics {
   std::size_t fits_warm = 0;           ///< fits seeded from a previous chain link
   std::size_t prediction_cache_hits = 0;  ///< memo / stored-link reuse (no fitting at all)
   std::size_t nm_objective_evals = 0;  ///< residual evaluations across all fits and probes
-  /// Wall-clock spent fitting/combining curve predictions (real clock —
-  /// excluded from deterministic_equal, like sched_overhead_ms).
+
+  bool operator==(const DeterministicMetrics&) const = default;
+};
+
+/// A run's metrics: the deterministic fields plus three real-clock ones,
+/// which are not reproducible even between two serial runs of one seed.
+struct RunMetrics : DeterministicMetrics {
+  double sched_overhead_ms = 0.0;  ///< mean wall-clock per scheduling round (h)
+  /// Wall-clock spent fitting/combining curve predictions.
   double fit_wall_ms = 0.0;
   /// Wall-clock of the whole run() event loop (0 when the engine was
   /// stepped manually); fit_wall_ms / run_wall_ms is the predictor's
-  /// runtime share, gated in bench_largescale. Excluded from
-  /// deterministic_equal.
+  /// runtime share, gated in bench_largescale.
   double run_wall_ms = 0.0;
 
   double average_jct_minutes() const { return jct_minutes.mean(); }
@@ -121,9 +128,11 @@ struct RunMetrics {
 
 /// Bitwise equality over every simulation-derived field — the determinism
 /// contract the parallel experiment runner is held to (a run must not
-/// depend on what else executes concurrently). The single exclusion is
-/// sched_overhead_ms: it is measured with a real clock, so it is not
-/// reproducible even between two serial runs of the same seed.
-bool deterministic_equal(const RunMetrics& a, const RunMetrics& b);
+/// depend on what else executes concurrently). It compares the
+/// DeterministicMetrics base whole, so it excludes exactly the three
+/// real-clock fields: sched_overhead_ms, fit_wall_ms and run_wall_ms.
+inline bool deterministic_equal(const RunMetrics& a, const RunMetrics& b) {
+  return static_cast<const DeterministicMetrics&>(a) == b;
+}
 
 }  // namespace mlfs

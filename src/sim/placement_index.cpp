@@ -129,19 +129,11 @@ std::size_t PlacementIndex::collect_feasible(double hr, double u_gpu, double u_c
 }
 
 void PlacementIndex::save_state(io::BinWriter& w) const {
-  w.u64(stats_.queries);
-  w.u64(stats_.servers_examined);
-  w.u64(stats_.servers_pruned);
-  w.u64(stats_.buckets_pruned);
-  w.u64(stats_.servers_bypassed);
+  io::write_fields(w, stats_);
 }
 
 void PlacementIndex::restore_state(io::BinReader& r) {
-  stats_.queries = static_cast<std::size_t>(r.u64());
-  stats_.servers_examined = static_cast<std::size_t>(r.u64());
-  stats_.servers_pruned = static_cast<std::size_t>(r.u64());
-  stats_.buckets_pruned = static_cast<std::size_t>(r.u64());
-  stats_.servers_bypassed = static_cast<std::size_t>(r.u64());
+  io::read_fields(r, stats_);
 }
 
 }  // namespace mlfs

@@ -54,7 +54,15 @@ struct PlacementIndexStats {
   std::size_t servers_pruned = 0;    ///< members rejected by bucket bound alone
   std::size_t buckets_pruned = 0;    ///< buckets above the GPU-dimension cutoff
   std::size_t servers_bypassed = 0;  ///< members emitted feasible by bucket bound alone
+
+  /// Snapshot order (io::write_fields / read_fields).
+  static constexpr auto fields() {
+    return std::tuple{&PlacementIndexStats::queries, &PlacementIndexStats::servers_examined,
+                      &PlacementIndexStats::servers_pruned, &PlacementIndexStats::buckets_pruned,
+                      &PlacementIndexStats::servers_bypassed};
+  }
 };
+static_assert(io::lists_every_field<PlacementIndexStats>);
 
 class PlacementIndex {
  public:

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/sim_time.hpp"
 #include "sim/cluster.hpp"
 
@@ -85,7 +86,14 @@ struct SchedStats {
   std::size_t candidates_linear = 0;
   std::size_t comm_cache_hits = 0;  ///< per-(task, server) comm-volume memo hits
   std::size_t comm_cache_misses = 0;  ///< memo rebuilds (one per task per epoch)
+
+  /// Snapshot order (io::write_fields / read_fields).
+  static constexpr auto fields() {
+    return std::tuple{&SchedStats::candidates_scanned, &SchedStats::candidates_linear,
+                      &SchedStats::comm_cache_hits, &SchedStats::comm_cache_misses};
+  }
 };
+static_assert(io::lists_every_field<SchedStats>);
 
 class Scheduler {
  public:

@@ -7,16 +7,12 @@
 #include <span>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/sim_time.hpp"
 #include "workload/dag.hpp"
 #include "workload/ids.hpp"
 #include "workload/loss_curve.hpp"
 #include "workload/resources.hpp"
-
-namespace mlfs::io {
-class BinWriter;
-class BinReader;
-}  // namespace mlfs::io
 
 namespace mlfs {
 
@@ -47,7 +43,18 @@ struct JobSpec {
   /// ContractViolation("JobSpec <id>: <field> ...") naming the first
   /// offending field.
   void validate() const;
+
+  /// Journal and config-fingerprint order (write_job_spec).
+  static constexpr auto fields() {
+    using S = JobSpec;
+    return std::tuple{&S::id, &S::algorithm, &S::comm, &S::arrival, &S::urgency,
+                      &S::max_iterations, &S::gpu_request, &S::train_data_mb,
+                      &S::accuracy_requirement, &S::deadline_slack_hours, &S::curve,
+                      &S::comm_volume_ps_mb, &S::comm_volume_ww_mb, &S::stop_policy,
+                      &S::min_allowed_policy, &S::seed};
+  }
 };
+static_assert(io::lists_every_field<JobSpec>);
 
 /// One schedulable unit. Static fields are set once by ModelZoo; dynamic
 /// fields are owned by the simulation (placement, waiting accounting).

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/rng.hpp"
 
 namespace mlfs {
@@ -28,6 +29,12 @@ class LossCurve {
     double final_loss = 0.1;    ///< l_inf asymptote
     double noise_sigma = 0.0;   ///< lognormal sigma on observed delta-loss
     std::uint64_t noise_seed = 0;
+
+    /// Wire order inside a JobSpec.
+    static constexpr auto fields() {
+      return std::tuple{&Params::max_accuracy, &Params::kappa,       &Params::initial_loss,
+                        &Params::final_loss,   &Params::noise_sigma, &Params::noise_seed};
+    }
   };
 
   LossCurve() : LossCurve(Params{}) {}
@@ -53,5 +60,6 @@ class LossCurve {
  private:
   Params params_;
 };
+static_assert(io::lists_every_field<LossCurve::Params>);
 
 }  // namespace mlfs

@@ -80,7 +80,7 @@ ModelZoo::Instantiated ModelZoo::instantiate(const JobSpec& spec, TaskId first_t
 
   const auto partitions = static_cast<std::size_t>(spec.gpu_request);
   const bool has_ps = spec.comm == CommStructure::ParameterServer;
-  const std::size_t node_count = partitions + (has_ps ? 1 : 0);
+  const std::size_t node_count = task_count(spec);
 
   // Total model size for this job instance.
   const double total_params_m = rng.uniform(prof.params_m_min, prof.params_m_max);

@@ -59,6 +59,13 @@ class ModelZoo {
   /// and the deadline max(1.1 t_e, t_r) (§4.1).
   static Instantiated instantiate(const JobSpec& spec, TaskId first_task_id);
 
+  /// Tasks instantiate() builds for `spec`: one per partition, plus the
+  /// parameter server.
+  static std::size_t task_count(const JobSpec& spec) {
+    return static_cast<std::size_t>(spec.gpu_request) +
+           (spec.comm == CommStructure::ParameterServer ? 1 : 0);
+  }
+
   /// Reference NIC throughput used to convert communication volumes into
   /// ideal-time estimates (MB/s).
   static constexpr double kReferenceBandwidthMBps = 1000.0;

@@ -134,18 +134,24 @@ TEST(RunSweep, ThreadCountDoesNotChangeResults) {
   }
 }
 
-TEST(Metrics, DeterministicEqualIgnoresOnlySchedOverhead) {
+TEST(Metrics, DeterministicEqualIgnoresOnlyWallClockFields) {
   Scenario s = smoke_scenario(10, 4);
-  RunMetrics a = run_experiment(s, "Gandiva", 10);
-  RunMetrics b = a;
-  b.sched_overhead_ms = a.sched_overhead_ms + 123.0;  // wall-clock: excluded
-  EXPECT_TRUE(deterministic_equal(a, b));
-  b = a;
-  b.preemptions += 1;  // simulation-derived: compared
-  EXPECT_FALSE(deterministic_equal(a, b));
-  b = a;
-  b.jct_minutes.add(1.0);
-  EXPECT_FALSE(deterministic_equal(a, b));
+  const RunMetrics a = run_experiment(s, "Gandiva", 10);
+  const auto equal_after = [&a](auto change) {
+    RunMetrics b = a;
+    change(b);
+    return deterministic_equal(a, b);
+  };
+  // Real-clock fields: excluded.
+  EXPECT_TRUE(equal_after([](RunMetrics& m) { m.sched_overhead_ms += 123.0; }));
+  EXPECT_TRUE(equal_after([](RunMetrics& m) { m.fit_wall_ms += 5.0; }));
+  EXPECT_TRUE(equal_after([](RunMetrics& m) { m.run_wall_ms += 7.0; }));
+  // Simulation-derived fields: compared.
+  EXPECT_FALSE(equal_after([](RunMetrics& m) { m.preemptions += 1; }));
+  EXPECT_FALSE(equal_after([](RunMetrics& m) { m.jct_minutes.add(1.0); }));
+  EXPECT_FALSE(equal_after([](RunMetrics& m) { m.scheduler += "-twin"; }));
+  EXPECT_FALSE(equal_after([](RunMetrics& m) { m.event_stream_hash ^= 1; }));
+  EXPECT_FALSE(equal_after([](RunMetrics& m) { m.goodput -= 0.25; }));
 }
 
 }  // namespace

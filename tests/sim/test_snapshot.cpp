@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "exp/durable.hpp"
 #include "exp/restore_check.hpp"
 #include "exp/runner.hpp"
 #include "rl/reinforce.hpp"
@@ -691,9 +692,9 @@ std::string encode_predict(const PredictionService::SavedState& saved,
   return out;
 }
 
-/// `file` re-framed with its "predict" section replaced by `payload`.
-std::string with_predict_payload(const std::string& file, std::uint64_t fingerprint,
-                                 const std::string& payload) {
+/// `file` re-framed with its section `replaced` holding `payload`.
+std::string with_section_payload(const std::string& file, std::uint64_t fingerprint,
+                                 const std::string& replaced, const std::string& payload) {
   std::istringstream is(file, std::ios::binary);
   const SnapshotReader reader(is, fingerprint);
   SnapshotWriter writer(fingerprint);
@@ -701,7 +702,7 @@ std::string with_predict_payload(const std::string& file, std::uint64_t fingerpr
                            "predictor", "predict", "scheduler", "controller"}) {
     if (!reader.has_section(name)) continue;
     io::BinWriter& w = writer.section(name);
-    if (std::string(name) == "predict") {
+    if (name == replaced) {
       w.bytes(payload.data(), payload.size());
     } else {
       io::BinReader r = reader.section(name);
@@ -792,7 +793,7 @@ TEST(SnapshotEngine, MalformedPredictSectionRejectedBeforeAnyStateChanges) {
     PredictionService::SavedState broken = saved;
     std::vector<JobId> order = ids;
     breakage(broken, target, order);
-    const std::string crafted = with_predict_payload(file, fp, encode_predict(broken, order));
+    const std::string crafted = with_section_payload(file, fp, "predict", encode_predict(broken, order));
     std::istringstream in(crafted, std::ios::binary);
     try {
       victim.engine->restore_snapshot(in);
@@ -805,9 +806,120 @@ TEST(SnapshotEngine, MalformedPredictSectionRejectedBeforeAnyStateChanges) {
 
   // The unbroken payload, re-framed the same way, still restores.
   exp::EngineBundle twin = exp::build_engine(request);
-  std::istringstream in(with_predict_payload(file, fp, original), std::ios::binary);
+  std::istringstream in(with_section_payload(file, fp, "predict", original), std::ios::binary);
   twin.engine->restore_snapshot(in);
   EXPECT_EQ(engine_snapshot_bytes(*twin.engine), file);
+}
+
+// -------------------------------------------- engine section validation
+
+/// The engine section's eleven columns in file order — JobRuntime's fields
+/// 0-6, the per-server epochs, field 7, the per-task backoff flags, field
+/// 8 — with the width of one value.
+struct EngineColumn {
+  const char* name;
+  std::size_t width;
+};
+constexpr EngineColumn kEngineColumns[] = {
+    {"epoch", 8},          {"waiting_since", 8},       {"partial_since", 8},
+    {"deadline_recorded", 1}, {"iter_started", 8},     {"iter_duration", 8},
+    {"resume_credit", 8},  {"server_epoch", 8},        {"fault_stopped_since", 8},
+    {"task_in_backoff", 1}, {"retries_used", 8},
+};
+
+/// The "engine" payload with column `victim` one value short.
+std::string shorten_engine_column(const std::string& payload, std::size_t victim) {
+  io::BinReader r(payload);
+  r.view(4 * 8 + 3 * 32);  // clock, event seq, events processed, hash, three RNGs
+  const std::uint64_t queued = r.u64();
+  r.view(queued * 8);
+  std::string out(payload.substr(0, r.pos()));
+  io::BinWriter w(out);
+  for (std::size_t c = 0; c < std::size(kEngineColumns); ++c) {
+    const std::uint64_t n = r.u64();
+    const std::size_t width = kEngineColumns[c].width;
+    const std::string_view values = r.view(n * width);
+    const std::uint64_t keep = c == victim ? n - 1 : n;
+    w.u64(keep);
+    w.bytes(values.data(), keep * width);
+  }
+  const std::string_view counters = r.view(r.remaining());
+  w.bytes(counters.data(), counters.size());
+  return out;
+}
+
+TEST(SnapshotEngine, ShortEngineColumnRejectedBeforeAnyStateChanges) {
+  // A streamed donor: its "injected" section grows the job and task counts
+  // every per-job and per-task column must match.
+  exp::RunRequest request = engine_request();
+  const auto script = exp::split_streamed_tail(request, 3);
+  exp::EngineBundle donor = exp::build_engine(request);
+  exp::ScriptedArrivalSource source(script);
+  donor.engine->set_arrival_source(&source);
+  for (int i = 0; i < 20000 && donor.engine->injected_specs().size() < 2 &&
+                  donor.engine->step();
+       ++i) {
+  }
+  ASSERT_GE(donor.engine->injected_specs().size(), 2u);
+  const std::string file = engine_snapshot_bytes(*donor.engine);
+  const std::uint64_t fp = donor.engine->config_fingerprint();
+  std::istringstream is(file, std::ios::binary);
+  const SnapshotReader reader(is, fp);
+  io::BinReader section = reader.section("engine");
+  const std::string original(section.view(section.remaining()));
+
+  // The victim never injected, so restoring a streamed snapshot into it is
+  // legitimate.
+  exp::EngineBundle victim = exp::build_engine(request);
+  for (int i = 0; i < 40 && victim.engine->step(); ++i) {
+  }
+  const std::string before = engine_snapshot_bytes(*victim.engine);
+  for (std::size_t c = 0; c < std::size(kEngineColumns); ++c) {
+    const char* what = kEngineColumns[c].name;
+    const std::string crafted =
+        with_section_payload(file, fp, "engine", shorten_engine_column(original, c));
+    std::istringstream in(crafted, std::ios::binary);
+    try {
+      victim.engine->restore_snapshot(in);
+      ADD_FAILURE() << "accepted a short " << what << " column";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.section(), "engine") << what << ": " << e.what();
+    }
+    EXPECT_EQ(engine_snapshot_bytes(*victim.engine), before) << what;
+  }
+
+  // The unbroken payload, re-framed the same way, still restores.
+  std::istringstream in(with_section_payload(file, fp, "engine", original), std::ios::binary);
+  victim.engine->restore_snapshot(in);
+  EXPECT_EQ(engine_snapshot_bytes(*victim.engine), file);
+}
+
+TEST(SnapshotEngine, EventSubjectOutOfRangeRejectedBeforeAnyStateChanges) {
+  exp::EngineBundle donor = exp::build_engine(engine_request());
+  for (int i = 0; i < 60 && donor.engine->step(); ++i) {
+  }
+  const std::string file = engine_snapshot_bytes(*donor.engine);
+  const std::uint64_t fp = donor.engine->config_fingerprint();
+  std::istringstream is(file, std::ios::binary);
+  const SnapshotReader reader(is, fp);
+  io::BinReader section = reader.section("events");
+  std::string events(section.view(section.remaining()));
+  // Count, then the first event's time, seq and type; its subject follows.
+  const std::size_t subject = 8 + 8 + 8 + 1;
+  ASSERT_GT(events.size(), subject + 8);
+  const std::uint64_t far = 1000000;
+  std::memcpy(events.data() + subject, &far, sizeof(far));
+
+  exp::EngineBundle victim = exp::build_engine(engine_request());
+  const std::string before = engine_snapshot_bytes(*victim.engine);
+  std::istringstream in(with_section_payload(file, fp, "events", events), std::ios::binary);
+  try {
+    victim.engine->restore_snapshot(in);
+    ADD_FAILURE() << "accepted an event whose subject is out of range";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.section(), "events") << e.what();
+  }
+  EXPECT_EQ(engine_snapshot_bytes(*victim.engine), before);
 }
 
 // -------------------------------------------------- v4: link contention

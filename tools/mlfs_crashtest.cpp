@@ -29,6 +29,9 @@
 // Usage: mlfs_crashtest [--scheduler NAME] [--trials N] [--seed S]
 //                       [--stride N] [--sigkill] [--dir D] [--list]
 //                       [--journal] [--stream-jobs N] [--fsync every|group|off]
+//
+// Exit codes: 0 = every trial byte-identical (or --help / --list), 1 = a
+// trial failed or the harness errored, 2 = usage error.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -42,6 +45,7 @@
 
 #include <algorithm>
 
+#include "cli.hpp"
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "exp/durable.hpp"
@@ -97,77 +101,51 @@ void print_usage() {
       "                    (default group; needs --journal)\n";
 }
 
-bool parse(int argc, char** argv, Options& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      return false;
-    } else if (arg == "--list") {
-      for (const auto& name : exp::registered_scheduler_names()) std::cout << name << "\n";
-      return false;
-    } else if (arg == "--scheduler") {
-      const char* v = next("--scheduler");
-      if (!v) return false;
-      options.scheduler = v;
-    } else if (arg == "--trials") {
-      const char* v = next("--trials");
-      if (!v) return false;
-      options.trials = std::stoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      options.seed = std::stoull(v);
-    } else if (arg == "--stride") {
-      const char* v = next("--stride");
-      if (!v) return false;
-      options.stride = std::stoull(v);
-    } else if (arg == "--sigkill") {
-      options.sigkill = true;
-    } else if (arg == "--dir") {
-      const char* v = next("--dir");
-      if (!v) return false;
-      options.dir = v;
-    } else if (arg == "--journal") {
-      options.journal = true;
-    } else if (arg == "--stream-jobs") {
-      const char* v = next("--stream-jobs");
-      if (!v) return false;
-      options.stream_jobs = std::stoul(v);
-    } else if (arg == "--fsync") {
-      const char* v = next("--fsync");
-      if (!v) return false;
-      const std::string policy = v;
-      if (policy == "every") {
-        options.fsync = FsyncPolicy::EveryRecord;
-      } else if (policy == "group") {
-        options.fsync = FsyncPolicy::GroupCommit;
-      } else if (policy == "off") {
-        options.fsync = FsyncPolicy::Off;
-      } else {
-        std::cerr << "--fsync takes every | group | off\n";
+/// Reads the command line into `options`. Returns false when the tool must
+/// exit at once with `exit_code`: 0 after --help or --list, 2 on a usage
+/// error.
+bool parse(int argc, char** argv, Options& options, int& exit_code) {
+  exit_code = 0;
+  try {
+    cli::Args args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--help" || arg == "-h") {
+        print_usage();
         return false;
+      } else if (arg == "--list") {
+        for (const auto& name : exp::registered_scheduler_names()) std::cout << name << "\n";
+        return false;
+      } else if (arg == "--scheduler") {
+        options.scheduler = args.value();
+      } else if (arg == "--trials") {
+        options.trials = args.number<int>();
+      } else if (arg == "--seed") {
+        options.seed = args.number<std::uint64_t>();
+      } else if (arg == "--stride") {
+        options.stride = args.number<std::uint64_t>();
+      } else if (arg == "--sigkill") {
+        options.sigkill = true;
+      } else if (arg == "--dir") {
+        options.dir = args.value();
+      } else if (arg == "--journal") {
+        options.journal = true;
+      } else if (arg == "--stream-jobs") {
+        options.stream_jobs = args.number<std::size_t>();
+      } else if (arg == "--fsync") {
+        options.fsync = args.fsync();
+      } else if (arg == "--child") {
+        options.child = true;
+      } else if (arg == "--kill-at") {
+        options.kill_at = args.number<std::uint64_t>();
+      } else {
+        throw cli::UsageError("unknown argument: " + arg);
       }
-    } else if (arg == "--child") {
-      options.child = true;
-    } else if (arg == "--kill-at") {
-      const char* v = next("--kill-at");
-      if (!v) return false;
-      options.kill_at = std::stoull(v);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return false;
     }
-  }
-  if (options.stride == 0) {
-    std::cerr << "--stride must be positive\n";
+    if (options.stride == 0) throw cli::UsageError("--stride must be positive");
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mlfs_crashtest: " << e.what() << " (see --help)\n";
+    exit_code = 2;
     return false;
   }
   return true;
@@ -338,7 +316,8 @@ std::filesystem::path newest_snapshot(const std::filesystem::path& dir) {
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("snap-", 0) != 0 || entry.path().extension() != ".bin") continue;
-    const std::uint64_t events = std::stoull(name.substr(5));
+    const auto events =
+        parse_number<std::uint64_t>(entry.path().stem().string().substr(5), name);
     if (!found || events >= best_events) {
       best = entry.path();
       best_events = events;
@@ -410,7 +389,8 @@ std::string self_exe_path(const char* argv0) {
 int main(int argc, char** argv) {
   Options options;
   try {
-    if (!parse(argc, argv, options)) return 0;
+    int exit_code = 0;
+    if (!parse(argc, argv, options, exit_code)) return exit_code;
     if (options.child) return options.journal ? run_journal_child(options) : run_child(options);
 
     if (options.journal) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "exp/fuzz.hpp"
 #include "exp/registry.hpp"
 
@@ -100,73 +101,51 @@ void write_artifact(const std::string& dir, const exp::ShrinkResult& r) {
 
 bool parse(int argc, char** argv, Options& options, int& exit_code) {
   exit_code = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << what << "\n";
-        exit_code = 2;
-        return nullptr;
+  try {
+    cli::Args args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--help" || arg == "-h") {
+        print_usage();
+        return false;
+      } else if (arg == "--list" || arg == "--list-schedulers") {
+        for (const auto& name : exp::registered_scheduler_names()) std::cout << name << "\n";
+        return false;
+      } else if (arg == "--runs") {
+        options.runs = args.number<std::size_t>();
+      } else if (arg == "--seed") {
+        options.seed = args.number<std::uint64_t>();
+      } else if (arg == "--scheduler") {
+        options.schedulers.push_back(args.value());
+      } else if (arg == "--determinism") {
+        options.determinism = true;
+      } else if (arg == "--selftest") {
+        options.selftest = true;
+      } else if (arg == "--threads") {
+        options.threads = args.number<unsigned>();
+      } else if (arg == "--shrink-rounds") {
+        options.shrink_rounds = args.number<int>();
+      } else if (arg == "--max-failures") {
+        options.max_failures = args.number<std::size_t>();
+      } else if (arg == "--out-dir") {
+        options.out_dir = args.value();
+      } else if (arg == "--replay") {
+        options.replay_file = args.value();
+      } else if (arg == "--quiet") {
+        options.quiet = true;
+      } else {
+        throw cli::UsageError("unknown argument: " + arg);
       }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      return false;
-    } else if (arg == "--list" || arg == "--list-schedulers") {
-      for (const auto& name : exp::registered_scheduler_names()) std::cout << name << "\n";
-      return false;
-    } else if (arg == "--runs") {
-      const char* v = next("--runs");
-      if (!v) return false;
-      options.runs = std::stoul(v);
-    } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      options.seed = std::stoull(v);
-    } else if (arg == "--scheduler") {
-      const char* v = next("--scheduler");
-      if (!v) return false;
-      options.schedulers.emplace_back(v);
-    } else if (arg == "--determinism") {
-      options.determinism = true;
-    } else if (arg == "--selftest") {
-      options.selftest = true;
-    } else if (arg == "--threads") {
-      const char* v = next("--threads");
-      if (!v) return false;
-      options.threads = static_cast<unsigned>(std::stoul(v));
-    } else if (arg == "--shrink-rounds") {
-      const char* v = next("--shrink-rounds");
-      if (!v) return false;
-      options.shrink_rounds = std::stoi(v);
-    } else if (arg == "--max-failures") {
-      const char* v = next("--max-failures");
-      if (!v) return false;
-      options.max_failures = std::stoul(v);
-    } else if (arg == "--out-dir") {
-      const char* v = next("--out-dir");
-      if (!v) return false;
-      options.out_dir = v;
-    } else if (arg == "--replay") {
-      const char* v = next("--replay");
-      if (!v) return false;
-      options.replay_file = v;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      print_usage();
-      exit_code = 2;
-      return false;
     }
-  }
-  for (const auto& name : options.schedulers) {
-    if (!exp::is_registered_scheduler(name)) {
-      std::cerr << "unknown scheduler: " << name << " (see --list-schedulers)\n";
-      exit_code = 2;
-      return false;
+    for (const auto& name : options.schedulers) {
+      if (!exp::is_registered_scheduler(name)) {
+        throw cli::UsageError("unknown scheduler: " + name + " (see --list-schedulers)");
+      }
     }
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mlfs_fuzz: " << e.what() << " (see --help)\n";
+    exit_code = 2;
+    return false;
   }
   return true;
 }

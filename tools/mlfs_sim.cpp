@@ -17,18 +17,19 @@
 //            [--checkpoint-interval N] [--recovery] [--retry-budget N]
 //            [--adaptive-checkpoint] [--spread-placement] [--coarsen-curve]
 //            [--contention] [--duty-cycle] [--nic-mbps B] [--uplink-mbps B]
-//            [--snapshot-every N] [--snapshot-dir D] [--restore FILE]
-//            [--snapshot-keep K] [--journal DIR] [--fsync every|group|off]
-//            [--stream-jobs N]
+//            [--journal DIR] [--snapshot-every N] [--snapshot-keep K]
+//            [--fsync every|group|off] [--stream-jobs N]
+//
+// Exit codes: 0 = ran (or --help / --list), 1 = the run failed, 2 = usage
+// error.
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "exp/durable.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
@@ -79,14 +80,10 @@ struct Options {
   double nic_mbps = 1000.0;
   double uplink_mbps = 600.0;
 
-  // Snapshot / restore (single-scheduler manual drive).
-  std::uint64_t snapshot_every = 0;  ///< events between snapshots (0 = off)
-  std::string snapshot_dir = "snapshots";
-  std::string restore_file;
-  int snapshot_keep = 0;  ///< prune to the newest K snapshots (0 = keep all)
-
   // Durable journal session (exp/durable.hpp; single scheduler).
   std::string journal_dir;  ///< empty = off
+  std::uint64_t snapshot_every = 0;  ///< events between snapshots (0 = only the first)
+  int snapshot_keep = 0;  ///< prune to the newest K snapshots (0 = keep all)
   FsyncPolicy fsync = FsyncPolicy::GroupCommit;
   std::size_t stream_jobs = 0;  ///< stream the last N workload jobs in live
 };
@@ -150,19 +147,15 @@ void print_usage() {
       "                       <= 0 = unconstrained; needs --contention)\n"
       "  --uplink-mbps B      per-rack uplink capacity in Mbps (default 600;\n"
       "                       <= 0 = unconstrained; needs --contention)\n"
-      "  --snapshot-every N   write an engine snapshot every N events (atomic\n"
-      "                       tmp+rename, snap-<events>.bin); single scheduler only\n"
-      "  --snapshot-dir D     snapshot directory (default ./snapshots)\n"
-      "  --restore FILE       resume from a snapshot instead of starting fresh;\n"
-      "                       the other flags must rebuild the exact run the\n"
-      "                       snapshot came from (config fingerprint enforced)\n"
-      "  --snapshot-keep K    prune all but the newest K snapshots (and, with\n"
-      "                       --journal, their journal segments); 0 = keep all\n"
       "  --journal DIR        durable session: write-ahead journal + periodic\n"
-      "                       snapshots in DIR (stride from --snapshot-every);\n"
-      "                       if DIR already holds a snapshot the run resumes\n"
-      "                       from it, replaying journaled arrivals — SIGKILL\n"
-      "                       at any instant loses nothing\n"
+      "                       snapshots in DIR (atomic tmp+rename); if DIR\n"
+      "                       already holds a snapshot the run resumes from it,\n"
+      "                       replaying journaled arrivals — SIGKILL at any\n"
+      "                       instant loses nothing; single scheduler only\n"
+      "  --snapshot-every N   snapshot every N events (default 0 = only the\n"
+      "                       first; needs --journal)\n"
+      "  --snapshot-keep K    prune all but the newest K snapshots and their\n"
+      "                       journal segments (0 = keep all; needs --journal)\n"
       "  --fsync P            journal fsync policy: every | group | off\n"
       "                       (default group; needs --journal)\n"
       "  --stream-jobs N      withhold the last N workload jobs and stream\n"
@@ -170,248 +163,129 @@ void print_usage() {
       "                       (journaled write-ahead; needs --journal)\n";
 }
 
-bool parse(int argc, char** argv, Options& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << what << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      return false;
-    } else if (arg == "--list" || arg == "--list-schedulers") {
-      for (const auto& name : exp::registered_scheduler_names()) std::cout << name << "\n";
-      return false;
-    } else if (arg == "--scheduler") {
-      const char* v = next("--scheduler");
-      if (!v) return false;
-      options.schedulers.emplace_back(v);
-    } else if (arg == "--jobs") {
-      const char* v = next("--jobs");
-      if (!v) return false;
-      options.jobs = std::stoul(v);
-    } else if (arg == "--hours") {
-      const char* v = next("--hours");
-      if (!v) return false;
-      options.hours = std::stod(v);
-    } else if (arg == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      options.seed = std::stoull(v);
-    } else if (arg == "--servers") {
-      const char* v = next("--servers");
-      if (!v) return false;
-      options.servers = std::stoul(v);
-    } else if (arg == "--gpus-per-server") {
-      const char* v = next("--gpus-per-server");
-      if (!v) return false;
-      options.gpus_per_server = std::stoi(v);
-    } else if (arg == "--total-gpus") {
-      const char* v = next("--total-gpus");
-      if (!v) return false;
-      options.total_gpus = std::stoul(v);
-    } else if (arg == "--no-bucket-index") {
-      options.no_bucket_index = true;
-    } else if (arg == "--trace") {
-      const char* v = next("--trace");
-      if (!v) return false;
-      options.trace_file = v;
-    } else if (arg == "--servers-per-rack") {
-      const char* v = next("--servers-per-rack");
-      if (!v) return false;
-      options.servers_per_rack = std::stoi(v);
-    } else if (arg == "--slow-fraction") {
-      const char* v = next("--slow-fraction");
-      if (!v) return false;
-      options.slow_fraction = std::stod(v);
-    } else if (arg == "--straggler") {
-      const char* v = next("--straggler");
-      if (!v) return false;
-      options.straggler_probability = std::stod(v);
-    } else if (arg == "--replicas") {
-      const char* v = next("--replicas");
-      if (!v) return false;
-      options.straggler_replicas = std::stoi(v);
-    } else if (arg == "--threads") {
-      const char* v = next("--threads");
-      if (!v) return false;
-      options.threads = static_cast<unsigned>(std::stoul(v));
-    } else if (arg == "--mtbf") {
-      const char* v = next("--mtbf");
-      if (!v) return false;
-      options.mtbf_hours = std::stod(v);
-    } else if (arg == "--mttr") {
-      const char* v = next("--mttr");
-      if (!v) return false;
-      options.mttr_hours = std::stod(v);
-    } else if (arg == "--kill-prob") {
-      const char* v = next("--kill-prob");
-      if (!v) return false;
-      options.kill_probability = std::stod(v);
-    } else if (arg == "--flaky") {
-      const char* v = next("--flaky");
-      if (!v) return false;
-      options.flaky_fraction = std::stod(v);
-    } else if (arg == "--checkpoint-interval") {
-      const char* v = next("--checkpoint-interval");
-      if (!v) return false;
-      options.checkpoint_interval = std::stoi(v);
-    } else if (arg == "--recovery") {
-      options.recovery = true;
-    } else if (arg == "--retry-budget") {
-      const char* v = next("--retry-budget");
-      if (!v) return false;
-      options.retry_budget = std::stoi(v);
-    } else if (arg == "--adaptive-checkpoint") {
-      options.adaptive_checkpoint = true;
-    } else if (arg == "--spread-placement") {
-      options.spread_placement = true;
-    } else if (arg == "--coarsen-curve") {
-      options.coarsen_curve = true;
-    } else if (arg == "--contention") {
-      options.contention = true;
-    } else if (arg == "--duty-cycle") {
-      options.duty_cycle = true;
-    } else if (arg == "--nic-mbps") {
-      const char* v = next("--nic-mbps");
-      if (!v) return false;
-      options.nic_mbps = std::stod(v);
-    } else if (arg == "--uplink-mbps") {
-      const char* v = next("--uplink-mbps");
-      if (!v) return false;
-      options.uplink_mbps = std::stod(v);
-    } else if (arg == "--csv") {
-      options.csv = true;
-    } else if (arg == "--audit") {
-      options.audit = true;
-    } else if (arg == "--event-log") {
-      const char* v = next("--event-log");
-      if (!v) return false;
-      options.event_log_file = v;
-    } else if (arg == "--snapshot-every") {
-      const char* v = next("--snapshot-every");
-      if (!v) return false;
-      options.snapshot_every = std::stoull(v);
-    } else if (arg == "--snapshot-dir") {
-      const char* v = next("--snapshot-dir");
-      if (!v) return false;
-      options.snapshot_dir = v;
-    } else if (arg == "--restore") {
-      const char* v = next("--restore");
-      if (!v) return false;
-      options.restore_file = v;
-    } else if (arg == "--snapshot-keep") {
-      const char* v = next("--snapshot-keep");
-      if (!v) return false;
-      options.snapshot_keep = std::stoi(v);
-    } else if (arg == "--journal") {
-      const char* v = next("--journal");
-      if (!v) return false;
-      options.journal_dir = v;
-    } else if (arg == "--fsync") {
-      const char* v = next("--fsync");
-      if (!v) return false;
-      const std::string policy = v;
-      if (policy == "every") {
-        options.fsync = FsyncPolicy::EveryRecord;
-      } else if (policy == "group") {
-        options.fsync = FsyncPolicy::GroupCommit;
-      } else if (policy == "off") {
-        options.fsync = FsyncPolicy::Off;
-      } else {
-        std::cerr << "--fsync takes every | group | off\n";
+/// Reads the command line into `options`. Returns false when the tool must
+/// exit at once with `exit_code`: 0 after --help or --list, 2 on a usage
+/// error.
+bool parse(int argc, char** argv, Options& options, int& exit_code) {
+  exit_code = 0;
+  try {
+    cli::Args args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--help" || arg == "-h") {
+        print_usage();
         return false;
+      } else if (arg == "--list" || arg == "--list-schedulers") {
+        for (const auto& name : exp::registered_scheduler_names()) std::cout << name << "\n";
+        return false;
+      } else if (arg == "--scheduler") {
+        options.schedulers.push_back(args.value());
+      } else if (arg == "--jobs") {
+        options.jobs = args.number<std::size_t>();
+      } else if (arg == "--hours") {
+        options.hours = args.number<double>();
+      } else if (arg == "--seed") {
+        options.seed = args.number<std::uint64_t>();
+      } else if (arg == "--servers") {
+        options.servers = args.number<std::size_t>();
+      } else if (arg == "--gpus-per-server") {
+        options.gpus_per_server = args.number<int>();
+      } else if (arg == "--total-gpus") {
+        options.total_gpus = args.number<std::size_t>();
+      } else if (arg == "--no-bucket-index") {
+        options.no_bucket_index = true;
+      } else if (arg == "--trace") {
+        options.trace_file = args.value();
+      } else if (arg == "--servers-per-rack") {
+        options.servers_per_rack = args.number<int>();
+      } else if (arg == "--slow-fraction") {
+        options.slow_fraction = args.number<double>();
+      } else if (arg == "--straggler") {
+        options.straggler_probability = args.number<double>();
+      } else if (arg == "--replicas") {
+        options.straggler_replicas = args.number<int>();
+      } else if (arg == "--threads") {
+        options.threads = args.number<unsigned>();
+      } else if (arg == "--mtbf") {
+        options.mtbf_hours = args.number<double>();
+      } else if (arg == "--mttr") {
+        options.mttr_hours = args.number<double>();
+      } else if (arg == "--kill-prob") {
+        options.kill_probability = args.number<double>();
+      } else if (arg == "--flaky") {
+        options.flaky_fraction = args.number<double>();
+      } else if (arg == "--checkpoint-interval") {
+        options.checkpoint_interval = args.number<int>();
+      } else if (arg == "--recovery") {
+        options.recovery = true;
+      } else if (arg == "--retry-budget") {
+        options.retry_budget = args.number<int>();
+      } else if (arg == "--adaptive-checkpoint") {
+        options.adaptive_checkpoint = true;
+      } else if (arg == "--spread-placement") {
+        options.spread_placement = true;
+      } else if (arg == "--coarsen-curve") {
+        options.coarsen_curve = true;
+      } else if (arg == "--contention") {
+        options.contention = true;
+      } else if (arg == "--duty-cycle") {
+        options.duty_cycle = true;
+      } else if (arg == "--nic-mbps") {
+        options.nic_mbps = args.number<double>();
+      } else if (arg == "--uplink-mbps") {
+        options.uplink_mbps = args.number<double>();
+      } else if (arg == "--csv") {
+        options.csv = true;
+      } else if (arg == "--audit") {
+        options.audit = true;
+      } else if (arg == "--event-log") {
+        options.event_log_file = args.value();
+      } else if (arg == "--journal") {
+        options.journal_dir = args.value();
+      } else if (arg == "--snapshot-every") {
+        options.snapshot_every = args.number<std::uint64_t>();
+      } else if (arg == "--snapshot-keep") {
+        options.snapshot_keep = args.number<int>();
+      } else if (arg == "--fsync") {
+        options.fsync = args.fsync();
+      } else if (arg == "--stream-jobs") {
+        options.stream_jobs = args.number<std::size_t>();
+      } else {
+        throw cli::UsageError("unknown argument: " + arg);
       }
-    } else if (arg == "--stream-jobs") {
-      const char* v = next("--stream-jobs");
-      if (!v) return false;
-      options.stream_jobs = std::stoul(v);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      print_usage();
-      return false;
     }
-  }
-  if (options.schedulers.empty()) options.schedulers = {"MLFS"};
-  for (const auto& name : options.schedulers) {
-    if (!exp::is_registered_scheduler(name)) {
-      std::cerr << "unknown scheduler: " << name << " (see --list-schedulers)\n";
-      return false;
+    if (options.schedulers.empty()) options.schedulers = {"MLFS"};
+    for (const auto& name : options.schedulers) {
+      if (!exp::is_registered_scheduler(name)) {
+        throw cli::UsageError("unknown scheduler: " + name + " (see --list-schedulers)");
+      }
     }
-  }
-  if (!options.recovery && (options.retry_budget != 0 || options.adaptive_checkpoint ||
-                            options.spread_placement)) {
-    std::cerr << "--retry-budget / --adaptive-checkpoint / --spread-placement "
-                 "need --recovery\n";
-    return false;
-  }
-  if (!options.contention &&
-      (options.duty_cycle || options.nic_mbps != 1000.0 || options.uplink_mbps != 600.0)) {
-    std::cerr << "--duty-cycle / --nic-mbps / --uplink-mbps need --contention\n";
-    return false;
-  }
-  if ((options.snapshot_every > 0 || !options.restore_file.empty() ||
-       !options.journal_dir.empty()) &&
-      options.schedulers.size() != 1) {
-    std::cerr << "--snapshot-every / --restore / --journal drive one engine "
-                 "manually; give exactly one --scheduler\n";
-    return false;
-  }
-  if (options.journal_dir.empty() && options.stream_jobs > 0) {
-    std::cerr << "--stream-jobs needs --journal\n";
-    return false;
-  }
-  if (!options.journal_dir.empty() && !options.restore_file.empty()) {
-    std::cerr << "--journal recovers from its own directory; drop --restore\n";
-    return false;
-  }
-  if (!options.journal_dir.empty() && !options.event_log_file.empty()) {
-    std::cerr << "--event-log is not supported with --journal\n";
-    return false;
-  }
-  if (options.snapshot_keep < 0) {
-    std::cerr << "--snapshot-keep must be >= 0\n";
+    if (!options.recovery && (options.retry_budget != 0 || options.adaptive_checkpoint ||
+                              options.spread_placement)) {
+      throw cli::UsageError(
+          "--retry-budget / --adaptive-checkpoint / --spread-placement need --recovery");
+    }
+    if (!options.contention &&
+        (options.duty_cycle || options.nic_mbps != 1000.0 || options.uplink_mbps != 600.0)) {
+      throw cli::UsageError("--duty-cycle / --nic-mbps / --uplink-mbps need --contention");
+    }
+    if (options.journal_dir.empty() &&
+        (options.snapshot_every > 0 || options.snapshot_keep != 0 || options.stream_jobs > 0)) {
+      throw cli::UsageError("--snapshot-every / --snapshot-keep / --stream-jobs need --journal");
+    }
+    if (!options.journal_dir.empty() && options.schedulers.size() != 1) {
+      throw cli::UsageError("--journal drives one engine; give exactly one --scheduler");
+    }
+    if (!options.journal_dir.empty() && !options.event_log_file.empty()) {
+      throw cli::UsageError("--event-log is not supported with --journal");
+    }
+    if (options.snapshot_keep < 0) throw cli::UsageError("--snapshot-keep must be >= 0");
+  } catch (const cli::UsageError& e) {
+    std::cerr << "mlfs_sim: " << e.what() << " (see --help)\n";
+    exit_code = 2;
     return false;
   }
   return true;
-}
-
-/// Writes a snapshot atomically: a crash mid-write leaves only a *.tmp the
-/// restore path never considers, never a truncated snap-*.bin.
-void write_snapshot_atomic(const SimEngine& engine, const std::filesystem::path& dir,
-                           std::uint64_t events) {
-  std::filesystem::create_directories(dir);
-  const std::filesystem::path tmp = dir / ("snap-" + std::to_string(events) + ".tmp");
-  const std::filesystem::path final_path = dir / ("snap-" + std::to_string(events) + ".bin");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw ContractViolation("cannot write snapshot " + tmp.string());
-    engine.save_snapshot(out);
-    out.flush();
-    if (!out) throw ContractViolation("short write on snapshot " + tmp.string());
-  }
-  std::filesystem::rename(tmp, final_path);
-}
-
-/// Prunes the legacy --snapshot-every directory to the newest `keep`
-/// snap-*.bin files (the --journal path prunes snapshot+journal *pairs*
-/// itself, inside exp::run_durable).
-void prune_snapshot_dir(const std::filesystem::path& dir, int keep) {
-  std::vector<std::pair<std::uint64_t, std::filesystem::path>> snaps;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("snap-", 0) != 0 || entry.path().extension() != ".bin") continue;
-    snaps.emplace_back(std::stoull(name.substr(5)), entry.path());
-  }
-  std::sort(snaps.begin(), snaps.end());
-  while (snaps.size() > static_cast<std::size_t>(keep)) {
-    std::filesystem::remove(snaps.front().second);
-    snaps.erase(snaps.begin());
-  }
 }
 
 std::shared_ptr<const std::vector<JobSpec>> load_trace_workload(const Options& options) {
@@ -421,14 +295,25 @@ std::shared_ptr<const std::vector<JobSpec>> load_trace_workload(const Options& o
   return std::make_shared<const std::vector<JobSpec>>(read_trace_csv(in));
 }
 
-void print_csv_row(const RunMetrics& m) {
-  std::cout << m.scheduler << ',' << m.job_count << ',' << m.average_jct_minutes() << ','
-            << m.jct_minutes.median() << ',' << m.makespan_hours << ',' << m.deadline_ratio
-            << ',' << m.average_waiting_seconds() << ',' << m.average_accuracy << ','
-            << m.accuracy_ratio << ',' << m.bandwidth_tb << ',' << m.inter_rack_tb << ','
-            << m.sched_overhead_ms << ',' << m.migrations << ',' << m.preemptions << ','
-            << m.sched_rounds << ',' << m.candidates_scanned << ','
-            << m.candidates_linear << ',' << m.comm_cache_hits << "\n";
+/// One prose summary per run, or a CSV header and one row per run.
+void print_results(const std::vector<RunMetrics>& results, bool csv) {
+  if (!csv) {
+    for (const RunMetrics& m : results) std::cout << m.summary() << "\n";
+    return;
+  }
+  std::cout << "scheduler,jobs,avg_jct_min,median_jct_min,makespan_h,deadline_ratio,"
+               "avg_wait_s,avg_accuracy,accuracy_ratio,bandwidth_tb,inter_rack_tb,"
+               "sched_overhead_ms,migrations,preemptions,sched_rounds,"
+               "candidates_scanned,candidates_linear,comm_cache_hits\n";
+  for (const RunMetrics& m : results) {
+    std::cout << m.scheduler << ',' << m.job_count << ',' << m.average_jct_minutes() << ','
+              << m.jct_minutes.median() << ',' << m.makespan_hours << ',' << m.deadline_ratio
+              << ',' << m.average_waiting_seconds() << ',' << m.average_accuracy << ','
+              << m.accuracy_ratio << ',' << m.bandwidth_tb << ',' << m.inter_rack_tb << ','
+              << m.sched_overhead_ms << ',' << m.migrations << ',' << m.preemptions << ','
+              << m.sched_rounds << ',' << m.candidates_scanned << ','
+              << m.candidates_linear << ',' << m.comm_cache_hits << "\n";
+  }
 }
 
 }  // namespace
@@ -436,7 +321,8 @@ void print_csv_row(const RunMetrics& m) {
 int main(int argc, char** argv) {
   Options options;
   try {
-    if (!parse(argc, argv, options)) return 0;
+    int exit_code = 0;
+    if (!parse(argc, argv, options, exit_code)) return exit_code;
 
     ClusterConfig cluster;
     cluster.server_count = options.servers;
@@ -512,26 +398,7 @@ int main(int argc, char** argv) {
     // withholds the tail of the workload and injects it live.
     if (!options.journal_dir.empty()) {
       exp::RunRequest request = requests.front();
-      std::vector<exp::ScriptedArrivalSource::Entry> script;
-      if (options.stream_jobs > 0) {
-        std::vector<JobSpec> specs = request.workload
-                                         ? *request.workload
-                                         : PhillyTraceGenerator(request.trace).generate();
-        std::stable_sort(specs.begin(), specs.end(), [](const JobSpec& a, const JobSpec& b) {
-          return a.arrival < b.arrival;
-        });
-        if (options.stream_jobs >= specs.size()) {
-          throw ContractViolation("--stream-jobs must leave at least one job in the start set");
-        }
-        std::vector<JobSpec> streamed(
-            specs.end() - static_cast<std::ptrdiff_t>(options.stream_jobs), specs.end());
-        specs.resize(specs.size() - options.stream_jobs);
-        // The cluster requires dense job ids; streamed jobs are re-id'd by
-        // the engine on injection, so only the start set is renumbered.
-        for (std::size_t i = 0; i < specs.size(); ++i) specs[i].id = static_cast<JobId>(i);
-        request.workload = std::make_shared<const std::vector<JobSpec>>(std::move(specs));
-        script = exp::make_script(streamed);
-      }
+      const auto script = exp::split_streamed_tail(request, options.stream_jobs);
       exp::DurableConfig config;
       config.dir = options.journal_dir;
       config.snapshot_stride = options.snapshot_every;
@@ -543,65 +410,14 @@ int main(int argc, char** argv) {
                   << ", replayed " << result.records_replayed << " journaled arrivals"
                   << (result.torn_tail_dropped ? " (torn tail dropped)" : "") << "\n";
       }
-      if (options.csv) {
-        std::cout << "scheduler,jobs,avg_jct_min,median_jct_min,makespan_h,deadline_ratio,"
-                     "avg_wait_s,avg_accuracy,accuracy_ratio,bandwidth_tb,inter_rack_tb,"
-                     "sched_overhead_ms,migrations,preemptions,sched_rounds,"
-                     "candidates_scanned,candidates_linear,comm_cache_hits\n";
-        print_csv_row(result.metrics);
-      } else {
-        std::cout << result.metrics.summary() << "\n";
-      }
-      return 0;
-    }
-
-    // Snapshot / restore path: drive the one engine manually so we can
-    // checkpoint on an event stride and/or resume from a prior snapshot.
-    if (options.snapshot_every > 0 || !options.restore_file.empty()) {
-      exp::EngineBundle bundle = exp::build_engine(requests.front());
-      SimEngine& engine = *bundle.engine;
-      if (!options.restore_file.empty()) {
-        std::ifstream in(options.restore_file, std::ios::binary);
-        if (!in) throw ContractViolation("cannot open snapshot: " + options.restore_file);
-        engine.restore_snapshot(in);
-        std::cerr << "restored at event " << engine.events_processed() << "\n";
-      }
-      while (engine.step()) {
-        if (options.snapshot_every > 0 &&
-            engine.events_processed() % options.snapshot_every == 0) {
-          write_snapshot_atomic(engine, options.snapshot_dir, engine.events_processed());
-          if (options.snapshot_keep > 0) {
-            prune_snapshot_dir(options.snapshot_dir, options.snapshot_keep);
-          }
-        }
-      }
-      const RunMetrics m = engine.finalize();
-      if (options.csv) {
-        std::cout << "scheduler,jobs,avg_jct_min,median_jct_min,makespan_h,deadline_ratio,"
-                     "avg_wait_s,avg_accuracy,accuracy_ratio,bandwidth_tb,inter_rack_tb,"
-                     "sched_overhead_ms,migrations,preemptions,sched_rounds,"
-                     "candidates_scanned,candidates_linear,comm_cache_hits\n";
-        print_csv_row(m);
-      } else {
-        std::cout << m.summary() << "\n";
-      }
+      print_results({result.metrics}, options.csv);
       return 0;
     }
 
     exp::RunOptions run_options;
     run_options.threads = options.threads;
     run_options.verbose = false;  // rows are printed in scheduler order below
-    const std::vector<RunMetrics> results = exp::run_batch(requests, run_options);
-
-    if (options.csv) {
-      std::cout << "scheduler,jobs,avg_jct_min,median_jct_min,makespan_h,deadline_ratio,"
-                   "avg_wait_s,avg_accuracy,accuracy_ratio,bandwidth_tb,inter_rack_tb,"
-                   "sched_overhead_ms,migrations,preemptions,sched_rounds,"
-                   "candidates_scanned,candidates_linear,comm_cache_hits\n";
-      for (const RunMetrics& m : results) print_csv_row(m);
-    } else {
-      for (const RunMetrics& m : results) std::cout << m.summary() << "\n";
-    }
+    print_results(exp::run_batch(requests, run_options), options.csv);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
