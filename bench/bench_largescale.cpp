@@ -1,22 +1,16 @@
-// Large-scale placement + prediction benchmark — the exit artifact for the
-// bucketed placement index and the memoized prediction service (DESIGN.md,
-// "Scheduler hot path" and "Prediction service").
+// Large-scale placement + prediction benchmark (DESIGN.md, "Scheduler hot
+// path" and "Prediction service").
 //
 // Replays a Philly-scale point — 550 servers / 2474 GPUs (the trace's
 // heterogeneous footprint) with a saturating arrival stream — end-to-end
-// under MLF-H twice:
-//
-//   A  bucketed index (the default configuration)
-//   B  linear funnel
-//
-// Both legs stream their JSONL event logs through an FNV-1a hash, so the
-// benchmark *proves* the index changed no decision. Leg A's
-// candidates_linear / candidates_scanned quotient is the measured
-// candidate reduction, its nm_objective_evals is held under a pinned
-// ceiling, and its fit_wall_ms / run_wall_ms is the wall-clock share the
-// predictor still costs — all three are gated. A second stage runs every
-// registered scheduler at a mid-size point with the same two legs, so the
-// byte-identical claim covers the whole registry rather than MLF-H alone.
+// under MLF-H, streaming its JSONL event log through an FNV-1a hash. At
+// smoke scale that hash is pinned: any other value means a decision
+// changed, and the benchmark fails. The same leg's mean wall-clock per
+// scheduling round is held under a pinned ceiling, its nm_objective_evals
+// under another, and its fit_wall_ms / run_wall_ms is the wall-clock share
+// the predictor still costs — all gated. A second stage runs every
+// registered scheduler once at a mid-size point and reports each one's
+// event-stream hash and ms per round.
 //
 // All legs execute through the shared experiment runner on the pool
 // (hashes and counters are simulation-deterministic, so parallelism
@@ -25,9 +19,8 @@
 // gate is a ratio of two clocks inside the *same* run).
 //
 // Emits BENCH_largescale.json (with the predictor timing breakdown) and
-// exits non-zero if any leg pair diverges or any gate fails. CI runs
-// `--smoke` (same fleet, shorter stream, smaller matrix) and uploads the
-// file.
+// exits non-zero if any gate fails. CI runs `--smoke` (same fleet, shorter
+// stream, smaller matrix) and uploads the file.
 //
 // Usage: bench_largescale [--smoke] [--out FILE] [--threads N]
 #include <chrono>
@@ -88,15 +81,13 @@ struct HashedRun {
 
 /// The Philly-scale leg: heterogeneous 550-server / 2474-GPU fleet, MLF-H,
 /// arrival rate held at the saturating ~375 jobs/hour the full trace
-/// averages, so the funnel is measured under sustained overload — the
-/// regime the index exists for.
-exp::RunRequest philly_request(std::size_t jobs, double hours, bool bucketed) {
+/// averages, so the funnel is measured under sustained overload.
+exp::RunRequest philly_request(std::size_t jobs, double hours) {
   exp::RunRequest request;
-  request.label = std::string(bucketed ? "bucketed" : "linear") + " philly-550";
+  request.label = "philly-550";
   request.cluster.server_count = 550;
   request.cluster.total_gpus = 2474;
   request.cluster.gpus_per_server = 4;  // overridden by total_gpus
-  request.cluster.placement_bucket_index = bucketed;
   request.trace.num_jobs = jobs;
   request.trace.duration_hours = hours;
   request.trace.seed = 2020;
@@ -107,15 +98,13 @@ exp::RunRequest philly_request(std::size_t jobs, double hours, bool bucketed) {
   return request;
 }
 
-/// One mid-size matrix leg: every registered scheduler must stay
-/// byte-identical with the index on.
+/// One mid-size matrix leg per registered scheduler.
 exp::RunRequest matrix_request(const std::string& scheduler, std::size_t servers,
-                               std::size_t jobs, double hours, bool bucketed) {
+                               std::size_t jobs, double hours) {
   exp::RunRequest request;
-  request.label = std::string(bucketed ? "bucketed" : "linear") + " " + scheduler;
+  request.label = scheduler;
   request.cluster.server_count = servers;
   request.cluster.gpus_per_server = 4;
-  request.cluster.placement_bucket_index = bucketed;
   request.trace.num_jobs = jobs;
   request.trace.duration_hours = hours;
   request.trace.seed = 1117;
@@ -123,18 +112,6 @@ exp::RunRequest matrix_request(const std::string& scheduler, std::size_t servers
   request.engine.seed = 1117 ^ 0xfeed;
   request.scheduler = scheduler;
   return request;
-}
-
-bool identical(const HashedRun& a, const HashedRun& b) {
-  return a.sink.hash() == b.sink.hash() && a.sink.bytes() == b.sink.bytes() &&
-         a.sink.bytes() > 0;
-}
-
-double reduction(const RunMetrics& m) {
-  return m.candidates_scanned > 0
-             ? static_cast<double>(m.candidates_linear) /
-                   static_cast<double>(m.candidates_scanned)
-             : 0.0;
 }
 
 double fit_share(const RunMetrics& m) {
@@ -162,12 +139,16 @@ int main(int argc, char** argv) {
   const std::size_t matrix_servers = smoke ? 32 : 64;
   const std::size_t matrix_jobs = smoke ? 300 : 800;
   const double matrix_hours = smoke ? 4.0 : 6.0;
-  // The full Philly point measures >= 120x; smoke's shorter stream spends
-  // proportionally longer in the (index-unfriendly) empty-cluster fill
-  // phase, so its floor is lower. Both gates sit well below measured
-  // values and orders of magnitude above the ~5x a feasibility-only
-  // funnel can reach.
-  const double reduction_gate = smoke ? 40.0 : 100.0;
+  // The smoke point's event-stream hash, on which the bucketed placement
+  // index and the linear funnel agreed before the index was deleted. Only
+  // a deliberate decision change may move it, and then only with the
+  // golden hashes. The full point has no pinned value.
+  constexpr std::uint64_t kSmokeStreamHash = 10940262316457112062ull;
+  // Mean wall-clock per scheduling round of the smoke leg: 1.99 ms before
+  // the index was deleted (median of 3 runs of the bucketed leg, Release,
+  // 3 threads on a shared 4-vCPU host). The ceiling leaves 3x of headroom
+  // for slower runners; the full point is not gated.
+  const double ms_per_round_ceiling = 6.0;
   // Curve-fit work: refitting the whole warm-start chain from scratch at
   // every OptStop check (what a fresh service per check does) spends
   // 13975257 Nelder-Mead objective evaluations on the smoke point and
@@ -175,7 +156,7 @@ int main(int argc, char** argv) {
   // ceiling is a fifth of those counts, so the service stays >= 5x
   // cheaper (it measured ~31x at smoke scale).
   const std::size_t nm_ceiling = smoke ? 2795051 : 114017761;
-  // Predictor wall-clock share of the default leg (was ~56% of the run
+  // Predictor wall-clock share of the Philly leg (was ~56% of the run
   // before the service and ~17% with it while pow3 ran a full
   // three-parameter Nelder-Mead; the separable fits must keep it under 5%).
   const double fit_share_gate = 0.05;
@@ -195,13 +176,9 @@ int main(int argc, char** argv) {
     request.observer = hashers.back()->log.get();
     requests.push_back(std::move(request));
   };
-  // Philly legs A / B (see file comment).
-  add(philly_request(philly_jobs, philly_hours, /*bucketed=*/true));
-  add(philly_request(philly_jobs, philly_hours, /*bucketed=*/false));
-  // Matrix: per scheduler the same two legs at a mid-size point.
+  add(philly_request(philly_jobs, philly_hours));
   for (const std::string& name : schedulers) {
-    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, true));
-    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours, false));
+    add(matrix_request(name, matrix_servers, matrix_jobs, matrix_hours));
   }
 
   exp::RunOptions options;
@@ -214,99 +191,74 @@ int main(int argc, char** argv) {
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  const RunMetrics& leg_a = results[0];  // bucketed (default)
-  const RunMetrics& leg_b = results[1];  // linear
-  const bool philly_index_identical = identical(*hashers[0], *hashers[1]);
-  const double philly_reduction = reduction(leg_a);
-  const double philly_fit_share = fit_share(leg_a);
-  // The linear leg must agree on what a linear funnel scans, and the
-  // bucketed leg's funnel accounting must cover every such candidate.
-  const bool counter_consistent =
-      leg_b.candidates_scanned == leg_b.candidates_linear &&
-      leg_a.candidates_linear == leg_b.candidates_linear &&
-      leg_a.candidates_scanned + leg_a.pindex_servers_pruned +
-              leg_a.pindex_servers_bypassed ==
-          leg_a.candidates_linear;
-  const double speedup = leg_a.sched_overhead_ms > 0.0
-                             ? leg_b.sched_overhead_ms / leg_a.sched_overhead_ms
-                             : 0.0;
+  const RunMetrics& philly = results[0];
+  const std::uint64_t philly_hash = hashers[0]->sink.hash();
+  const bool hash_ok = !smoke || philly_hash == kSmokeStreamHash;
+  const bool ms_ok = !smoke || philly.sched_overhead_ms <= ms_per_round_ceiling;
+  const double philly_fit_share = fit_share(philly);
 
   std::cout << "=== philly point ===\n";
-  std::cout << "  default : " << leg_a.summary() << "\n";
-  std::cout << "  linear  : " << leg_b.summary() << "\n";
-  std::cout << "  index_identical=" << (philly_index_identical ? "true" : "false")
-            << "\n  candidates: " << leg_a.candidates_scanned << " scanned vs "
-            << leg_a.candidates_linear << " linear (" << philly_reduction
-            << "x reduction, gate " << reduction_gate << "x), sched-round speedup "
-            << speedup << "x\n"
-            << "  curve fits: " << leg_a.nm_objective_evals << " NM evals (ceiling "
+  std::cout << "  " << philly.summary() << "\n";
+  std::cout << "  event stream: hash " << philly_hash << " over " << hashers[0]->sink.bytes()
+            << " bytes";
+  if (smoke) std::cout << " (pinned " << kSmokeStreamHash << ")";
+  std::cout << "\n  " << philly.sched_overhead_ms << " ms per round";
+  if (smoke) std::cout << " (ceiling " << ms_per_round_ceiling << ")";
+  std::cout << ", " << philly.candidates_scanned << " candidates scanned\n"
+            << "  curve fits: " << philly.nm_objective_evals << " NM evals (ceiling "
             << nm_ceiling << "), fit wall share "
             << philly_fit_share << " (gate " << fit_share_gate << ")\n";
 
-  bool matrix_identical = true;
+  // Hashes go out as strings: a JSON number cannot hold every u64 exactly.
   json << "{\n  \"benchmark\": \"largescale\",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"wall_seconds\": " << wall_seconds
        << ",\n  \"philly\": {\"servers\": 550, \"gpus\": 2474, \"jobs\": " << philly_jobs
        << ", \"arrival_hours\": " << philly_hours
-       << ",\n    \"index_decisions_identical\": " << (philly_index_identical ? "true" : "false")
-       << ", \"event_stream_bytes\": " << hashers[0]->sink.bytes()
-       << ", \"counter_accounting_consistent\": " << (counter_consistent ? "true" : "false")
-       << ",\n    \"candidates_scanned\": " << leg_a.candidates_scanned
-       << ", \"candidates_linear\": " << leg_a.candidates_linear
-       << ", \"reduction_x\": " << philly_reduction
-       << ", \"reduction_gate_x\": " << reduction_gate
-       << ",\n    \"pindex_queries\": " << leg_a.pindex_queries
-       << ", \"pindex_servers_pruned\": " << leg_a.pindex_servers_pruned
-       << ", \"pindex_servers_bypassed\": " << leg_a.pindex_servers_bypassed
-       << ",\n    \"ms_per_round_bucketed\": " << leg_a.sched_overhead_ms
-       << ", \"ms_per_round_linear\": " << leg_b.sched_overhead_ms
-       << ", \"sched_round_speedup\": " << speedup
-       << ",\n    \"predictor\": {\"fits_cold\": " << leg_a.fits_cold
-       << ", \"fits_warm\": " << leg_a.fits_warm
-       << ", \"cache_hits\": " << leg_a.prediction_cache_hits
-       << ",\n      \"nm_evals\": " << leg_a.nm_objective_evals
+       << ",\n    \"event_stream_hash\": \"" << philly_hash << "\"";
+  if (smoke) {
+    json << ", \"pinned_stream_hash\": \"" << kSmokeStreamHash << "\"";
+  }
+  json << ", \"event_stream_bytes\": " << hashers[0]->sink.bytes()
+       << ",\n    \"candidates_scanned\": " << philly.candidates_scanned
+       << ", \"ms_per_round\": " << philly.sched_overhead_ms;
+  if (smoke) json << ", \"ms_per_round_ceiling\": " << ms_per_round_ceiling;
+  json << ",\n    \"predictor\": {\"fits_cold\": " << philly.fits_cold
+       << ", \"fits_warm\": " << philly.fits_warm
+       << ", \"cache_hits\": " << philly.prediction_cache_hits
+       << ",\n      \"nm_evals\": " << philly.nm_objective_evals
        << ", \"nm_eval_ceiling\": " << nm_ceiling
-       << ",\n      \"fit_wall_ms\": " << leg_a.fit_wall_ms
-       << ", \"run_wall_ms\": " << leg_a.run_wall_ms
+       << ",\n      \"fit_wall_ms\": " << philly.fit_wall_ms
+       << ", \"run_wall_ms\": " << philly.run_wall_ms
        << ", \"fit_wall_share\": " << philly_fit_share
        << ", \"fit_share_gate\": " << fit_share_gate
        << "}},\n  \"scheduler_matrix\": [\n";
   for (std::size_t i = 0; i < schedulers.size(); ++i) {
-    const RunMetrics& on = results[2 + 2 * i];
-    const bool index_same = identical(*hashers[2 + 2 * i], *hashers[3 + 2 * i]);
-    matrix_identical = matrix_identical && index_same;
-    std::cout << "  " << schedulers[i] << ": index_identical="
-              << (index_same ? "true" : "false") << " reduction=" << reduction(on)
-              << "x nm_evals=" << on.nm_objective_evals << "\n";
-    json << "    {\"scheduler\": \"" << schedulers[i]
-         << "\", \"index_decisions_identical\": " << (index_same ? "true" : "false")
-         << ", \"reduction_x\": " << reduction(on)
-         << ", \"nm_evals\": " << on.nm_objective_evals << "}"
+    const RunMetrics& m = results[1 + i];
+    const std::uint64_t hash = hashers[1 + i]->sink.hash();
+    std::cout << "  " << schedulers[i] << ": hash=" << hash << " ms_per_round="
+              << m.sched_overhead_ms << " nm_evals=" << m.nm_objective_evals << "\n";
+    json << "    {\"scheduler\": \"" << schedulers[i] << "\", \"event_stream_hash\": \"" << hash
+         << "\", \"ms_per_round\": " << m.sched_overhead_ms
+         << ", \"nm_evals\": " << m.nm_objective_evals << "}"
          << (i + 1 < schedulers.size() ? "," : "") << "\n";
   }
-  const bool all_identical = philly_index_identical && matrix_identical;
-  const bool pass = all_identical && counter_consistent &&
-                    philly_reduction >= reduction_gate &&
-                    leg_a.nm_objective_evals <= nm_ceiling && philly_fit_share < fit_share_gate;
-  json << "  ],\n  \"all_decisions_identical\": " << (all_identical ? "true" : "false")
-       << ",\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
+  const bool pass = hash_ok && ms_ok && philly.nm_objective_evals <= nm_ceiling &&
+                    philly_fit_share < fit_share_gate;
+  json << "  ],\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   std::cout << "wrote " << out_file << " (" << wall_seconds << "s)\n";
 
-  if (!all_identical) {
-    std::cerr << "FAIL: a bucketed-index leg diverged from its linear-funnel reference\n";
+  if (!hash_ok) {
+    std::cerr << "FAIL: philly event-stream hash " << philly_hash << " != pinned "
+              << kSmokeStreamHash << " (a placement decision changed)\n";
     return 1;
   }
-  if (!counter_consistent) {
-    std::cerr << "FAIL: funnel counter accounting inconsistent between legs\n";
+  if (!ms_ok) {
+    std::cerr << "FAIL: " << philly.sched_overhead_ms << " ms per scheduling round exceeds the "
+              << ms_per_round_ceiling << " ms ceiling\n";
     return 1;
   }
-  if (philly_reduction < reduction_gate) {
-    std::cerr << "FAIL: candidate reduction " << philly_reduction << "x below the "
-              << reduction_gate << "x gate\n";
-    return 1;
-  }
-  if (leg_a.nm_objective_evals > nm_ceiling) {
-    std::cerr << "FAIL: " << leg_a.nm_objective_evals << " NM objective evals exceed the "
+  if (philly.nm_objective_evals > nm_ceiling) {
+    std::cerr << "FAIL: " << philly.nm_objective_evals << " NM objective evals exceed the "
               << nm_ceiling << " ceiling\n";
     return 1;
   }

@@ -172,42 +172,27 @@ std::optional<HostChoice> MlfPlacement::choose_host(const SchedulerContext& ctx,
   // Pass 1: the feasible underloaded servers, ascending by id. Every
   // feasible server hosts the task on its least-loaded GPU.
   feasible_.clear();
-  if (cluster.config().placement_bucket_index) {
-    // Sublinear candidate funnel: the bucket index exact-checks only the
-    // members of buckets that could pass the feasibility comparisons and
-    // returns the feasible set in the linear funnel's ascending order.
-    const PlacementIndex& pidx = cluster.placement_index(ctx.hr);
-    const ServerId skip = migrating ? task.server : kInvalidServer;
-    stats_.candidates_scanned +=
-        pidx.collect_feasible(ctx.hr, u_gpu, u_cpu, u_mem, u_net, skip, feasible_);
-    // What a linear funnel would have scanned for this query: every
-    // underloaded member (minus the migration self-exclusion) — keeps the
-    // index's win measurable without running the linear path.
-    stats_.candidates_linear +=
-        pidx.member_count() - (skip != kInvalidServer && pidx.is_member(skip) ? 1 : 0);
-  } else {
-    for (const ServerId sid : cluster.underloaded_servers(ctx.hr)) {
-      if (migrating && sid == task.server) continue;
-      ++stats_.candidates_scanned;
-      ++stats_.candidates_linear;
-      // Feasibility from cached data only: the utilization's CPU/MEM/NET
-      // components *are* the server's usage sums, so together with the
-      // cached least-loaded GPU load these four comparisons are exactly
-      // Server::fits_usage_without_overload on the least-loaded GPU (the
-      // liveness test is vacuous — the underloaded partition only holds up
-      // servers). And the least-loaded GPU's verdict decides the server:
-      // every other GPU carries load >= the least-loaded one, and FP
-      // addition of the same usage is monotone, so when the least-loaded
-      // GPU overflows hr, so does every other — best_fitting_gpu's per-GPU
-      // search cannot rescue the candidate.
-      const ResourceVector& util = cluster.cached_utilization(sid);
-      if (util[Resource::Cpu] + u_cpu > ctx.hr || util[Resource::Mem] + u_mem > ctx.hr ||
-          util[Resource::Net] + u_net > ctx.hr ||
-          cluster.cached_least_gpu_load(sid) + u_gpu > ctx.hr) {
-        continue;
-      }
-      feasible_.push_back(sid);
+  for (const ServerId sid : cluster.underloaded_servers(ctx.hr)) {
+    if (migrating && sid == task.server) continue;
+    ++stats_.candidates_scanned;
+    ++stats_.candidates_linear;
+    // Feasibility from cached data only: the utilization's CPU/MEM/NET
+    // components *are* the server's usage sums, so together with the
+    // cached least-loaded GPU load these four comparisons are exactly
+    // Server::fits_usage_without_overload on the least-loaded GPU (the
+    // liveness test is vacuous — the underloaded partition only holds up
+    // servers). And the least-loaded GPU's verdict decides the server:
+    // every other GPU carries load >= the least-loaded one, and FP
+    // addition of the same usage is monotone, so when the least-loaded
+    // GPU overflows hr, so does every other — best_fitting_gpu's per-GPU
+    // search cannot rescue the candidate.
+    const ResourceVector& util = cluster.cached_utilization(sid);
+    if (util[Resource::Cpu] + u_cpu > ctx.hr || util[Resource::Mem] + u_mem > ctx.hr ||
+        util[Resource::Net] + u_net > ctx.hr ||
+        cluster.cached_least_gpu_load(sid) + u_gpu > ctx.hr) {
+      continue;
     }
+    feasible_.push_back(sid);
   }
   if (feasible_.empty()) return std::nullopt;
 

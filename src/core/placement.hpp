@@ -6,13 +6,12 @@
 // U_V in Euclidean distance. The task lands on that server's best-fitting
 // GPU (the least-loaded one whenever it fits).
 //
-// Hot path: candidates come from the cluster's bucketed placement index
-// (sim/placement_index.hpp) — only buckets that could pass the
-// feasibility check are examined — and the per-(task, server)
-// communication volumes are memoized in a fixed-capacity arena keyed on
-// the owning job's placement epoch (PlacementParams::comm_memo_slots). Both
-// are bit-exact with the direct computation (see DESIGN.md, "Scheduler
-// hot path").
+// Hot path: candidates come from one linear pass over the cluster's
+// underloaded partition, checked against the refresh-time load caches, and
+// the per-(task, server) communication volumes are memoized in a
+// fixed-capacity arena keyed on the owning job's placement epoch
+// (PlacementParams::comm_memo_slots). Both are bit-exact with the direct
+// computation (see DESIGN.md, "Scheduler hot path").
 #pragma once
 
 #include <cstdint>
@@ -40,11 +39,10 @@ class MlfPlacement {
   /// over the topology-aware flow bandwidth (0 for queue placements).
   /// Returns nullopt when no underloaded server fits the task under ctx.hr.
   ///
-  /// Candidates come from the cluster's load index (the bucketed placement
-  /// index when ClusterConfig::placement_bucket_index is on: only the
-  /// unprunable buckets are exact-checked), utilizations from the
-  /// refresh-time cache, comm volumes from the arena memo, scratch from
-  /// reused vectors. Ties go to the lowest server id.
+  /// Candidates come from the cluster's underloaded partition, each
+  /// checked once against the refresh-time load caches; utilizations from
+  /// the same cache, comm volumes from the arena memo, scratch from reused
+  /// vectors. Ties go to the lowest server id.
   std::optional<HostChoice> choose_host(const SchedulerContext& ctx, const Task& task,
                                         bool migrating) const;
 

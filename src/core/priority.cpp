@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 #include "common/expect.hpp"
 
@@ -72,7 +73,7 @@ std::vector<double> PriorityCalculator::ml_priorities(const Cluster& cluster,
 
   // Eq. 3: fold discounted child priorities, children before parents.
   std::vector<double> priority = base;
-  for (const std::size_t u : dag.reverse_topological_order()) {
+  for (const std::size_t u : std::views::reverse(job.topological_order())) {
     double child_sum = 0.0;
     for (const std::size_t c : dag.children(u)) child_sum += priority[c];
     priority[u] = base[u] + params_.gamma * child_sum;
@@ -85,7 +86,7 @@ std::vector<double> PriorityCalculator::computation_priorities(const Cluster& cl
                                                                SimTime now) const {
   const Dag& dag = job.dag();
   const std::size_t n = dag.node_count();
-  const auto depth = dag.depth_to_sink();
+  const std::vector<std::size_t>& depth = job.depth_to_sink();
   std::vector<double> base(n, 0.0);
 
   const int remaining_iters =
@@ -114,7 +115,7 @@ std::vector<double> PriorityCalculator::computation_priorities(const Cluster& cl
   }
 
   std::vector<double> priority = base;
-  for (const std::size_t u : dag.reverse_topological_order()) {
+  for (const std::size_t u : std::views::reverse(job.topological_order())) {
     double child_sum = 0.0;
     for (const std::size_t c : dag.children(u)) child_sum += priority[c];
     priority[u] = base[u] + params_.gamma * child_sum;  // Eq. 5

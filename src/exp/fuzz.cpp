@@ -103,11 +103,8 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
     c.snapshot_check = true;
     c.snapshot_event = rng.next_u64();
   }
-  // Placement-index dimensions: newest draws, appended last (prefix rule).
-  c.placement_bucket_index = !rng.bernoulli(0.2);
-  if (rng.bernoulli(0.4)) {
-    c.placement_index_buckets = static_cast<int>(rng.uniform_int(1, 64));
-  }
+  // Comm-memo capacity and fleet shape, drawn after the blocks above (same
+  // prefix rule).
   if (rng.bernoulli(0.3)) {
     c.comm_memo_slots = static_cast<std::size_t>(rng.uniform_int(1, 16));
   }
@@ -117,9 +114,6 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
     c.total_gpus = static_cast<std::size_t>(rng.uniform_int(
         static_cast<int>(c.servers), static_cast<int>(c.servers) * c.gpus_per_server));
     clamp_gpu_request(c);
-  }
-  if (c.placement_bucket_index && !c.snapshot_check && rng.bernoulli(0.3)) {
-    c.index_equivalence_check = true;
   }
   // Prediction-service dimension, drawn after the blocks above (prefix rule).
   c.coarsen_curve = rng.bernoulli(0.2);
@@ -131,9 +125,9 @@ FuzzCase generate_case(std::uint64_t master_seed, std::uint64_t index,
     if (rng.bernoulli(0.5)) c.rack_uplink_capacity_mbps = rng.uniform(25.0, 1000.0);
   }
   // Crash-recovery dimension: newest draws, appended last (prefix rule).
-  // Skipped alongside the other multi-engine reruns so the sweep's cost
-  // stays linear in the case count.
-  if (!c.snapshot_check && !c.index_equivalence_check && rng.bernoulli(0.15)) {
+  // Skipped alongside the snapshot check, the other multi-engine rerun, so
+  // the sweep's cost stays linear in the case count.
+  if (!c.snapshot_check && rng.bernoulli(0.15)) {
     c.crash_check = true;
     c.crash_event = rng.next_u64();
     c.stream_jobs = static_cast<std::size_t>(rng.uniform_int(0, 3));
@@ -149,8 +143,6 @@ RunRequest to_request(const FuzzCase& c) {
   r.cluster.servers_per_rack = c.servers_per_rack;
   r.cluster.slow_server_fraction = c.slow_fraction;
   r.cluster.total_gpus = c.total_gpus;
-  r.cluster.placement_bucket_index = c.placement_bucket_index;
-  r.cluster.placement_index_buckets = c.placement_index_buckets;
   r.cluster.debug_slot_leak = c.inject_slot_leak;
   r.cluster.link_contention = c.link_contention;
   r.cluster.nic_capacity_mbps = c.nic_capacity_mbps;
@@ -204,11 +196,8 @@ std::string describe(const FuzzCase& c) {
     if (c.adaptive_checkpoint) out << ", adaptive-ckpt";
     if (c.spread_placement) out << ", spread";
   }
-  if (!c.placement_bucket_index) out << ", no-bucket-index";
-  if (c.placement_index_buckets != 512) out << ", buckets=" << c.placement_index_buckets;
   if (c.comm_memo_slots != 4096) out << ", memo-slots=" << c.comm_memo_slots;
   if (c.total_gpus > 0) out << ", total-gpus=" << c.total_gpus;
-  if (c.index_equivalence_check) out << ", index-equivalence";
   if (c.coarsen_curve) out << ", coarsen-curve";
   if (c.link_contention) {
     out << ", link-contention";
@@ -259,11 +248,8 @@ std::string serialize(const FuzzCase& c) {
       << "audit_stride=" << c.audit_stride << "\n"
       << "snapshot_check=" << (c.snapshot_check ? 1 : 0) << "\n"
       << "snapshot_event=" << c.snapshot_event << "\n"
-      << "placement_bucket_index=" << (c.placement_bucket_index ? 1 : 0) << "\n"
-      << "placement_index_buckets=" << c.placement_index_buckets << "\n"
       << "comm_memo_slots=" << c.comm_memo_slots << "\n"
       << "total_gpus=" << c.total_gpus << "\n"
-      << "index_equivalence_check=" << (c.index_equivalence_check ? 1 : 0) << "\n"
       << "coarsen_curve=" << (c.coarsen_curve ? 1 : 0) << "\n"
       << "link_contention=" << (c.link_contention ? 1 : 0) << "\n"
       << "duty_cycles=" << (c.duty_cycles ? 1 : 0) << "\n"
@@ -341,11 +327,8 @@ FuzzCase parse_fuzz_case(std::istream& in) {
     else if (key == "audit_stride") read(c.audit_stride);
     else if (key == "snapshot_check") c.snapshot_check = flag();
     else if (key == "snapshot_event") read(c.snapshot_event);
-    else if (key == "placement_bucket_index") c.placement_bucket_index = flag();
-    else if (key == "placement_index_buckets") read(c.placement_index_buckets);
     else if (key == "comm_memo_slots") read(c.comm_memo_slots);
     else if (key == "total_gpus") read(c.total_gpus);
-    else if (key == "index_equivalence_check") c.index_equivalence_check = flag();
     else if (key == "coarsen_curve") c.coarsen_curve = flag();
     else if (key == "link_contention") c.link_contention = flag();
     else if (key == "duty_cycles") c.duty_cycles = flag();
@@ -389,31 +372,6 @@ std::optional<FuzzFailure> run_fuzz_case(const FuzzCase& c, bool check_determini
       return std::nullopt;
     }
     const RunMetrics first = execute_run(request);
-    if (c.index_equivalence_check && c.placement_bucket_index) {
-      // Index-vs-scan equivalence: the bucketed funnel must make the exact
-      // decisions of the linear one (same event stream) and account for the
-      // same linear-candidate population.
-      RunRequest scan = request;
-      scan.cluster.placement_bucket_index = false;
-      const RunMetrics linear = execute_run(scan);
-      std::ostringstream diff;
-      if (first.event_stream_hash != linear.event_stream_hash) {
-        diff << "event_stream_hash " << first.event_stream_hash << " vs "
-             << linear.event_stream_hash << "; ";
-      }
-      if (first.makespan_hours != linear.makespan_hours) diff << "makespan diverged; ";
-      if (first.migrations != linear.migrations) diff << "migrations diverged; ";
-      if (first.preemptions != linear.preemptions) diff << "preemptions diverged; ";
-      if (first.iterations_run != linear.iterations_run) diff << "iterations diverged; ";
-      if (first.candidates_linear != linear.candidates_linear) {
-        diff << "candidates_linear " << first.candidates_linear << " vs "
-             << linear.candidates_linear << "; ";
-      }
-      if (!diff.str().empty()) {
-        return FuzzFailure{c, "index-equivalence",
-                           "bucket index vs linear scan: " + diff.str()};
-      }
-    }
     if (check_determinism) {
       const RunMetrics second = execute_run(request);
       if (!deterministic_equal(first, second)) {
@@ -463,12 +421,9 @@ ShrinkResult shrink_case(const FuzzCase& original, const FuzzFailure& original_f
       [](FuzzCase& c) { c.checkpoint_interval = 1; },
       [](FuzzCase& c) { c.duration_hours = std::max(0.05, c.duration_hours / 2.0); },
       [](FuzzCase& c) { c.max_sim_hours = std::max(1.0, c.max_sim_hours / 2.0); },
-      // Placement-index dimensions shrink toward the uniform defaults; the
-      // bucket flag itself stays (flipping it off would dissolve an
-      // index-equivalence failure rather than minimize it).
+      // Comm-memo and fleet-shape dimensions shrink toward the defaults.
       [](FuzzCase& c) { c.comm_memo_slots = 4096; },
       [](FuzzCase& c) { c.total_gpus = 0; clamp_gpu_request(c); },
-      [](FuzzCase& c) { c.placement_index_buckets = std::max(1, c.placement_index_buckets / 2); },
       // Earlier snapshot cuts make a surviving "snapshot-restore" failure
       // easier to replay (fewer pre-snapshot events). The cut index, not
       // the flag, shrinks: dropping snapshot_check would change the failing

@@ -74,17 +74,9 @@ struct FuzzCase {
 
   std::size_t rl_warmup_samples = 2000;
 
-  // Placement-index dimensions (sim/placement_index.hpp): bucket count and
-  // comm-memo capacity are fuzzed down to degenerate values (1 bucket, 1
-  // slot) to exercise boundary handling and eviction churn. When
-  // `index_equivalence_check` is set the case runs a second time with the
-  // bucket index disabled and any divergence in the event-stream hash /
-  // decision metrics / linear-candidate count fails with invariant
-  // "index-equivalence".
-  bool placement_bucket_index = true;
-  int placement_index_buckets = 512;
+  // Comm-memo capacity, fuzzed down to degenerate values (1 slot) to
+  // exercise eviction churn.
   std::size_t comm_memo_slots = 4096;
-  bool index_equivalence_check = false;
 
   // Prediction-service dimension (predict/service.hpp): the opt-in
   // observation-coarsening approximation.

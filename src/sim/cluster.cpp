@@ -98,7 +98,6 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
     v.erase(it);
   };
 
-  const bool bucketed = config_.placement_bucket_index;
   if (!index_valid_ || hr != index_hr_ || typical_demand != index_demand_) {
     // First query, or the query key changed: evaluate the whole fleet.
     ++index_stats_.full_rebuilds;
@@ -116,7 +115,6 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
     index_total_slots_ = 0;
     underloaded_ids_.clear();
     overloaded_ids_.clear();
-    if (bucketed) pindex_.reset(servers_.size(), hr, config_.placement_index_buckets);
     for (const Server& s : servers_) {
       const bool over = s.up() && s.overloaded(hr);
       const bool under = s.accepts_placements() && !over;
@@ -131,11 +129,6 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
       const int slots = s.up() ? server_slot_estimate(s, hr, typical_demand) : 0;
       index_slots_[s.id()] = slots;
       index_total_slots_ += slots;
-      if (bucketed) {
-        pindex_.set_server(s.id(), under, index_least_load_[s.id()],
-                           index_util_[s.id()][Resource::Cpu], index_util_[s.id()][Resource::Mem],
-                           index_util_[s.id()][Resource::Net]);
-      }
     }
     index_valid_ = true;
     return;
@@ -156,7 +149,7 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
     // back between refreshing queries) dirties servers whose state nets
     // back to the exact same doubles. Recomputing is unavoidable — the
     // dirty bit only says "maybe changed" — but identical state needs no
-    // partition or bucket surgery, and counting it as a reindex made
+    // partition surgery, and counting it as a reindex made
     // `servers_reindexed` grow ~45x faster than scheduling rounds.
     if (over == (index_overloaded_[id] != 0) && under == (index_underloaded_[id] != 0) &&
         slots == index_slots_[id] && least == index_least_gpu_[id] &&
@@ -183,10 +176,6 @@ void Cluster::refresh_load_index(double hr, double typical_demand) const {
       else erase_sorted(underloaded_ids_, id);
       index_underloaded_[id] = under ? 1 : 0;
     }
-    if (bucketed) {
-      pindex_.set_server(id, under, least_load, util[Resource::Cpu], util[Resource::Mem],
-                         util[Resource::Net]);
-    }
   }
   index_dirty_ids_.clear();
 }
@@ -207,12 +196,6 @@ const std::vector<ServerId>& Cluster::underloaded_servers(double hr) const {
 const std::vector<ServerId>& Cluster::overloaded_servers(double hr) const {
   refresh_load_index(hr, index_demand_);
   return overloaded_ids_;
-}
-
-const PlacementIndex& Cluster::placement_index(double hr) const {
-  MLFS_EXPECT(config_.placement_bucket_index);
-  refresh_load_index(hr, index_demand_);
-  return pindex_;
 }
 
 double Cluster::overload_degree() const {
@@ -528,9 +511,6 @@ void Cluster::save_state(io::BinWriter& w) const {
   write_id_vector(w, underloaded_ids_);
   write_id_vector(w, overloaded_ids_);
   io::write_fields(w, index_stats_);
-  // The bucket index mirrors the refresh-time caches above bit for bit, so
-  // only its query counters are written; restore rebuilds the structure.
-  pindex_.save_state(w);
 }
 
 void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
@@ -592,19 +572,8 @@ void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   underloaded_ids_ = read_id_vector(r);
   overloaded_ids_ = read_id_vector(r);
   io::read_fields(r, index_stats_);
-  // Rebuild the bucket index from the restored caches it mirrors. Bucket
-  // membership and values come out identical to the saving cluster's, so
-  // every post-restore query examines the same servers and returns the
-  // same candidates.
-  if (config_.placement_bucket_index && index_valid_) {
-    pindex_.reset(servers_.size(), index_hr_, config_.placement_index_buckets);
-    for (ServerId id = 0; id < servers_.size(); ++id) {
-      pindex_.set_server(id, index_underloaded_[id] != 0, index_least_load_[id],
-                         index_util_[id][Resource::Cpu], index_util_[id][Resource::Mem],
-                         index_util_[id][Resource::Net]);
-    }
-  }
-  pindex_.restore_state(r);
+  // The placement index's five query counters, dropped in v8.
+  if (version <= 7) (void)r.view(5 * sizeof(std::uint64_t));
 }
 
 }  // namespace mlfs

@@ -8,7 +8,6 @@
 
 #include "common/binio.hpp"
 #include "sim/link_model.hpp"
-#include "sim/placement_index.hpp"
 #include "sim/server.hpp"
 #include "sim/snapshot.hpp"
 #include "workload/job.hpp"
@@ -43,21 +42,6 @@ struct ClusterConfig {
   /// deterministic: the *last* ceil(fraction × N) servers are slow.
   double slow_server_fraction = 0.0;
   double slow_server_speed = 0.5;
-
-  /// Bucketed feasibility index over the underloaded partition (see
-  /// sim/placement_index.hpp): placement queries examine only the buckets
-  /// that could pass the feasibility check instead of every underloaded
-  /// server. Decisions are byte-identical either way (the pruned servers
-  /// provably fail the exact check); `false` keeps the linear funnel for
-  /// the equivalence tests and the large-scale benchmark's reference leg.
-  bool placement_bucket_index = true;
-  /// Buckets per indexed load dimension (4 dimensions: least-GPU load and
-  /// the CPU/MEM/NET sums). Members strictly inside the per-dimension
-  /// cutoffs are accepted or rejected wholesale; only the cutoff
-  /// (boundary) buckets still take exact checks, so more buckets narrow
-  /// the band that counts toward candidates_scanned at a slightly higher
-  /// per-query fixed cost.
-  int placement_index_buckets = 512;
 
   /// Deliberate slot-conservation bug for auditor self-tests: every 7th
   /// unplace leaks the departing task's usage back onto its server, so the
@@ -107,8 +91,8 @@ struct LoadIndexStats {
   std::size_t servers_reindexed = 0;  ///< per-server re-evaluations that changed cached state
   /// Dirty servers whose recomputed state matched the cache exactly (e.g.
   /// a gang placed and rolled back between refreshing queries) — detected
-  /// by compare-and-skip, so they cost a recompute but no partition or
-  /// bucket surgery and no longer inflate `servers_reindexed`.
+  /// by compare-and-skip, so they cost a recompute but no partition
+  /// surgery and no longer inflate `servers_reindexed`.
   std::size_t noop_reindexes = 0;
 
   /// Snapshot order (io::write_fields / read_fields).
@@ -187,12 +171,6 @@ class Cluster {
   /// jobs' placements (a fleet-wide epoch would invalidate the whole memo on
   /// any placement anywhere, collapsing the hit rate as the fleet grew).
   std::uint64_t job_placement_epoch(JobId id) const { return job_placement_epochs_[id]; }
-
-  /// The bucketed feasibility index, refreshed for `hr` (see
-  /// sim/placement_index.hpp). Requires `placement_bucket_index`.
-  const PlacementIndex& placement_index(double hr) const;
-  /// Its query counters (zeros while the bucket index is off).
-  const PlacementIndexStats& placement_index_stats() const { return pindex_.stats(); }
 
   /// Instrumentation counters of the incremental load index.
   const LoadIndexStats& load_index_stats() const { return index_stats_; }
@@ -287,8 +265,9 @@ class Cluster {
   /// specs, DAGs) is not written; the restoring cluster must have been
   /// built from the same configuration. `version` is the snapshot file's:
   /// v5 job records carry the loss history, which is checked against each
-  /// job's curve. A job record that fails its checks throws
-  /// SnapshotError("cluster").
+  /// job's curve; v5–v7 sections end in five counters of the removed
+  /// placement index, which are skipped. A job record that fails its
+  /// checks throws SnapshotError("cluster").
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r, std::uint32_t version = kSnapshotVersion);
 
@@ -344,9 +323,6 @@ class Cluster {
   mutable std::vector<ServerId> underloaded_ids_;  ///< sorted ascending
   mutable std::vector<ServerId> overloaded_ids_;   ///< sorted ascending
   mutable LoadIndexStats index_stats_;
-  /// Bucketed feasibility index; mirrors the underloaded partition and the
-  /// refresh-time load caches exactly (rebuilt from them on restore).
-  mutable PlacementIndex pindex_;
   std::vector<std::uint64_t> job_placement_epochs_;  ///< grown by register_job
   /// Link-contention state (empty when ClusterConfig::link_contention off).
   LinkModel links_;

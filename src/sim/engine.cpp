@@ -1090,11 +1090,6 @@ RunMetrics SimEngine::finalize() {
   m.load_index_refreshes = lstats.refreshes;
   m.servers_reindexed = lstats.servers_reindexed;
   m.noop_reindexes = lstats.noop_reindexes;
-  const PlacementIndexStats& pstats = cluster_.placement_index_stats();
-  m.pindex_queries = pstats.queries;
-  m.pindex_servers_pruned = pstats.servers_pruned;
-  m.pindex_buckets_pruned = pstats.buckets_pruned;
-  m.pindex_servers_bypassed = pstats.servers_bypassed;
   m.link_busy_seconds = c.link_busy_seconds;
   m.contention_slowdown_seconds = c.contention_slowdown_seconds;
   m.phase_offset_hits = static_cast<std::size_t>(c.phase_offset_hits);

@@ -70,12 +70,13 @@ std::uint64_t SimEngine::compute_config_fingerprint() const {
   w.f64(cluster_config_.inter_rack_flow_bandwidth_mbps);
   w.f64(cluster_config_.slow_server_fraction);
   w.f64(cluster_config_.slow_server_speed);
-  // Historical byte of the removed full-scan load-index switch, always on
-  // then as the index is now: keeps fingerprints (and the golden_v5/v6
-  // snapshot fixtures) stable.
+  // Historical bytes of removed switches at their old defaults — the
+  // full-scan load-index switch (on), and the bucketed placement index's
+  // placement_bucket_index (on) and placement_index_buckets (512): keeps
+  // fingerprints (and the golden_v5–v7 snapshot fixtures) stable.
   w.boolean(true);
-  w.boolean(cluster_config_.placement_bucket_index);
-  w.i64(cluster_config_.placement_index_buckets);
+  w.boolean(true);
+  w.i64(512);
   w.boolean(cluster_config_.debug_slot_leak);
   w.boolean(cluster_config_.link_contention);
   w.f64(cluster_config_.nic_capacity_mbps);

@@ -70,9 +70,8 @@ struct DeterministicMetrics {
   // -- scheduler hot-path instrumentation (see DESIGN.md) --
   std::size_t sched_rounds = 0;           ///< scheduling rounds executed
   std::size_t candidates_scanned = 0;     ///< servers examined during host choice
-  /// Servers a linear funnel would have examined for the same host
-  /// queries; candidates_linear / candidates_scanned is the bucketed
-  /// placement index's measured candidate reduction (1x with it off).
+  /// Equal to candidates_scanned: the linear funnel examines the whole
+  /// underloaded partition. Kept for the CSV and benchmark readers.
   std::size_t candidates_linear = 0;
   std::size_t comm_cache_hits = 0;        ///< per-(task, server) comm-memo hits
   std::size_t comm_cache_misses = 0;      ///< comm-memo rebuilds
@@ -80,12 +79,10 @@ struct DeterministicMetrics {
   std::size_t load_index_refreshes = 0;   ///< incremental load-index refresh passes
   std::size_t servers_reindexed = 0;      ///< per-server load re-evaluations that changed state
   std::size_t noop_reindexes = 0;         ///< dirty servers whose state was unchanged
-  std::size_t pindex_queries = 0;         ///< bucketed placement-index probes
-  std::size_t pindex_servers_pruned = 0;  ///< members skipped via pruned buckets
-  std::size_t pindex_buckets_pruned = 0;  ///< buckets pruned on the GPU dimension
-  /// Members emitted feasible from the bucket bound alone (no exact check);
-  /// candidates_scanned + pindex_servers_pruned + pindex_servers_bypassed
-  /// == candidates_linear whenever the bucketed index answers every query.
+  /// Counters of the removed bucketed placement index; always 0. Kept only
+  /// because the benchmark harness still reports them.
+  std::size_t pindex_queries = 0;
+  std::size_t pindex_servers_pruned = 0;
   std::size_t pindex_servers_bypassed = 0;
 
   // -- link contention (sim/link_model.hpp; zero while the feature is off) --

@@ -45,11 +45,13 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'F', 'S', 'S', 'N', 'A', 'P
 /// imitation set once the policy is cloned, keeping the clone-time sample
 /// count and accuracy. v7: the trailing checksum is word_hash64 instead of
 /// byte-serial FNV-1a, and the "cluster" section drops the unused global
-/// placement epoch (a u64 after the transfer count). v5 and v6 files are
-/// still read (checked with FNV-1a; a v5 file's stored history is checked
-/// bitwise against the curve; no v5 or v6 writer exists); pre-v5 files are
-/// rejected by the version check.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// placement epoch (a u64 after the transfer count). v8: the "cluster"
+/// section drops its last 40 bytes, the five query counters of the removed
+/// bucketed placement index. v5–v7 files are still read (v5 and v6 checked
+/// with FNV-1a; a v5 file's stored history is checked bitwise against the
+/// curve; no v5–v7 writer exists); pre-v5 files are rejected by the version
+/// check.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 /// Oldest version SnapshotReader accepts; readers whose payload changed
 /// since branch on SnapshotReader::version().
 inline constexpr std::uint32_t kOldestReadableSnapshotVersion = 5;

@@ -81,6 +81,7 @@ Job::Job(JobSpec spec, Dag dag, std::vector<std::size_t> topological_order,
     : spec_(std::move(spec)),
       dag_(std::move(dag)),
       topological_order_(std::move(topological_order)),
+      depth_to_sink_(dag_.depth_to_sink()),
       task_ids_(std::move(task_ids)),
       total_params_m_(total_params_m),
       ideal_iteration_seconds_(ideal_iteration_seconds),

@@ -106,6 +106,9 @@ class Job {
   /// dag().topological_order(), kept: the DAG never changes after
   /// construction.
   const std::vector<std::size_t>& topological_order() const { return topological_order_; }
+  /// dag().depth_to_sink(), kept for the same reason (derived state: never
+  /// snapshotted).
+  const std::vector<std::size_t>& depth_to_sink() const { return depth_to_sink_; }
   std::span<const TaskId> tasks() const { return task_ids_; }
   TaskId task_at(std::size_t local_index) const { return task_ids_[local_index]; }
   std::size_t task_count() const { return task_ids_.size(); }
@@ -207,6 +210,7 @@ class Job {
   JobSpec spec_;
   Dag dag_;
   std::vector<std::size_t> topological_order_;
+  std::vector<std::size_t> depth_to_sink_;
   mutable std::vector<std::size_t> descendant_counts_;  ///< empty until first use
   std::vector<TaskId> task_ids_;
   double total_params_m_;

@@ -1,7 +1,7 @@
 // Decision equivalence of the scheduler hot path (DESIGN.md, "Scheduler
 // hot path"): MLF-H must write the same JSONL event stream byte for byte
-// whatever the comm-memo capacity, and with the bucketed placement index on
-// or off — fault-free and under churn, flat and rack topologies. The hot
+// whatever the comm-memo capacity — fault-free and under churn, flat and
+// rack topologies. The hot
 // path itself has one implementation, pinned by the golden event-stream
 // hashes (tests/sched/test_golden_hashes.cpp).
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@ struct RunResult {
 };
 
 struct Variant {
-  bool bucket_index = true;
   std::size_t memo_slots = 4096;
   FaultConfig fault;
   int servers_per_rack = 0;
@@ -34,7 +33,6 @@ RunResult run(const Variant& v) {
   cluster.server_count = 8;
   cluster.gpus_per_server = 4;
   cluster.servers_per_rack = v.servers_per_rack;
-  cluster.placement_bucket_index = v.bucket_index;
 
   MlfsConfig config;
   config.heuristic_only = true;
@@ -99,68 +97,20 @@ TEST(HotPathEquivalence, UnderServerChurnAndTaskKills) {
   expect_memo_equivalent(run(thrashing), run(memoized));
 }
 
-// The bucketed placement index against the linear funnel it replaces:
-// identical decisions, identical linear-candidate accounting, and the
-// bucket run must actually have pruned.
-void expect_bucket_equivalent(const RunResult& linear, const RunResult& bucketed) {
-  ASSERT_FALSE(bucketed.events.empty());
-  EXPECT_EQ(linear.events, bucketed.events);
-  EXPECT_EQ(linear.metrics.average_jct_minutes(), bucketed.metrics.average_jct_minutes());
-  EXPECT_EQ(linear.metrics.makespan_hours, bucketed.metrics.makespan_hours);
-  EXPECT_EQ(linear.metrics.migrations, bucketed.metrics.migrations);
-  EXPECT_EQ(linear.metrics.iterations_run, bucketed.metrics.iterations_run);
-  // candidates_linear counts what a full funnel would scan — it must not
-  // depend on which funnel actually ran (and with the index off it *is*
-  // the scan count).
-  EXPECT_EQ(linear.metrics.candidates_linear, bucketed.metrics.candidates_linear);
-  EXPECT_EQ(linear.metrics.candidates_linear, linear.metrics.candidates_scanned);
-  EXPECT_EQ(linear.metrics.pindex_queries, 0u);
-  EXPECT_GT(bucketed.metrics.pindex_queries, 0u);
-  EXPECT_LE(bucketed.metrics.candidates_scanned, bucketed.metrics.candidates_linear);
-  // Every member a linear funnel would have scanned is accounted for:
-  // exact-checked (scanned), pruned wholesale, or bypassed as provably
-  // feasible from the bucket bound.
-  EXPECT_EQ(bucketed.metrics.candidates_scanned + bucketed.metrics.pindex_servers_pruned +
-                bucketed.metrics.pindex_servers_bypassed,
-            bucketed.metrics.candidates_linear);
-}
-
-TEST(HotPathEquivalence, BucketIndexFaultFree) {
-  Variant linear;
-  linear.bucket_index = false;
-  Variant bucketed;
-  expect_bucket_equivalent(run(linear), run(bucketed));
-}
-
-TEST(HotPathEquivalence, BucketIndexUnderChurn) {
-  FaultConfig fault;
-  fault.server_mtbf_hours = 6.0;
-  fault.server_mttr_hours = 0.5;
-  fault.task_kill_probability = 0.002;
-  Variant linear;
-  linear.bucket_index = false;
-  linear.fault = fault;
-  Variant bucketed;
-  bucketed.fault = fault;
-  expect_bucket_equivalent(run(linear), run(bucketed));
-}
-
 TEST(HotPathEquivalence, RackTopologyWithAffinityPlacement) {
   // Rack-affinity comm volumes (the memo's topology scatter) and
-  // cross-rack movement degradation feed the distance on the bucketed
-  // funnel's candidate set exactly as on the linear one.
-  Variant linear;
-  linear.bucket_index = false;
-  linear.servers_per_rack = 4;
-  linear.use_topology = true;
-  Variant bucketed;
-  bucketed.servers_per_rack = 4;
-  bucketed.use_topology = true;
-  const RunResult a = run(linear);
-  const RunResult b = run(bucketed);
-  expect_bucket_equivalent(a, b);
+  // cross-rack movement degradation feed the distance identically whether
+  // the volumes come from the memo or are recomputed.
+  Variant thrashing;
+  thrashing.memo_slots = 1;
+  thrashing.servers_per_rack = 4;
+  thrashing.use_topology = true;
+  Variant memoized;
+  memoized.servers_per_rack = 4;
+  memoized.use_topology = true;
+  const RunResult b = run(memoized);
+  expect_memo_equivalent(run(thrashing), b);
   EXPECT_GT(b.metrics.migrations, 0u);
-  EXPECT_GT(b.metrics.comm_cache_hits, 0u);
 }
 
 }  // namespace

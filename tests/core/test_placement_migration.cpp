@@ -209,7 +209,7 @@ TEST(Placement, MigrationDegradationPrefersSameRackDestination) {
 /// §3.3.2 from its definition: scan every server, recompute each
 /// candidate's utilization and comm volume directly, and pick the
 /// Euclidean-nearest to the ideal virtual host (lowest id on ties). The
-/// oracle for MlfPlacement's cached, memoized, index-driven choose_host
+/// oracle for MlfPlacement's cached, memoized choose_host
 /// (rack spread off).
 std::optional<HostChoice> brute_force_choose_host(const SchedulerContext& ctx,
                                                   const PlacementParams& params,
@@ -268,59 +268,178 @@ std::optional<HostChoice> brute_force_choose_host(const SchedulerContext& ctx,
   return HostChoice{best->server, best->gpu};
 }
 
-TEST(Placement, MemoizedCommVolumesMatchDirectComputation) {
-  // The epoch-keyed comm memo, the load-index caches and the bucket index
-  // must not change a single choice against the from-scratch definition,
-  // with and without the rack-affinity extension — and a memo entry must
-  // be refreshed once its job's placement epoch moves. Servers 3–5 start
-  // idle, so exact distance ties occur and must go to the lowest id.
-  for (const bool topology : {false, true}) {
-    for (const bool bucketed : {false, true}) {
-      ClusterConfig config{6, 2, 1000.0};
-      config.servers_per_rack = 2;
-      config.placement_bucket_index = bucketed;
-      Fixture f{config};
-      const JobId chain = f.add(MlAlgorithm::Mlp, 3, 11, CommStructure::ParameterServer);
-      const JobId ring = f.add(MlAlgorithm::ResNet, 3, 13, CommStructure::AllReduce);
-      const TaskId chain0 = f.cluster.job(chain).task_at(0);
-      const TaskId chain1 = f.cluster.job(chain).task_at(1);
-      const TaskId ring0 = f.cluster.job(ring).task_at(0);
-      f.cluster.place_task(chain0, 0, 0);
-      f.cluster.place_task(chain1, 2, 0);
-      f.cluster.place_task(ring0, 1, 1);
-
-      PlacementParams params;
-      params.use_topology = topology;
-      const MlfPlacement placement{params};
-
-      const auto check_every_task = [&] {
-        auto ctx = f.ctx();
-        for (const Job& j : f.cluster.jobs()) {
-          for (const TaskId tid : j.tasks()) {
-            const Task& task = f.cluster.task(tid);
-            for (const bool migrating : {false, true}) {
-              if (migrating && !task.placed()) continue;
-              const auto expected = brute_force_choose_host(ctx, params, task, migrating);
-              const auto actual = placement.choose_host(ctx, task, migrating);
-              ASSERT_EQ(expected.has_value(), actual.has_value());
-              if (expected) {
-                EXPECT_EQ(expected->server, actual->server);
-                EXPECT_EQ(expected->gpu, actual->gpu);
-              }
-            }
-          }
+/// choose_host against the oracle for every task of the fixture, as a
+/// queue placement and (placed tasks only) as a migration.
+void expect_oracle_agrees(Fixture& f, const PlacementParams& params,
+                          const MlfPlacement& placement) {
+  auto ctx = f.ctx();
+  for (const Job& j : f.cluster.jobs()) {
+    for (const TaskId tid : j.tasks()) {
+      const Task& task = f.cluster.task(tid);
+      for (const bool migrating : {false, true}) {
+        if (migrating && !task.placed()) continue;
+        const auto expected = brute_force_choose_host(ctx, params, task, migrating);
+        const auto actual = placement.choose_host(ctx, task, migrating);
+        ASSERT_EQ(expected.has_value(), actual.has_value()) << "task " << tid;
+        if (expected) {
+          EXPECT_EQ(expected->server, actual->server) << "task " << tid;
+          EXPECT_EQ(expected->gpu, actual->gpu) << "task " << tid;
         }
-      };
-      check_every_task();
-      const std::size_t misses = placement.stats().comm_cache_misses;
-      check_every_task();  // nothing moved: served from the memo
-      EXPECT_EQ(placement.stats().comm_cache_misses, misses);
-      EXPECT_GT(placement.stats().comm_cache_hits, 0u);
-      f.cluster.move_task(chain1, 3, 1);  // bumps the chain's epoch only
-      check_every_task();
-      EXPECT_GT(placement.stats().comm_cache_misses, misses);
+      }
     }
   }
+}
+
+TEST(Placement, MemoizedCommVolumesMatchDirectComputation) {
+  // The epoch-keyed comm memo and the load-index caches must not change a
+  // single choice against the from-scratch definition, with and without
+  // the rack-affinity extension — and a memo entry must be refreshed once
+  // its job's placement epoch moves. Servers 3–5 start idle, so exact
+  // distance ties occur and must go to the lowest id.
+  for (const bool topology : {false, true}) {
+    ClusterConfig config{6, 2, 1000.0};
+    config.servers_per_rack = 2;
+    Fixture f{config};
+    const JobId chain = f.add(MlAlgorithm::Mlp, 3, 11, CommStructure::ParameterServer);
+    const JobId ring = f.add(MlAlgorithm::ResNet, 3, 13, CommStructure::AllReduce);
+    const TaskId chain0 = f.cluster.job(chain).task_at(0);
+    const TaskId chain1 = f.cluster.job(chain).task_at(1);
+    const TaskId ring0 = f.cluster.job(ring).task_at(0);
+    f.cluster.place_task(chain0, 0, 0);
+    f.cluster.place_task(chain1, 2, 0);
+    f.cluster.place_task(ring0, 1, 1);
+
+    PlacementParams params;
+    params.use_topology = topology;
+    const MlfPlacement placement{params};
+
+    expect_oracle_agrees(f, params, placement);
+    const std::size_t misses = placement.stats().comm_cache_misses;
+    expect_oracle_agrees(f, params, placement);  // nothing moved: served from the memo
+    EXPECT_EQ(placement.stats().comm_cache_misses, misses);
+    EXPECT_GT(placement.stats().comm_cache_hits, 0u);
+    f.cluster.move_task(chain1, 3, 1);  // bumps the chain's epoch only
+    expect_oracle_agrees(f, params, placement);
+    EXPECT_GT(placement.stats().comm_cache_misses, misses);
+  }
+}
+
+/// A single-task job whose task's usage is exactly `demand` (a queued
+/// task's usage factor is 1).
+TaskId add_task(Fixture& f, const ResourceVector& demand) {
+  const JobId id = f.add(MlAlgorithm::Svm, 1, 900 + f.cluster.job_count());
+  EXPECT_EQ(f.cluster.job(id).task_count(), 1u);
+  const TaskId tid = f.cluster.job(id).task_at(0);
+  f.cluster.task(tid).demand = demand;
+  return tid;
+}
+
+/// choose_host for `probe` after checking every choice of the fleet,
+/// queue placement and migration alike, against the oracle.
+std::optional<HostChoice> funnel_choice(Fixture& f, TaskId probe, bool migrating) {
+  const PlacementParams params;
+  const MlfPlacement placement{params};
+  expect_oracle_agrees(f, params, placement);
+  auto ctx = f.ctx();
+  return placement.choose_host(ctx, f.cluster.task(probe), migrating);
+}
+
+// Fleets at the edges of the funnel's feasibility check over the cluster's
+// underloaded-server index. The test names are kept from the unit tests of
+// the bucketed index the funnel replaced, one case each.
+
+TEST(PlacementIndex, EmptyIndexReturnsNothing) {
+  // No underloaded server at all.
+  Fixture f{ClusterConfig{3, 2, 1000.0}};
+  const TaskId probe = add_task(f, ResourceVector::uniform(0.1));
+  for (ServerId s = 0; s < 3; ++s) f.cluster.set_placement_cap(s, 0);
+  EXPECT_FALSE(funnel_choice(f, probe, false).has_value());
+}
+
+TEST(PlacementIndex, AllEqualLoadsShareOneBucketAndPruneTogether) {
+  // All-equal loads: every server fits, or none does.
+  const auto uniform = ResourceVector::uniform;
+  Fixture f{ClusterConfig{4, 2, 1000.0}};
+  for (ServerId s = 0; s < 4; ++s) f.cluster.place_task(add_task(f, uniform(0.3)), s, 0);
+  const auto fits_all = funnel_choice(f, add_task(f, uniform(0.1)), false);
+  ASSERT_TRUE(fits_all.has_value());
+  EXPECT_EQ(fits_all->server, 0u);  // an exact tie goes to the lowest id
+  EXPECT_EQ(fits_all->gpu, 1);
+  EXPECT_FALSE(funnel_choice(f, add_task(f, uniform(0.7)), false).has_value());
+}
+
+TEST(PlacementIndex, SingleFeasibleServerSurvivesPruning) {
+  Fixture f{ClusterConfig{4, 2, 1000.0}};
+  for (const ServerId s : {0u, 1u, 3u}) {
+    f.cluster.place_task(add_task(f, ResourceVector{0.8, 0.8, 0.1, 0.1}), s, 0);
+  }
+  const auto host = funnel_choice(f, add_task(f, ResourceVector::uniform(0.3)), false);
+  ASSERT_TRUE(host.has_value());
+  EXPECT_EQ(host->server, 2u);
+}
+
+TEST(PlacementIndex, BucketBoundaryMapping) {
+  // Load exactly at hr - u. `edge` is the largest load that still takes the
+  // probe, `over` the next double: on the CPU sum (servers 0, 1) and on both
+  // GPUs, so on the least-loaded one (servers 2, 3).
+  constexpr double kHr = 0.9;  // Fixture::ctx
+  const double u = 0.25;
+  double over = kHr - u;
+  while (!(over + u > kHr)) over = std::nextafter(over, 2.0);
+  const double edge = std::nextafter(over, 0.0);
+  Fixture f{ClusterConfig{4, 2, 1000.0}};
+  f.cluster.place_task(add_task(f, ResourceVector{0.0, edge, 0.0, 0.0}), 0, 0);
+  f.cluster.place_task(add_task(f, ResourceVector{0.0, over, 0.0, 0.0}), 1, 0);
+  for (const int gpu : {0, 1}) {
+    f.cluster.place_task(add_task(f, ResourceVector{edge, 0.0, 0.0, 0.0}), 2, gpu);
+    f.cluster.place_task(add_task(f, ResourceVector{over, 0.0, 0.0, 0.0}), 3, gpu);
+  }
+  const TaskId probe = add_task(f, ResourceVector::uniform(u));
+  const auto host = funnel_choice(f, probe, false);
+  ASSERT_TRUE(host.has_value());
+  EXPECT_TRUE(host->server == 0u || host->server == 2u) << host->server;
+  for (const ServerId s : {1u, 3u}) {
+    EXPECT_EQ(f.cluster.server(s).best_fitting_gpu(f.cluster.task(probe), kHr), kNoGpu);
+  }
+}
+
+TEST(PlacementIndex, NegativeDriftLoadIsIndexedAndFound) {
+  // Two tasks whose usage factors drop to 0 leave server 0's sums at
+  // (0.7 + 0.1) - 0.7 - 0.1 < 0 in floating point.
+  const auto uniform = ResourceVector::uniform;
+  Fixture f{ClusterConfig{4, 2, 1000.0}};
+  const TaskId a = add_task(f, uniform(0.7));
+  const TaskId b = add_task(f, uniform(0.1));
+  f.cluster.place_task(a, 0, 0);
+  f.cluster.place_task(b, 0, 0);
+  f.cluster.set_usage_factor(a, 0.0);
+  f.cluster.set_usage_factor(b, 0.0);
+  ASSERT_LT(f.cluster.server(0).utilization()[Resource::Cpu], 0.0);
+  ASSERT_LT(f.cluster.server(0).gpu_load(0), 0.0);
+  for (ServerId s = 1; s < 4; ++s) f.cluster.place_task(add_task(f, uniform(0.2)), s, 0);
+  const auto roomy = funnel_choice(f, add_task(f, uniform(0.5)), false);
+  ASSERT_TRUE(roomy.has_value());
+  EXPECT_EQ(roomy->server, 0u);
+  EXPECT_EQ(roomy->gpu, 0);  // the drifted GPU is the least loaded
+  const auto tight = funnel_choice(f, add_task(f, uniform(0.85)), false);
+  ASSERT_TRUE(tight.has_value());
+  EXPECT_EQ(tight->server, 0u);
+}
+
+TEST(PlacementIndex, SkipExcludesMigratingSelf) {
+  const auto uniform = ResourceVector::uniform;
+  Fixture f{ClusterConfig{3, 2, 1000.0}};
+  f.cluster.place_task(add_task(f, uniform(0.5)), 0, 0);
+  f.cluster.place_task(add_task(f, uniform(0.5)), 2, 0);
+  const TaskId light = add_task(f, uniform(0.1));
+  f.cluster.place_task(light, 1, 0);
+  const auto moved = funnel_choice(f, light, true);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(moved->server, 0u);  // server 1 is the least loaded, but its own
+  const TaskId heavy = add_task(f, uniform(0.6));
+  f.cluster.unplace_task(light);
+  f.cluster.place_task(heavy, 1, 0);
+  EXPECT_FALSE(funnel_choice(f, heavy, true).has_value());  // only its own server fits it
 }
 
 TEST(Migration, SelectsHighUsageVictimOnHotGpu) {

@@ -401,10 +401,11 @@ TEST(DurableSession, FailedSnapshotWriteNeverLeavesAFinalSnapshot) {
 // buffers: the newest snapshot (snap-800.bin) and its journal segment,
 // which carries seven journaled arrivals past the snapshot. The run was
 // halted at event 1100 of 5172. tests/data/golden_v6/snap-800.bin is that
-// v5 snapshot restored and saved again by the first snapshot-v6 code, and
+// v5 snapshot restored and saved again by the first snapshot-v6 code,
 // tests/data/golden_v7/snap-800.bin is the v6 one restored and saved again
-// by the first snapshot-v7 code (the journal format did not change, so
-// every resume uses the v5 journal). These files are never regenerated:
+// by the first snapshot-v7 code, and tests/data/golden_v8/snap-800.bin the
+// v7 one by the first snapshot-v8 code (the journal format did not change,
+// so every resume uses the v5 journal). These files are never regenerated:
 // they prove the current code still reads and writes the same bytes.
 
 exp::RunRequest golden_request() {
@@ -478,6 +479,10 @@ TEST(GoldenFormat, V7FixtureCheckpointResumesToPinnedHash) {
   expect_fixture_resumes_to_pinned_hash("golden_v7");
 }
 
+TEST(GoldenFormat, V8FixtureCheckpointResumesToPinnedHash) {
+  expect_fixture_resumes_to_pinned_hash("golden_v8");
+}
+
 /// Restores `snapshot` into a fresh golden engine and saves it again.
 std::string restore_and_save(const std::string& snapshot) {
   exp::RunRequest request = golden_request();
@@ -496,22 +501,23 @@ std::string restore_and_save(const std::string& snapshot) {
 TEST(GoldenFormat, FixtureSnapshotReserializesToTheSameBytes) {
   // Restored state includes the wall-clock accumulators, so an unchanged
   // format re-serializes every byte, checksum included.
-  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v7"));
+  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v8"));
   EXPECT_TRUE(restore_and_save(golden) == golden)
       << "re-serialized snapshot differs from the fixture";
 }
 
-TEST(GoldenFormat, V5FixtureUpgradesToTheV7FixtureBytes) {
-  const std::string v5 = slurp(golden_path("snap-800.bin"));
-  const std::string v7 = slurp(golden_path("snap-800.bin", "golden_v7"));
-  EXPECT_TRUE(restore_and_save(v5) == v7) << "upgraded v5 snapshot differs from the v7 fixture";
+/// Restoring the `dir` fixture and saving it again gives the v8 fixture.
+void expect_upgrades_to_v8(const std::string& dir) {
+  const std::string old = slurp(golden_path("snap-800.bin", dir));
+  const std::string v8 = slurp(golden_path("snap-800.bin", "golden_v8"));
+  EXPECT_TRUE(restore_and_save(old) == v8) << "upgraded " << dir << " differs from the v8 fixture";
 }
 
-TEST(GoldenFormat, V6FixtureUpgradesToTheV7FixtureBytes) {
-  const std::string v6 = slurp(golden_path("snap-800.bin", "golden_v6"));
-  const std::string v7 = slurp(golden_path("snap-800.bin", "golden_v7"));
-  EXPECT_TRUE(restore_and_save(v6) == v7) << "upgraded v6 snapshot differs from the v7 fixture";
-}
+TEST(GoldenFormat, V5FixtureUpgradesToTheV8FixtureBytes) { expect_upgrades_to_v8("golden_v5"); }
+
+TEST(GoldenFormat, V6FixtureUpgradesToTheV8FixtureBytes) { expect_upgrades_to_v8("golden_v6"); }
+
+TEST(GoldenFormat, V7FixtureUpgradesToTheV8FixtureBytes) { expect_upgrades_to_v8("golden_v7"); }
 
 /// (name, payload) of every section of a snapshot file, in file order.
 std::vector<std::pair<std::string, std::string>> snapshot_sections(const std::string& file) {
@@ -565,6 +571,43 @@ TEST(GoldenFormat, V7FixtureDiffersFromV6OnlyInVersionEpochAndTrailer) {
   };
   EXPECT_EQ(trailer(v6), fnv1a(v6.data(), v6.size() - 8));
   EXPECT_EQ(trailer(v7), word_hash64(v7.data(), v7.size() - 8));
+}
+
+TEST(GoldenFormat, V8FixtureDiffersFromV7OnlyInVersionClusterTailAndTrailer) {
+  const std::string v7 = slurp(golden_path("snap-800.bin", "golden_v7"));
+  const std::string v8 = slurp(golden_path("snap-800.bin", "golden_v8"));
+  ASSERT_EQ(v7.size(), v8.size() + 40);
+
+  // Header: magic and fingerprint equal, version 7 -> 8.
+  EXPECT_EQ(v7.substr(0, 8), v8.substr(0, 8));
+  EXPECT_EQ(io::BinReader(std::string_view(v7).substr(8, 4)).u32(), 7u);
+  EXPECT_EQ(io::BinReader(std::string_view(v8).substr(8, 4)).u32(), 8u);
+  EXPECT_EQ(v7.substr(12, 12), v8.substr(12, 12));
+
+  // Sections: same names and payloads, except that "cluster" (and so its
+  // framed length) lost its last 40 bytes, the placement index's five
+  // query counters.
+  const auto s7 = snapshot_sections(v7);
+  const auto s8 = snapshot_sections(v8);
+  ASSERT_EQ(s7.size(), s8.size());
+  for (std::size_t i = 0; i < s7.size(); ++i) {
+    ASSERT_EQ(s7[i].first, s8[i].first);
+    const std::string& p7 = s7[i].second;
+    const std::string& p8 = s8[i].second;
+    if (s7[i].first != "cluster") {
+      EXPECT_TRUE(p7 == p8) << "section " << s7[i].first << " changed";
+      continue;
+    }
+    ASSERT_EQ(p7.size(), p8.size() + 40);
+    EXPECT_TRUE(p7.compare(0, p8.size(), p8) == 0) << "cluster differs before its last 40 bytes";
+  }
+
+  // Trailer: both files use word_hash64.
+  const auto trailer = [](const std::string& file) {
+    return io::BinReader(std::string_view(file).substr(file.size() - 8)).u64();
+  };
+  EXPECT_EQ(trailer(v7), word_hash64(v7.data(), v7.size() - 8));
+  EXPECT_EQ(trailer(v8), word_hash64(v8.data(), v8.size() - 8));
 }
 
 TEST(GoldenFormat, V5FixtureWithATamperedLossValueIsRejected) {

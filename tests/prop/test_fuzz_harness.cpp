@@ -113,11 +113,12 @@ TEST(FuzzSerde, RejectsOutOfRangeAndNegativeCountsAndBadFlags) {
 }
 
 TEST(FuzzSerde, RejectsArtifactsNamingRemovedSwitches) {
-  // The reference placement and cold-fit paths are gone; an old artifact
-  // that asks for one must fail loudly instead of silently running the
-  // production path.
+  // The reference placement and cold-fit paths and the bucketed placement
+  // index are gone; an old artifact that asks for one must fail loudly
+  // instead of silently running the production path.
   for (const char* line : {"legacy_hot_path=1\n", "incremental_load_index=0\n",
-                           "predict_enabled=0\n", "service_equivalence_check=1\n"}) {
+                           "predict_enabled=0\n", "service_equivalence_check=1\n",
+                           "placement_bucket_index=1\n"}) {
     std::istringstream in(std::string("servers=2\n") + line);
     try {
       parse_fuzz_case(in);

@@ -178,5 +178,71 @@ TEST(Cluster, EstimateFreeWorkerSlotsShrinksWithLoad) {
   EXPECT_LT(cluster.estimate_free_worker_slots(0.9), empty_slots);
 }
 
+// --- the incremental load index ---------------------------------------------
+
+constexpr double kHr = 0.85;
+
+TEST(Cluster, NoopReindexSkipsUnchangedDirtyServers) {
+  ClusterConfig cfg;
+  cfg.server_count = 4;
+  cfg.gpus_per_server = 2;
+  Cluster cluster(cfg);
+  const JobId id = add_job(cluster, spec_with(1));
+  const TaskId tid = cluster.job(id).task_at(0);
+
+  // Prime the index, then make a place/unplace round trip that leaves the
+  // server's load exactly where it started.
+  (void)cluster.underloaded_servers(kHr);
+  const LoadIndexStats before = cluster.load_index_stats();
+  cluster.place_task(tid, 2, 0);
+  cluster.unplace_task(tid);
+  (void)cluster.underloaded_servers(kHr);
+  const LoadIndexStats after = cluster.load_index_stats();
+  // The dirty server was re-evaluated but nothing changed: that must be
+  // counted as a noop, not a reindex.
+  EXPECT_GT(after.noop_reindexes, before.noop_reindexes);
+  EXPECT_EQ(after.servers_reindexed, before.servers_reindexed);
+
+  // A placement that sticks must still count as a real reindex.
+  cluster.place_task(tid, 2, 0);
+  (void)cluster.underloaded_servers(kHr);
+  EXPECT_GT(cluster.load_index_stats().servers_reindexed, after.servers_reindexed);
+}
+
+TEST(Cluster, UnderloadedServersIntoMatchesVectorReturn) {
+  // The index-served partitions against a brute-force walk of the fleet,
+  // with an overloaded, a down and a quarantined server in it.
+  ClusterConfig cfg;
+  cfg.server_count = 6;
+  cfg.gpus_per_server = 2;
+  Cluster cluster(cfg);
+  const JobId id = add_job(cluster, spec_with(2));
+  cluster.place_task(cluster.job(id).task_at(0), 1, 0);
+  cluster.place_task(cluster.job(id).task_at(1), 1, 0);
+  cluster.set_server_up(3, false);
+  cluster.set_placement_cap(4, 0);
+
+  const auto brute_force = [&cluster](bool under) {
+    std::vector<ServerId> ids;
+    for (const Server& s : cluster.servers()) {
+      const bool pick = under ? s.accepts_placements() && !s.overloaded(kHr)
+                              : s.up() && s.overloaded(kHr);
+      if (pick) ids.push_back(s.id());
+    }
+    return ids;
+  };
+  const std::vector<ServerId> expected_under = brute_force(true);
+  ASSERT_EQ(expected_under, (std::vector<ServerId>{0, 2, 5}));
+  EXPECT_EQ(cluster.underloaded_servers(kHr), expected_under);
+  EXPECT_EQ(cluster.overloaded_servers(kHr), brute_force(false));
+
+  // Mutations reach the served partition through the dirty-tracked refresh.
+  cluster.unplace_task(cluster.job(id).task_at(1));
+  cluster.set_server_up(3, true);
+  cluster.set_placement_cap(4, -1);
+  EXPECT_EQ(cluster.underloaded_servers(kHr), brute_force(true));
+  EXPECT_EQ(cluster.overloaded_servers(kHr), brute_force(false));
+}
+
 }  // namespace
 }  // namespace mlfs

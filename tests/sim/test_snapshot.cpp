@@ -204,8 +204,8 @@ TEST(SnapshotContainer, V5FilesStillRead) {
 }
 
 TEST(SnapshotContainer, V6FilesStillRead) {
-  // v6 differs from v7 in the checksum function and the "cluster" payload,
-  // whose reader branches on version().
+  // v6 differs from v7 and v8 in the checksum function and the "cluster"
+  // payload, whose reader branches on version().
   std::string bytes = write_sample();
   bytes[8] = static_cast<char>(6);
   bytes = patch_checksum(std::move(bytes));
@@ -555,10 +555,6 @@ TEST(SnapshotEngine, EveryConfigFieldMovesTheFingerprint) {
        [](exp::RunRequest& r) { r.cluster.inter_rack_flow_bandwidth_mbps = 120; }},
       {"slow_server_fraction", [](exp::RunRequest& r) { r.cluster.slow_server_fraction = 0.5; }},
       {"slow_server_speed", [](exp::RunRequest& r) { r.cluster.slow_server_speed = 0.6; }},
-      {"placement_bucket_index",
-       [](exp::RunRequest& r) { r.cluster.placement_bucket_index = false; }},
-      {"placement_index_buckets",
-       [](exp::RunRequest& r) { r.cluster.placement_index_buckets = 64; }},
       {"debug_slot_leak", [](exp::RunRequest& r) { r.cluster.debug_slot_leak = true; }},
       {"link_contention", [](exp::RunRequest& r) { r.cluster.link_contention = true; }},
       {"nic_capacity_mbps", [](exp::RunRequest& r) { r.cluster.nic_capacity_mbps = 800; }},

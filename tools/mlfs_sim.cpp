@@ -49,7 +49,6 @@ struct Options {
   std::size_t servers = 8;
   int gpus_per_server = 4;
   std::size_t total_gpus = 0;
-  bool no_bucket_index = false;
   std::string trace_file;
   int servers_per_rack = 0;
   double slow_fraction = 0.0;
@@ -101,8 +100,6 @@ void print_usage() {
       "  --total-gpus N       distribute N GPUs across the fleet instead of\n"
       "                       a uniform per-server count (heterogeneous,\n"
       "                       e.g. Philly: --servers 550 --total-gpus 2474)\n"
-      "  --no-bucket-index    disable the bucketed placement index (linear\n"
-      "                       candidate funnel; same decisions)\n"
       "  --trace FILE         replay a trace CSV instead of generating\n"
       "  --servers-per-rack N rack topology (0 = flat)\n"
       "  --slow-fraction F    fraction of servers on the slow GPU tier\n"
@@ -192,8 +189,6 @@ bool parse(int argc, char** argv, Options& options, int& exit_code) {
         options.gpus_per_server = args.number<int>();
       } else if (arg == "--total-gpus") {
         options.total_gpus = args.number<std::size_t>();
-      } else if (arg == "--no-bucket-index") {
-        options.no_bucket_index = true;
       } else if (arg == "--trace") {
         options.trace_file = args.value();
       } else if (arg == "--servers-per-rack") {
@@ -330,7 +325,6 @@ int main(int argc, char** argv) {
     cluster.servers_per_rack = options.servers_per_rack;
     cluster.slow_server_fraction = options.slow_fraction;
     cluster.total_gpus = options.total_gpus;
-    cluster.placement_bucket_index = !options.no_bucket_index;
     cluster.link_contention = options.contention;
     cluster.nic_capacity_mbps = options.nic_mbps;
     cluster.rack_uplink_capacity_mbps = options.uplink_mbps;
