@@ -25,7 +25,6 @@
 // Usage: bench_largescale [--smoke] [--out FILE] [--threads N]
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -34,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "exp/parallel.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
@@ -124,11 +124,26 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_file = "BENCH_largescale.json";
   unsigned threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_file = argv[++i];
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
+  try {
+    cli::Args args(argc, argv);
+    while (args.next()) {
+      const std::string& arg = args.flag();
+      if (arg == "--help" || arg == "-h") {
+        std::cout << "usage: bench_largescale [--smoke] [--out FILE] [--threads N]\n";
+        return 0;
+      } else if (arg == "--smoke") {
+        smoke = true;
+      } else if (arg == "--out") {
+        out_file = args.value();
+      } else if (arg == "--threads") {
+        threads = args.number<unsigned>();
+      } else {
+        throw cli::UsageError("unknown argument: " + arg);
+      }
+    }
+  } catch (const cli::UsageError& e) {
+    std::cerr << "bench_largescale: " << e.what() << " (see --help)\n";
+    return 2;
   }
 
   // Full mode replays the trace's job count over its average arrival rate;

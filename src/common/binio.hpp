@@ -178,6 +178,18 @@ class BinReader {
   std::size_t pos_ = 0;
 };
 
+/// Reads a u8-encoded enum whose values run from 0 to `last`; any other
+/// byte throws ContractViolation.
+template <typename E>
+E read_enum(BinReader& r, E last) {
+  static_assert(std::is_enum_v<E>);
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(last)) {
+    throw ContractViolation("enum byte " + std::to_string(v) + " out of range");
+  }
+  return static_cast<E>(v);
+}
+
 // ------------------------------------------------------------ field lists
 //
 // A struct persisted value by value declares its members once, in wire

@@ -318,9 +318,8 @@ void SimAuditor::check_load_index() const {
     if (cluster.index_dirty_[id] != 0) continue;  // stale by design until next refresh
     // Clean server: every cached quantity must equal a live recompute.
     // This is the incremental-index == full-rescan ground-truth oracle; it
-    // must NOT go through the refreshing query API (that would bump the
-    // LoadIndexStats counters surfaced in RunMetrics and break
-    // audited == unaudited determinism).
+    // reads the index as the engine left it and must NOT go through the
+    // refreshing query API, which would clear the dirty set under test.
     const Server& s = cluster.server(id);
     const bool over = s.up() && s.overloaded(cluster.index_hr_);
     const bool under = s.accepts_placements() && !over;
@@ -331,8 +330,7 @@ void SimAuditor::check_load_index() const {
           << ") at hr=" << cluster.index_hr_;
       fail("load-index", out.str());
     }
-    const int slots =
-        s.up() ? Cluster::server_slot_estimate(s, cluster.index_hr_, cluster.index_demand_) : 0;
+    const int slots = s.up() ? Cluster::server_slot_estimate(s, cluster.index_hr_) : 0;
     if (slots != cluster.index_slots_[id]) {
       fail("load-index", "server " + std::to_string(id) + ": cached slot estimate " +
                              std::to_string(cluster.index_slots_[id]) + " != rescan " +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 
 #include "common/expect.hpp"
 #include "workload/model_zoo.hpp"
@@ -71,12 +72,12 @@ void Cluster::touch_server(ServerId id) const {
   index_dirty_ids_.push_back(id);
 }
 
-int Cluster::server_slot_estimate(const Server& s, double hr, double typical_demand) {
+int Cluster::server_slot_estimate(const Server& s, double hr) {
   int slots = 0;
   for (int g = 0; g < s.gpu_count(); ++g) {
     const double headroom = hr - s.gpu_load(g);
-    if (headroom >= typical_demand) {
-      slots += static_cast<int>(headroom / typical_demand);
+    if (headroom >= kTypicalWorkerDemand) {
+      slots += static_cast<int>(headroom / kTypicalWorkerDemand);
     }
   }
   // Recovery-policy placement cap: a quarantined server (cap 0) offers no
@@ -88,94 +89,55 @@ int Cluster::server_slot_estimate(const Server& s, double hr, double typical_dem
   return slots;
 }
 
-void Cluster::refresh_load_index(double hr, double typical_demand) const {
-  auto insert_sorted = [](std::vector<ServerId>& v, ServerId id) {
-    v.insert(std::lower_bound(v.begin(), v.end(), id), id);
-  };
-  auto erase_sorted = [](std::vector<ServerId>& v, ServerId id) {
-    const auto it = std::lower_bound(v.begin(), v.end(), id);
-    MLFS_EXPECT(it != v.end() && *it == id);
-    v.erase(it);
+void Cluster::refresh_load_index(double hr) const {
+  // Sets a partition flag, moving the id into or out of its sorted vector
+  // only when the flag flips.
+  auto set_member = [](std::vector<char>& flags, std::vector<ServerId>& ids, ServerId id,
+                       bool member) {
+    if (member == (flags[id] != 0)) return;
+    flags[id] = member ? 1 : 0;
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (member) {
+      ids.insert(it, id);
+    } else {
+      MLFS_EXPECT(it != ids.end() && *it == id);
+      ids.erase(it);
+    }
   };
 
-  if (!index_valid_ || hr != index_hr_ || typical_demand != index_demand_) {
-    // First query, or the query key changed: evaluate the whole fleet.
-    ++index_stats_.full_rebuilds;
-    index_stats_.servers_reindexed += servers_.size();
+  if (!index_valid_ || hr != index_hr_) {
+    // First query, first query after a restore, or a new threshold: start
+    // from an empty index with every server dirty.
+    const std::size_t n = servers_.size();
     index_hr_ = hr;
-    index_demand_ = typical_demand;
-    index_dirty_.assign(servers_.size(), 0);
-    index_dirty_ids_.clear();
-    index_overloaded_.assign(servers_.size(), 0);
-    index_underloaded_.assign(servers_.size(), 0);
-    index_slots_.assign(servers_.size(), 0);
-    index_util_.assign(servers_.size(), ResourceVector{});
-    index_least_gpu_.assign(servers_.size(), 0);
-    index_least_load_.assign(servers_.size(), 0.0);
+    index_dirty_.assign(n, 1);
+    index_dirty_ids_.resize(n);
+    std::iota(index_dirty_ids_.begin(), index_dirty_ids_.end(), ServerId{0});
+    index_overloaded_.assign(n, 0);
+    index_underloaded_.assign(n, 0);
+    index_slots_.assign(n, 0);
+    index_util_.assign(n, ResourceVector{});
+    index_least_gpu_.assign(n, 0);
+    index_least_load_.assign(n, 0.0);
     index_total_slots_ = 0;
     underloaded_ids_.clear();
     overloaded_ids_.clear();
-    for (const Server& s : servers_) {
-      const bool over = s.up() && s.overloaded(hr);
-      const bool under = s.accepts_placements() && !over;
-      index_overloaded_[s.id()] = over ? 1 : 0;
-      index_underloaded_[s.id()] = under ? 1 : 0;
-      if (over) overloaded_ids_.push_back(s.id());
-      if (under) underloaded_ids_.push_back(s.id());
-      index_util_[s.id()] = s.utilization();
-      const int least = s.least_loaded_gpu();
-      index_least_gpu_[s.id()] = least;
-      index_least_load_[s.id()] = s.gpu_load(least);
-      const int slots = s.up() ? server_slot_estimate(s, hr, typical_demand) : 0;
-      index_slots_[s.id()] = slots;
-      index_total_slots_ += slots;
-    }
     index_valid_ = true;
-    return;
   }
 
-  if (index_dirty_ids_.empty()) return;
-  ++index_stats_.refreshes;
   for (const ServerId id : index_dirty_ids_) {
     index_dirty_[id] = 0;
     const Server& s = servers_[id];
     const bool over = s.up() && s.overloaded(hr);
-    const bool under = s.accepts_placements() && !over;
-    const ResourceVector util = s.utilization();
+    set_member(index_overloaded_, overloaded_ids_, id, over);
+    set_member(index_underloaded_, underloaded_ids_, id, s.accepts_placements() && !over);
+    index_util_[id] = s.utilization();
     const int least = s.least_loaded_gpu();
-    const double least_load = s.gpu_load(least);
-    const int slots = s.up() ? server_slot_estimate(s, hr, typical_demand) : 0;
-    // Compare-and-skip: placement churn (e.g. a gang placed and rolled
-    // back between refreshing queries) dirties servers whose state nets
-    // back to the exact same doubles. Recomputing is unavoidable — the
-    // dirty bit only says "maybe changed" — but identical state needs no
-    // partition surgery, and counting it as a reindex made
-    // `servers_reindexed` grow ~45x faster than scheduling rounds.
-    if (over == (index_overloaded_[id] != 0) && under == (index_underloaded_[id] != 0) &&
-        slots == index_slots_[id] && least == index_least_gpu_[id] &&
-        least_load == index_least_load_[id] && util[Resource::Gpu] == index_util_[id][Resource::Gpu] &&
-        util[Resource::Cpu] == index_util_[id][Resource::Cpu] &&
-        util[Resource::Mem] == index_util_[id][Resource::Mem] &&
-        util[Resource::Net] == index_util_[id][Resource::Net]) {
-      ++index_stats_.noop_reindexes;
-      continue;
-    }
-    ++index_stats_.servers_reindexed;
-    index_util_[id] = util;
     index_least_gpu_[id] = least;
-    index_least_load_[id] = least_load;
+    index_least_load_[id] = s.gpu_load(least);
+    const int slots = s.up() ? server_slot_estimate(s, hr) : 0;
     index_total_slots_ += slots - index_slots_[id];
     index_slots_[id] = slots;
-    if (over != (index_overloaded_[id] != 0)) {
-      if (over) insert_sorted(overloaded_ids_, id);
-      else erase_sorted(overloaded_ids_, id);
-      index_overloaded_[id] = over ? 1 : 0;
-    }
-    if (under != (index_underloaded_[id] != 0)) {
-      if (under) insert_sorted(underloaded_ids_, id);
-      else erase_sorted(underloaded_ids_, id);
-      index_underloaded_[id] = under ? 1 : 0;
-    }
   }
   index_dirty_ids_.clear();
 }
@@ -189,12 +151,12 @@ std::size_t Cluster::up_server_count() const {
 }
 
 const std::vector<ServerId>& Cluster::underloaded_servers(double hr) const {
-  refresh_load_index(hr, index_demand_);
+  refresh_load_index(hr);
   return underloaded_ids_;
 }
 
 const std::vector<ServerId>& Cluster::overloaded_servers(double hr) const {
-  refresh_load_index(hr, index_demand_);
+  refresh_load_index(hr);
   return overloaded_ids_;
 }
 
@@ -209,8 +171,8 @@ double Cluster::overload_degree() const {
   return up > 0 ? sum / static_cast<double>(up) : 0.0;
 }
 
-int Cluster::estimate_free_worker_slots(double hr, double typical_demand) const {
-  refresh_load_index(hr, typical_demand);
+int Cluster::estimate_free_worker_slots(double hr) const {
+  refresh_load_index(hr);
   return static_cast<int>(index_total_slots_);
 }
 
@@ -444,28 +406,6 @@ bool Cluster::set_phase_offset(JobId id, double offset) {
 
 // ------------------------------------------------------- snapshot
 
-namespace {
-
-void write_resource_vector(io::BinWriter& w, const ResourceVector& v) {
-  for (std::size_t r = 0; r < kNumResources; ++r) w.f64(v.at(r));
-}
-
-ResourceVector read_resource_vector(io::BinReader& r) {
-  ResourceVector v;
-  for (std::size_t i = 0; i < kNumResources; ++i) v.at(i) = r.f64();
-  return v;
-}
-
-void write_id_vector(io::BinWriter& w, const std::vector<ServerId>& ids) {
-  w.vec(ids, [&w](ServerId id) { w.u64(id); });
-}
-
-std::vector<ServerId> read_id_vector(io::BinReader& r) {
-  return r.vec<ServerId>([&r] { return static_cast<ServerId>(r.u64()); });
-}
-
-}  // namespace
-
 void Cluster::save_state(io::BinWriter& w) const {
   w.u64(servers_.size());
   for (const Server& s : servers_) s.save_state(w);
@@ -491,29 +431,13 @@ void Cluster::save_state(io::BinWriter& w) const {
   w.u64(transfer_count_);
   w.vec(job_placement_epochs_, [&w](std::uint64_t e) { w.u64(e); });
   w.u64(debug_unplace_count_);
-
-  // Lazy load index, wholesale: restoring "invalid, rebuild on first use"
-  // instead would change the full_rebuilds/refreshes trajectory and break
-  // bit-identical RunMetrics.
-  w.boolean(index_valid_);
-  w.f64(index_hr_);
-  w.f64(index_demand_);
-  w.vec(index_dirty_, [&w](char c) { w.u8(static_cast<std::uint8_t>(c)); });
-  write_id_vector(w, index_dirty_ids_);
-  w.vec(index_overloaded_, [&w](char c) { w.u8(static_cast<std::uint8_t>(c)); });
-  w.vec(index_underloaded_, [&w](char c) { w.u8(static_cast<std::uint8_t>(c)); });
-  w.vec(index_slots_, [&w](int v) { w.i64(v); });
-  w.u64(index_util_.size());
-  for (const ResourceVector& v : index_util_) write_resource_vector(w, v);
-  w.vec(index_least_gpu_, [&w](int v) { w.i64(v); });
-  w.vec_f64(index_least_load_);
-  w.i64(index_total_slots_);
-  write_id_vector(w, underloaded_ids_);
-  write_id_vector(w, overloaded_ids_);
-  io::write_fields(w, index_stats_);
 }
 
 void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
+  // The load index caches the state about to be overwritten; the first
+  // query after the restore rebuilds it, even if the restore throws.
+  index_valid_ = false;
+
   const std::uint64_t server_count = r.u64();
   MLFS_EXPECT(server_count == servers_.size());  // fingerprint-matched config
   for (Server& s : servers_) s.restore_state(r);
@@ -521,7 +445,7 @@ void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   const std::uint64_t task_count = r.u64();
   MLFS_EXPECT(task_count == tasks_.size());
   for (Task& t : tasks_) {
-    t.state = static_cast<TaskState>(r.u8());
+    t.state = io::read_enum(r, TaskState::Removed);
     t.server = static_cast<ServerId>(r.u64());
     t.gpu = static_cast<int>(r.i64());
     t.queued_since = r.f64();
@@ -535,14 +459,10 @@ void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   const std::uint64_t job_count = r.u64();
   MLFS_EXPECT(job_count == jobs_.size());
   for (Job& j : jobs_) {
-    try {
-      if (version == 5) {
-        j.restore_v5_state(r);
-      } else {
-        j.restore_state(r);
-      }
-    } catch (const ContractViolation& e) {
-      throw SnapshotError("cluster", r.pos(), e.what());
+    if (version == 5) {
+      j.restore_v5_state(r);
+    } else {
+      j.restore_state(r);
     }
   }
 
@@ -553,27 +473,10 @@ void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   job_placement_epochs_ = r.vec<std::uint64_t>([&r] { return r.u64(); });
   MLFS_EXPECT(job_placement_epochs_.size() == jobs_.size());
   debug_unplace_count_ = static_cast<std::size_t>(r.u64());
-
-  index_valid_ = r.boolean();
-  index_hr_ = r.f64();
-  index_demand_ = r.f64();
-  index_dirty_ = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
-  index_dirty_ids_ = read_id_vector(r);
-  index_overloaded_ = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
-  index_underloaded_ = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
-  index_slots_ = r.vec<int>([&r] { return static_cast<int>(r.i64()); });
-  const std::uint64_t util_count = r.u64();
-  index_util_.clear();
-  index_util_.reserve(static_cast<std::size_t>(util_count));
-  for (std::uint64_t i = 0; i < util_count; ++i) index_util_.push_back(read_resource_vector(r));
-  index_least_gpu_ = r.vec<int>([&r] { return static_cast<int>(r.i64()); });
-  index_least_load_ = r.vec_f64();
-  index_total_slots_ = static_cast<long long>(r.i64());
-  underloaded_ids_ = read_id_vector(r);
-  overloaded_ids_ = read_id_vector(r);
-  io::read_fields(r, index_stats_);
-  // The placement index's five query counters, dropped in v8.
-  if (version <= 7) (void)r.view(5 * sizeof(std::uint64_t));
+  // Up to v8 the load index followed, written wholesale (and before v8 the
+  // removed placement index's five counters): derived state, skipped.
+  if (version <= 8) (void)r.view(r.remaining());
+  MLFS_EXPECT(r.at_end());
 }
 
 }  // namespace mlfs

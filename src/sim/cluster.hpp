@@ -84,25 +84,6 @@ struct ClusterConfig {
   bool duty_cycles = false;
 };
 
-/// Load-index bookkeeping counters (perf-trajectory instrumentation).
-struct LoadIndexStats {
-  std::size_t full_rebuilds = 0;      ///< whole-fleet re-evaluations (hr change / first use)
-  std::size_t refreshes = 0;          ///< incremental refresh passes over dirty servers
-  std::size_t servers_reindexed = 0;  ///< per-server re-evaluations that changed cached state
-  /// Dirty servers whose recomputed state matched the cache exactly (e.g.
-  /// a gang placed and rolled back between refreshing queries) — detected
-  /// by compare-and-skip, so they cost a recompute but no partition
-  /// surgery and no longer inflate `servers_reindexed`.
-  std::size_t noop_reindexes = 0;
-
-  /// Snapshot order (io::write_fields / read_fields).
-  static constexpr auto fields() {
-    return std::tuple{&LoadIndexStats::full_rebuilds, &LoadIndexStats::refreshes,
-                      &LoadIndexStats::servers_reindexed, &LoadIndexStats::noop_reindexes};
-  }
-};
-static_assert(io::lists_every_field<LoadIndexStats>);
-
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config);
@@ -172,16 +153,17 @@ class Cluster {
   /// any placement anywhere, collapsing the hit rate as the fleet grew).
   std::uint64_t job_placement_epoch(JobId id) const { return job_placement_epochs_[id]; }
 
-  /// Instrumentation counters of the incremental load index.
-  const LoadIndexStats& load_index_stats() const { return index_stats_; }
-
   /// Cluster overload degree O_c = mean_s ||U_s|| over up servers (§3.5).
   double overload_degree() const;
 
+  /// GPU demand of the typical worker task that estimate_free_worker_slots
+  /// counts.
+  static constexpr double kTypicalWorkerDemand = 0.45;
   /// Cheap upper-bound estimate of how many typical worker tasks (GPU
-  /// demand ~`typical_demand`) could still be placed under threshold `hr`.
-  /// Used to fail doomed gang placements fast under sustained overload.
-  int estimate_free_worker_slots(double hr, double typical_demand = 0.45) const;
+  /// demand ~kTypicalWorkerDemand) could still be placed under threshold
+  /// `hr`. Used to fail doomed gang placements fast under sustained
+  /// overload.
+  int estimate_free_worker_slots(double hr) const;
 
   // -- task & job pools --
   /// Registers instantiated job + tasks; task ids must be contiguous and
@@ -258,16 +240,17 @@ class Cluster {
 
   /// Snapshot support (sim/snapshot.hpp): serializes/restores every
   /// dynamic field — per-server placement state, per-task dynamic fields,
-  /// per-job progress, the bandwidth ledger, and the lazy load index
-  /// *wholesale* (flags, cached partitions, and its instrumentation
-  /// counters) so the restored run's LoadIndexStats trajectory stays
-  /// bit-identical to the uninterrupted one. Static structure (configs,
-  /// specs, DAGs) is not written; the restoring cluster must have been
-  /// built from the same configuration. `version` is the snapshot file's:
-  /// v5 job records carry the loss history, which is checked against each
-  /// job's curve; v5–v7 sections end in five counters of the removed
-  /// placement index, which are skipped. A job record that fails its
-  /// checks throws SnapshotError("cluster").
+  /// per-job progress, the bandwidth ledger and the unplace counter, which
+  /// ends the section. The load index is derived state and is not written:
+  /// restore leaves it invalid, and the first query rebuilds it from the
+  /// restored servers. Static structure (configs, specs, DAGs) is not
+  /// written; the restoring cluster must have been built from the same
+  /// configuration. `version` is the snapshot file's: v5 job records carry
+  /// the loss history, which is checked against each job's curve; a v5–v8
+  /// section's load-index tail is skipped, and a v9 section must end at the
+  /// unplace counter. A count, enum byte or record that fails its checks
+  /// throws ContractViolation, which the engine reports as
+  /// SnapshotError("cluster").
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r, std::uint32_t version = kSnapshotVersion);
 
@@ -288,11 +271,11 @@ class Cluster {
   /// a server across the overload threshold or change its GPU headroom
   /// funnels through here (attach/detach/usage/up-down).
   void touch_server(ServerId id) const;
-  /// Brings the index up to date for (hr, typical_demand): re-evaluates
-  /// only dirty servers, or the whole fleet when the key changed.
-  void refresh_load_index(double hr, double typical_demand) const;
+  /// Brings the index up to date for `hr`: re-evaluates only dirty
+  /// servers, or the whole fleet when the index is invalid or `hr` changed.
+  void refresh_load_index(double hr) const;
   /// Free-slot contribution of one up server.
-  static int server_slot_estimate(const Server& s, double hr, double typical_demand);
+  static int server_slot_estimate(const Server& s, double hr);
   /// Re-registers `job`'s flow set with the link model after a placement
   /// mutation touched one of its tasks (no-op when contention is off).
   void refresh_job_flows(JobId id);
@@ -307,10 +290,10 @@ class Cluster {
   std::size_t transfer_count_ = 0;
   std::size_t debug_unplace_count_ = 0;  ///< drives ClusterConfig::debug_slot_leak
 
-  // --- incremental load index (lazy; mutable because queries are const) ---
+  // --- incremental load index: a cache of live server state keyed by hr
+  // (lazy, so mutable because queries are const; never snapshotted) ---
   mutable bool index_valid_ = false;
   mutable double index_hr_ = -1.0;
-  mutable double index_demand_ = 0.45;  ///< estimate_free_worker_slots default
   mutable std::vector<char> index_dirty_;
   mutable std::vector<ServerId> index_dirty_ids_;
   mutable std::vector<char> index_overloaded_;   ///< up && overloaded(hr)
@@ -322,7 +305,6 @@ class Cluster {
   mutable long long index_total_slots_ = 0;
   mutable std::vector<ServerId> underloaded_ids_;  ///< sorted ascending
   mutable std::vector<ServerId> overloaded_ids_;   ///< sorted ascending
-  mutable LoadIndexStats index_stats_;
   std::vector<std::uint64_t> job_placement_epochs_;  ///< grown by register_job
   /// Link-contention state (empty when ClusterConfig::link_contention off).
   LinkModel links_;

@@ -1085,11 +1085,6 @@ RunMetrics SimEngine::finalize() {
   m.candidates_linear = sstats.candidates_linear;
   m.comm_cache_hits = sstats.comm_cache_hits;
   m.comm_cache_misses = sstats.comm_cache_misses;
-  const LoadIndexStats& lstats = cluster_.load_index_stats();
-  m.load_index_rebuilds = lstats.full_rebuilds;
-  m.load_index_refreshes = lstats.refreshes;
-  m.servers_reindexed = lstats.servers_reindexed;
-  m.noop_reindexes = lstats.noop_reindexes;
   m.link_busy_seconds = c.link_busy_seconds;
   m.contention_slowdown_seconds = c.contention_slowdown_seconds;
   m.phase_offset_hits = static_cast<std::size_t>(c.phase_offset_hits);

@@ -41,6 +41,19 @@ void save_stream_section(SnapshotWriter& snap, const std::string& name,
   snap.section(name).bytes(payload.data(), payload.size());
 }
 
+/// Runs `read` over the named section's payload. A ContractViolation it
+/// throws (a short column, a count or enum byte out of range, a record
+/// that fails its checks) surfaces as SnapshotError(name, offset).
+template <typename Read>
+void read_section(const SnapshotReader& snap, const std::string& name, Read&& read) {
+  io::BinReader r = snap.section(name);
+  try {
+    read(r);
+  } catch (const ContractViolation& e) {
+    throw SnapshotError(name, r.pos(), e.what());
+  }
+}
+
 std::istringstream section_stream(const SnapshotReader& snap, const std::string& name) {
   io::BinReader r = snap.section(name);
   return std::istringstream(std::string(r.view(r.remaining())), std::ios::binary);
@@ -260,14 +273,8 @@ void SimEngine::restore_snapshot(std::istream& is) {
   }
   // Decoded (and checked) up front, installed in section order below.
   PredictionService::SavedState predict_state;
-  {
-    io::BinReader r = snap.section("predict");
-    try {
-      predict_state = prediction_.read_state(r);
-    } catch (const ContractViolation& e) {
-      throw SnapshotError("predict", r.pos(), e.what());
-    }
-  }
+  read_section(snap, "predict",
+               [&](io::BinReader& r) { predict_state = prediction_.read_state(r); });
 
   // Injected jobs: decoded and checked here, registered at commit.
   // The target engine must be injection-free (freshly constructed from the
@@ -280,19 +287,14 @@ void SimEngine::restore_snapshot(std::istream& is) {
   }
   std::vector<JobSpec> injected;
   std::size_t task_count = cluster_.task_count();
-  {
-    io::BinReader r = snap.section("injected");
-    try {
-      for (std::uint64_t i = 0, count = r.u64(); i < count; ++i) {
-        const JobSpec& spec = injected.emplace_back(read_job_spec(r));
-        MLFS_EXPECT(spec.id == base_job_count_ + i);
-        spec.validate();
-        task_count += ModelZoo::task_count(spec);
-      }
-    } catch (const ContractViolation& e) {
-      throw SnapshotError("injected", r.pos(), e.what());
+  read_section(snap, "injected", [&](io::BinReader& r) {
+    for (std::uint64_t i = 0, count = r.u64(); i < count; ++i) {
+      const JobSpec& spec = injected.emplace_back(read_job_spec(r));
+      MLFS_EXPECT(spec.id == base_job_count_ + i);
+      spec.validate();
+      task_count += ModelZoo::task_count(spec);
     }
-  }
+  });
 
   // The engine and events sections, decoded whole. Every per-job,
   // per-server and per-task column must match the grown engine's counts.
@@ -307,55 +309,45 @@ void SimEngine::restore_snapshot(std::istream& is) {
   std::vector<std::uint64_t> server_epoch;
   std::vector<char> task_in_backoff;
   EngineCounters counters;
-  {
-    io::BinReader r = snap.section("engine");
-    try {
-      now = r.f64();
-      event_seq = r.u64();
-      events_processed = r.u64();
-      event_hash = r.u64();
-      for (auto& state : rng_states) {
-        for (std::uint64_t& word : state) word = r.u64();
-      }
-      queue = r.vec<TaskId>([&r] { return static_cast<TaskId>(r.u64()); });
-      for (const TaskId t : queue) MLFS_EXPECT(t < task_count);
-      io::read_columns<0, 7>(r, job_runtime);
-      server_epoch = r.vec_u64();
-      MLFS_EXPECT(server_epoch.size() == cluster_.server_count());
-      io::read_columns<7, 8>(r, job_runtime);
-      task_in_backoff = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
-      MLFS_EXPECT(task_in_backoff.size() == task_count);
-      io::read_columns<8, 9>(r, job_runtime);
-      io::read_fields(r, counters);
-      MLFS_EXPECT(r.at_end());
-    } catch (const ContractViolation& e) {
-      throw SnapshotError("engine", r.pos(), e.what());
+  read_section(snap, "engine", [&](io::BinReader& r) {
+    now = r.f64();
+    event_seq = r.u64();
+    events_processed = r.u64();
+    event_hash = r.u64();
+    for (auto& state : rng_states) {
+      for (std::uint64_t& word : state) word = r.u64();
     }
-  }
+    queue = r.vec<TaskId>([&r] { return static_cast<TaskId>(r.u64()); });
+    for (const TaskId t : queue) MLFS_EXPECT(t < task_count);
+    io::read_columns<0, 7>(r, job_runtime);
+    server_epoch = r.vec_u64();
+    MLFS_EXPECT(server_epoch.size() == cluster_.server_count());
+    io::read_columns<7, 8>(r, job_runtime);
+    task_in_backoff = r.vec<char>([&r] { return static_cast<char>(r.u8()); });
+    MLFS_EXPECT(task_in_backoff.size() == task_count);
+    io::read_columns<8, 9>(r, job_runtime);
+    io::read_fields(r, counters);
+    MLFS_EXPECT(r.at_end());
+  });
   std::vector<Event> events;
-  {
-    io::BinReader r = snap.section("events");
-    try {
-      events = r.vec<Event>([&] {
-        Event ev;
-        io::read_fields(r, ev);
-        switch (ev.type) {
-          case EventType::Arrival:
-          case EventType::IterationDone:
-          case EventType::Deadline: MLFS_EXPECT(ev.job < job_count); break;
-          case EventType::ServerDown:
-          case EventType::ServerUp: MLFS_EXPECT(ev.job < cluster_.server_count()); break;
-          case EventType::RetryRelease: MLFS_EXPECT(ev.job < task_count); break;
-          case EventType::Tick:
-          case EventType::RackOutage: break;
-          default: throw ContractViolation("unknown event type");
-        }
-        return ev;
-      });
-    } catch (const ContractViolation& e) {
-      throw SnapshotError("events", r.pos(), e.what());
-    }
-  }
+  read_section(snap, "events", [&](io::BinReader& r) {
+    events = r.vec<Event>([&] {
+      Event ev;
+      io::read_fields(r, ev);
+      switch (ev.type) {
+        case EventType::Arrival:
+        case EventType::IterationDone:
+        case EventType::Deadline: MLFS_EXPECT(ev.job < job_count); break;
+        case EventType::ServerDown:
+        case EventType::ServerUp: MLFS_EXPECT(ev.job < cluster_.server_count()); break;
+        case EventType::RetryRelease: MLFS_EXPECT(ev.job < task_count); break;
+        case EventType::Tick:
+        case EventType::RackOutage: break;
+        default: throw ContractViolation("unknown event type");
+      }
+      return ev;
+    });
+  });
 
   // Commit. Registering the injected jobs re-grows the cluster to the size
   // every following section was serialized under.
@@ -380,10 +372,11 @@ void SimEngine::restore_snapshot(std::istream& is) {
   // total (seq is a unique tiebreak), so heapifying pops the same sequence.
   events_ = decltype(events_)(std::greater<>(), std::move(events));
 
-  {
-    io::BinReader r = snap.section("cluster");
-    cluster_.restore_state(r, snap.version());
-  }
+  // The cluster, links, health and predictor sections are checked while
+  // they are installed, so a defect there throws SnapshotError after the
+  // sections above are committed (restore is not all-or-nothing for them).
+  read_section(snap, "cluster",
+               [&](io::BinReader& r) { cluster_.restore_state(r, snap.version()); });
   {
     // The live job set is derived state, not serialized.
     const std::vector<char> arrived = arrived_flags();
@@ -394,17 +387,13 @@ void SimEngine::restore_snapshot(std::istream& is) {
     cluster_.assign_live_jobs(std::move(live));
   }
   if (cluster_config_.link_contention) {
-    io::BinReader r = snap.section("links");
-    cluster_.restore_link_state(r);
+    read_section(snap, "links", [&](io::BinReader& r) { cluster_.restore_link_state(r); });
   }
   if (health_) {
-    io::BinReader r = snap.section("health");
-    health_->restore_state(r);
+    read_section(snap, "health", [&](io::BinReader& r) { health_->restore_state(r); });
   }
-  {
-    io::BinReader r = snap.section("predictor");
-    prediction_.runtime().restore_state(r);
-  }
+  read_section(snap, "predictor",
+               [&](io::BinReader& r) { prediction_.runtime().restore_state(r); });
   prediction_.restore_state(std::move(predict_state));
 
   {

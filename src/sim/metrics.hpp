@@ -75,10 +75,6 @@ struct DeterministicMetrics {
   std::size_t candidates_linear = 0;
   std::size_t comm_cache_hits = 0;        ///< per-(task, server) comm-memo hits
   std::size_t comm_cache_misses = 0;      ///< comm-memo rebuilds
-  std::size_t load_index_rebuilds = 0;    ///< whole-fleet load-index rebuilds
-  std::size_t load_index_refreshes = 0;   ///< incremental load-index refresh passes
-  std::size_t servers_reindexed = 0;      ///< per-server load re-evaluations that changed state
-  std::size_t noop_reindexes = 0;         ///< dirty servers whose state was unchanged
   /// Counters of the removed bucketed placement index; always 0. Kept only
   /// because the benchmark harness still reports them.
   std::size_t pindex_queries = 0;

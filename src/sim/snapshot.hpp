@@ -47,11 +47,14 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'F', 'S', 'S', 'N', 'A', 'P
 /// byte-serial FNV-1a, and the "cluster" section drops the unused global
 /// placement epoch (a u64 after the transfer count). v8: the "cluster"
 /// section drops its last 40 bytes, the five query counters of the removed
-/// bucketed placement index. v5–v7 files are still read (v5 and v6 checked
-/// with FNV-1a; a v5 file's stored history is checked bitwise against the
-/// curve; no v5–v7 writer exists); pre-v5 files are rejected by the version
-/// check.
-inline constexpr std::uint32_t kSnapshotVersion = 8;
+/// bucketed placement index. v9: the "cluster" section ends at the unplace
+/// counter; the load index it used to carry is derived state, rebuilt at
+/// the first query after a restore. v5–v8 files are still read (v5 and v6
+/// checked with FNV-1a; a v5 file's stored history is checked bitwise
+/// against the curve; a v5–v8 cluster section's load-index tail is
+/// skipped; no v5–v8 writer exists); pre-v5 files are rejected by the
+/// version check.
+inline constexpr std::uint32_t kSnapshotVersion = 9;
 /// Oldest version SnapshotReader accepts; readers whose payload changed
 /// since branch on SnapshotReader::version().
 inline constexpr std::uint32_t kOldestReadableSnapshotVersion = 5;

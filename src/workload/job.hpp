@@ -192,7 +192,8 @@ class Job {
   /// rather than re-summed — complete_iteration/rollback_iterations
   /// accumulate it add-then-subtract, so its float value depends on the
   /// history, not just the surviving iterations. Restore throws
-  /// ContractViolation on a count outside [0, max_iterations].
+  /// ContractViolation on a count outside [0, max_iterations] or a policy
+  /// or state byte outside its enum.
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
   /// Reads the snapshot-v5 record, which carried the whole per-iteration

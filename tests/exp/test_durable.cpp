@@ -403,9 +403,10 @@ TEST(DurableSession, FailedSnapshotWriteNeverLeavesAFinalSnapshot) {
 // halted at event 1100 of 5172. tests/data/golden_v6/snap-800.bin is that
 // v5 snapshot restored and saved again by the first snapshot-v6 code,
 // tests/data/golden_v7/snap-800.bin is the v6 one restored and saved again
-// by the first snapshot-v7 code, and tests/data/golden_v8/snap-800.bin the
-// v7 one by the first snapshot-v8 code (the journal format did not change,
-// so every resume uses the v5 journal). These files are never regenerated:
+// by the first snapshot-v7 code, tests/data/golden_v8/snap-800.bin the v7
+// one by the first snapshot-v8 code, and tests/data/golden_v9/snap-800.bin
+// the v8 one by the first snapshot-v9 code (the journal format did not
+// change, so every resume uses the v5 journal). These files are never regenerated:
 // they prove the current code still reads and writes the same bytes.
 
 exp::RunRequest golden_request() {
@@ -483,6 +484,10 @@ TEST(GoldenFormat, V8FixtureCheckpointResumesToPinnedHash) {
   expect_fixture_resumes_to_pinned_hash("golden_v8");
 }
 
+TEST(GoldenFormat, V9FixtureCheckpointResumesToPinnedHash) {
+  expect_fixture_resumes_to_pinned_hash("golden_v9");
+}
+
 /// Restores `snapshot` into a fresh golden engine and saves it again.
 std::string restore_and_save(const std::string& snapshot) {
   exp::RunRequest request = golden_request();
@@ -501,23 +506,25 @@ std::string restore_and_save(const std::string& snapshot) {
 TEST(GoldenFormat, FixtureSnapshotReserializesToTheSameBytes) {
   // Restored state includes the wall-clock accumulators, so an unchanged
   // format re-serializes every byte, checksum included.
-  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v8"));
+  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v9"));
   EXPECT_TRUE(restore_and_save(golden) == golden)
       << "re-serialized snapshot differs from the fixture";
 }
 
-/// Restoring the `dir` fixture and saving it again gives the v8 fixture.
-void expect_upgrades_to_v8(const std::string& dir) {
+/// Restoring the `dir` fixture and saving it again gives the v9 fixture.
+void expect_upgrades_to_v9(const std::string& dir) {
   const std::string old = slurp(golden_path("snap-800.bin", dir));
-  const std::string v8 = slurp(golden_path("snap-800.bin", "golden_v8"));
-  EXPECT_TRUE(restore_and_save(old) == v8) << "upgraded " << dir << " differs from the v8 fixture";
+  const std::string v9 = slurp(golden_path("snap-800.bin", "golden_v9"));
+  EXPECT_TRUE(restore_and_save(old) == v9) << "upgraded " << dir << " differs from the v9 fixture";
 }
 
-TEST(GoldenFormat, V5FixtureUpgradesToTheV8FixtureBytes) { expect_upgrades_to_v8("golden_v5"); }
+TEST(GoldenFormat, V5FixtureUpgradesToTheV9FixtureBytes) { expect_upgrades_to_v9("golden_v5"); }
 
-TEST(GoldenFormat, V6FixtureUpgradesToTheV8FixtureBytes) { expect_upgrades_to_v8("golden_v6"); }
+TEST(GoldenFormat, V6FixtureUpgradesToTheV9FixtureBytes) { expect_upgrades_to_v9("golden_v6"); }
 
-TEST(GoldenFormat, V7FixtureUpgradesToTheV8FixtureBytes) { expect_upgrades_to_v8("golden_v7"); }
+TEST(GoldenFormat, V7FixtureUpgradesToTheV9FixtureBytes) { expect_upgrades_to_v9("golden_v7"); }
+
+TEST(GoldenFormat, V8FixtureUpgradesToTheV9FixtureBytes) { expect_upgrades_to_v9("golden_v8"); }
 
 /// (name, payload) of every section of a snapshot file, in file order.
 std::vector<std::pair<std::string, std::string>> snapshot_sections(const std::string& file) {
@@ -608,6 +615,46 @@ TEST(GoldenFormat, V8FixtureDiffersFromV7OnlyInVersionClusterTailAndTrailer) {
   };
   EXPECT_EQ(trailer(v7), word_hash64(v7.data(), v7.size() - 8));
   EXPECT_EQ(trailer(v8), word_hash64(v8.data(), v8.size() - 8));
+}
+
+TEST(GoldenFormat, V9FixtureDiffersFromV8OnlyInVersionClusterTailAndTrailer) {
+  const std::string v8 = slurp(golden_path("snap-800.bin", "golden_v8"));
+  const std::string v9 = slurp(golden_path("snap-800.bin", "golden_v9"));
+  ASSERT_LT(v9.size(), v8.size());
+
+  // Header: magic and fingerprint equal, version 8 -> 9.
+  EXPECT_EQ(v8.substr(0, 8), v9.substr(0, 8));
+  EXPECT_EQ(io::BinReader(std::string_view(v8).substr(8, 4)).u32(), 8u);
+  EXPECT_EQ(io::BinReader(std::string_view(v9).substr(8, 4)).u32(), 9u);
+  EXPECT_EQ(v8.substr(12, 12), v9.substr(12, 12));
+
+  // Sections: same names and payloads, except that "cluster" (and so its
+  // framed length) ends before the load index, which v8 wrote wholesale
+  // after the unplace counter and v9 rebuilds at the first query.
+  const auto s8 = snapshot_sections(v8);
+  const auto s9 = snapshot_sections(v9);
+  ASSERT_EQ(s8.size(), s9.size());
+  for (std::size_t i = 0; i < s8.size(); ++i) {
+    ASSERT_EQ(s8[i].first, s9[i].first);
+    const std::string& p8 = s8[i].second;
+    const std::string& p9 = s9[i].second;
+    if (s8[i].first != "cluster") {
+      EXPECT_TRUE(p8 == p9) << "section " << s8[i].first << " changed";
+      continue;
+    }
+    ASSERT_EQ(p8.size() - p9.size(), v8.size() - v9.size());
+    EXPECT_TRUE(p8.compare(0, p9.size(), p9) == 0) << "cluster differs before the index tail";
+    // The tail opens with the index's valid flag: set, since the run had
+    // queried the index before event 800.
+    EXPECT_EQ(p8[p9.size()], 1);
+  }
+
+  // Trailer: both files use word_hash64.
+  const auto trailer = [](const std::string& file) {
+    return io::BinReader(std::string_view(file).substr(file.size() - 8)).u64();
+  };
+  EXPECT_EQ(trailer(v8), word_hash64(v8.data(), v8.size() - 8));
+  EXPECT_EQ(trailer(v9), word_hash64(v9.data(), v9.size() - 8));
 }
 
 TEST(GoldenFormat, V5FixtureWithATamperedLossValueIsRejected) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
+#include <string>
+
 #include "sim/cluster.hpp"
 #include "workload/model_zoo.hpp"
 
@@ -182,31 +186,99 @@ TEST(Cluster, EstimateFreeWorkerSlotsShrinksWithLoad) {
 
 constexpr double kHr = 0.85;
 
+/// Everything the load index serves, read through the refreshing queries;
+/// the cached doubles as bit patterns so that equality is bitwise.
+struct IndexView {
+  std::vector<ServerId> underloaded;
+  std::vector<ServerId> overloaded;
+  int free_slots = 0;
+  std::vector<std::uint64_t> cached;
+
+  bool operator==(const IndexView&) const = default;
+};
+
+IndexView index_view(const Cluster& cluster) {
+  IndexView v;
+  v.underloaded = cluster.underloaded_servers(kHr);
+  v.overloaded = cluster.overloaded_servers(kHr);
+  v.free_slots = cluster.estimate_free_worker_slots(kHr);
+  for (ServerId id = 0; id < cluster.server_count(); ++id) {
+    for (std::size_t r = 0; r < kNumResources; ++r) {
+      v.cached.push_back(std::bit_cast<std::uint64_t>(cluster.cached_utilization(id).at(r)));
+    }
+    v.cached.push_back(static_cast<std::uint64_t>(cluster.cached_least_gpu(id)));
+    v.cached.push_back(std::bit_cast<std::uint64_t>(cluster.cached_least_gpu_load(id)));
+  }
+  return v;
+}
+
 TEST(Cluster, NoopReindexSkipsUnchangedDirtyServers) {
   ClusterConfig cfg;
   cfg.server_count = 4;
   cfg.gpus_per_server = 2;
   Cluster cluster(cfg);
+  const JobId loaded = add_job(cluster, spec_with(2, 7));
+  cluster.place_task(cluster.job(loaded).task_at(0), 0, 0);
+  cluster.place_task(cluster.job(loaded).task_at(1), 0, 0);
   const JobId id = add_job(cluster, spec_with(1));
   const TaskId tid = cluster.job(id).task_at(0);
 
-  // Prime the index, then make a place/unplace round trip that leaves the
-  // server's load exactly where it started.
-  (void)cluster.underloaded_servers(kHr);
-  const LoadIndexStats before = cluster.load_index_stats();
+  // A place/unplace round trip (a gang placed and rolled back between
+  // refreshing queries) leaves the server's load exactly where it started:
+  // the refresh re-evaluates the dirty server and serves the same index.
+  const IndexView before = index_view(cluster);
+  ASSERT_EQ(before.overloaded, (std::vector<ServerId>{0}));
   cluster.place_task(tid, 2, 0);
   cluster.unplace_task(tid);
-  (void)cluster.underloaded_servers(kHr);
-  const LoadIndexStats after = cluster.load_index_stats();
-  // The dirty server was re-evaluated but nothing changed: that must be
-  // counted as a noop, not a reindex.
-  EXPECT_GT(after.noop_reindexes, before.noop_reindexes);
-  EXPECT_EQ(after.servers_reindexed, before.servers_reindexed);
+  EXPECT_EQ(index_view(cluster), before);
 
-  // A placement that sticks must still count as a real reindex.
+  // A placement that sticks shows.
   cluster.place_task(tid, 2, 0);
-  (void)cluster.underloaded_servers(kHr);
-  EXPECT_GT(cluster.load_index_stats().servers_reindexed, after.servers_reindexed);
+  EXPECT_NE(index_view(cluster), before);
+}
+
+TEST(Cluster, RestoredLoadIndexIsRebuiltFromLiveState) {
+  ClusterConfig cfg;
+  cfg.server_count = 6;
+  cfg.gpus_per_server = 2;
+  const auto build = [&cfg] {
+    auto cluster = std::make_unique<Cluster>(cfg);
+    add_job(*cluster, spec_with(2, 7));
+    add_job(*cluster, spec_with(2, 9));
+    return cluster;
+  };
+  const std::unique_ptr<Cluster> cluster = build();
+  const Job& a = cluster->job(0);
+  const Job& b = cluster->job(1);
+  cluster->place_task(a.task_at(0), 1, 0);
+  cluster->place_task(a.task_at(1), 1, 1);
+  cluster->place_task(b.task_at(0), 2, 0);
+  cluster->set_server_up(4, false);
+  cluster->set_placement_cap(5, 0);
+  (void)index_view(*cluster);
+
+  // Saved while servers 1, 2 and 3 are dirty: a place, an unplace and a
+  // usage change since the last refreshing query.
+  cluster->place_task(b.task_at(1), 3, 1);
+  cluster->unplace_task(b.task_at(0));
+  cluster->set_usage_factor(a.task_at(0), 4.0);
+  std::string bytes;
+  {
+    io::BinWriter w(bytes);
+    cluster->save_state(w);
+  }
+  // The twin's index is valid for its own, empty fleet until the restore.
+  const std::unique_ptr<Cluster> twin = build();
+  (void)index_view(*twin);
+  {
+    io::BinReader r(bytes);
+    twin->restore_state(r);
+  }
+
+  const IndexView expected = index_view(*cluster);
+  ASSERT_EQ(expected.overloaded, (std::vector<ServerId>{1}));
+  ASSERT_EQ(expected.underloaded, (std::vector<ServerId>{0, 2, 3}));
+  EXPECT_EQ(index_view(*twin), expected);
 }
 
 TEST(Cluster, UnderloadedServersIntoMatchesVectorReturn) {

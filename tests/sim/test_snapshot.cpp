@@ -918,6 +918,65 @@ TEST(SnapshotEngine, EventSubjectOutOfRangeRejectedBeforeAnyStateChanges) {
   EXPECT_EQ(engine_snapshot_bytes(*victim.engine), before);
 }
 
+TEST(SnapshotEngine, MalformedClusterSectionIsASnapshotError) {
+  exp::EngineBundle donor = exp::build_engine(engine_request());
+  for (int i = 0; i < 60 && donor.engine->step(); ++i) {
+  }
+  const std::string file = engine_snapshot_bytes(*donor.engine);
+  const std::uint64_t fp = donor.engine->config_fingerprint();
+  std::istringstream is(file, std::ios::binary);
+  const SnapshotReader reader(is, fp);
+  io::BinReader section = reader.section("cluster");
+  const std::string original(section.view(section.remaining()));
+
+  // The payload opens with the server count and the servers, then the
+  // task count and 65-byte task records (state byte first), then the job
+  // count and job records (completed count, loss sum, policy byte, target
+  // iterations, deadline, state byte, ...).
+  const Cluster& cluster = donor.engine->cluster();
+  std::string servers;
+  {
+    io::BinWriter w(servers);
+    for (const Server& server : cluster.servers()) server.save_state(w);
+  }
+  ASSERT_EQ(original.substr(8, servers.size()), servers);
+  const std::size_t first_task = 8 + servers.size() + 8;
+  const std::size_t first_job = first_task + 65 * cluster.task_count() + 8;
+  ASSERT_EQ(io::BinReader(std::string_view(original).substr(first_job, 8)).i64(),
+            cluster.job(0).completed_iterations());
+
+  struct Breakage {
+    const char* what;
+    std::size_t at;
+    std::uint64_t value;
+    std::size_t width;
+  };
+  const Breakage breakages[] = {
+      {"server count one lower", 0, cluster.server_count() - 1, 8},
+      {"task state byte 4", first_task, 4, 1},
+      {"stop policy byte 3", first_job + 16, 3, 1},
+      {"job state byte 4", first_job + 33, 4, 1},
+  };
+  for (const Breakage& b : breakages) {
+    std::string payload = original;
+    std::memcpy(payload.data() + b.at, &b.value, b.width);
+    exp::EngineBundle victim = exp::build_engine(engine_request());
+    std::istringstream in(with_section_payload(file, fp, "cluster", payload), std::ios::binary);
+    try {
+      victim.engine->restore_snapshot(in);
+      ADD_FAILURE() << "accepted a cluster section with " << b.what;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.section(), "cluster") << b.what << ": " << e.what();
+    }
+  }
+
+  // The unbroken payload, re-framed the same way, still restores.
+  exp::EngineBundle twin = exp::build_engine(engine_request());
+  std::istringstream in(with_section_payload(file, fp, "cluster", original), std::ios::binary);
+  twin.engine->restore_snapshot(in);
+  EXPECT_EQ(engine_snapshot_bytes(*twin.engine), file);
+}
+
 // -------------------------------------------------- v4: link contention
 
 exp::RunRequest contended_engine_request() {
