@@ -178,13 +178,16 @@ class BinReader {
   std::size_t pos_ = 0;
 };
 
-/// Reads a u8-encoded enum whose values run from 0 to `last`; any other
-/// byte throws ContractViolation.
+/// Reads a u8-encoded enum whose values run from 0 to `enum_last(E{})`, a
+/// constexpr function declared beside each persisted enum and found by
+/// argument-dependent lookup (an enum without one does not compile here);
+/// any other byte throws ContractViolation.
 template <typename E>
-E read_enum(BinReader& r, E last) {
+E read_enum(BinReader& r) {
   static_assert(std::is_enum_v<E>);
+  constexpr auto last = static_cast<std::uint8_t>(enum_last(E{}));
   const std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(last)) {
+  if (v > last) {
     throw ContractViolation("enum byte " + std::to_string(v) + " out of range");
   }
   return static_cast<E>(v);
@@ -198,7 +201,8 @@ E read_enum(BinReader& r, E last) {
 // write_columns / read_columns walk that one list for save and restore,
 // and `static_assert(io::lists_every_field<T>)` beside the struct
 // (aggregate arity == list length) fails the build when a member is left
-// out. Wire types: bool → boolean, enum → u8, floating → f64, signed →
+// out. Wire types: bool → boolean, enum → u8 (range-checked on read by
+// read_enum), floating → f64, signed →
 // i64, unsigned → u64, a listed struct → its own fields, a vector → u64
 // count then each element.
 
@@ -260,7 +264,7 @@ void read_value(BinReader& r, V& v) {
     return e;
   });
   else if constexpr (std::is_same_v<V, bool>) v = r.boolean();
-  else if constexpr (std::is_enum_v<V>) v = static_cast<V>(r.u8());
+  else if constexpr (std::is_enum_v<V>) v = read_enum<V>(r);
   else if constexpr (std::is_floating_point_v<V>) v = r.f64();
   else if constexpr (std::is_signed_v<V>) v = static_cast<V>(r.i64());
   else v = static_cast<V>(r.u64());

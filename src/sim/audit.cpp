@@ -87,6 +87,7 @@ void SimAuditor::check_now(const char* context) {
   check_load_index();
   check_queue();
   check_link_model();
+  check_comm_plans();
   check_jobs();
   check_live_set();
   check_prediction_service();
@@ -446,6 +447,26 @@ void SimAuditor::check_link_model() const {
       fail("link-share", "link " + std::to_string(link) + " hands out share sum " +
                              std::to_string(s) + " > 1 across " +
                              std::to_string(live.link_entries(link).size()) + " jobs");
+    }
+  }
+}
+
+// ---------------------------------------------------- comm plans
+
+void SimAuditor::check_comm_plans() const {
+  // A cached plan is reused while its job's communication version stands
+  // still, so a current one must equal a from-scratch build bit for bit
+  // (== on the doubles). A mismatch means a change to placements or link
+  // state that the plan depends on missed its version bump.
+  const Cluster& cluster = engine_.cluster_;
+  for (const JobId id : cluster.live_jobs()) {
+    if (id >= engine_.comm_plans_.size()) break;
+    const CommPlan* cached = engine_.comm_plans_[id].get();
+    if (!cached || cached->version != cluster.comm_version(id)) continue;
+    if (!(*cached == engine_.build_comm_plan(cluster.job(id)))) {
+      fail("comm-plan", "job " + std::to_string(id) + ": cached communication plan (version " +
+                            std::to_string(cached->version) +
+                            ") differs from a from-scratch build");
     }
   }
 }

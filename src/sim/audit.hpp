@@ -113,6 +113,7 @@ class SimAuditor {
   void check_load_index() const;
   void check_queue() const;
   void check_link_model() const;
+  void check_comm_plans() const;
   void check_jobs() const;
   void check_live_set() const;
   void check_prediction_service() const;

@@ -240,6 +240,7 @@ void Cluster::place_task(TaskId id, ServerId server_id, int gpu) {
   t.state = TaskState::Running;
   touch_server(server_id);
   ++job_placement_epochs_[t.job];
+  links_.bump_comm_version(t.job);
   refresh_job_flows(t.job);
 }
 
@@ -254,6 +255,7 @@ void Cluster::unplace_task(TaskId id) {
   }
   touch_server(t.server);
   ++job_placement_epochs_[t.job];
+  links_.bump_comm_version(t.job);
   t.server = kInvalidServer;
   t.gpu = kNoGpu;
   t.state = TaskState::Queued;
@@ -269,6 +271,7 @@ void Cluster::move_task(TaskId id, ServerId to_server, int to_gpu) {
   touch_server(t.server);
   touch_server(to_server);
   ++job_placement_epochs_[t.job];
+  links_.bump_comm_version(t.job);
   t.server = to_server;
   t.gpu = to_gpu;
   ++t.migrations;
@@ -445,7 +448,7 @@ void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   const std::uint64_t task_count = r.u64();
   MLFS_EXPECT(task_count == tasks_.size());
   for (Task& t : tasks_) {
-    t.state = io::read_enum(r, TaskState::Removed);
+    t.state = io::read_enum<TaskState>(r);
     t.server = static_cast<ServerId>(r.u64());
     t.gpu = static_cast<int>(r.i64());
     t.queued_since = r.f64();

@@ -153,6 +153,13 @@ class Cluster {
   /// any placement anywhere, collapsing the hit rate as the fleet grew).
   std::uint64_t job_placement_epoch(JobId id) const { return job_placement_epochs_[id]; }
 
+  /// Per-job communication version: bumped on every place, unplace or move
+  /// of one of the job's tasks and, with link contention on, whenever a
+  /// link the job is registered on changes (see LinkModel). A plan of the
+  /// job's communication built at one version holds until the next bump.
+  /// Derived state: not saved, so it only compares within one process.
+  std::uint64_t comm_version(JobId id) const { return links_.comm_version(id); }
+
   /// Cluster overload degree O_c = mean_s ||U_s|| over up servers (§3.5).
   double overload_degree() const;
 
@@ -219,7 +226,7 @@ class Cluster {
   // -- link contention (ClusterConfig::link_contention) --
   /// The link-level contention model. Flow sets track current placements
   /// (maintained by place/unplace/move); empty and never consulted when
-  /// the feature is off.
+  /// the feature is off, apart from the communication versions.
   const LinkModel& link_model() const { return links_; }
 
   /// `job`'s cross-server flows under current placements — DAG edges whose

@@ -438,6 +438,7 @@ void SimEngine::fail_job(Job& job) {
   rt.fault_stopped_since = -1.0;
   rt.partial_since = -1.0;
   cluster_.set_job_live(id, false);
+  if (id < comm_plans_.size()) comm_plans_[id].reset();
   // Schedulers treat this like a completion: caches are evicted, service
   // accounting closes. The runtime predictor is *not* fed — a truncated
   // run would poison its duration estimates.
@@ -697,43 +698,127 @@ void SimEngine::release_stale_partial_placements() {
   }
 }
 
-double SimEngine::iteration_duration(const Job& job) {
+const CommPlan& SimEngine::comm_plan(const Job& job) {
+  if (comm_plans_.size() < cluster_.job_count()) comm_plans_.resize(cluster_.job_count());
+  std::unique_ptr<CommPlan>& plan = comm_plans_[job.id()];
+  if (!plan || plan->version != cluster_.comm_version(job.id())) {
+    plan = std::make_unique<CommPlan>(build_comm_plan(job));
+  }
+  return *plan;
+}
+
+CommPlan SimEngine::build_comm_plan(const Job& job) const {
+  CommPlan plan;
+  plan.version = cluster_.comm_version(job.id());
   const Dag& dag = job.dag();
-  std::vector<double>& finish = finish_scratch_;
-  finish.assign(dag.node_count(), 0.0);
-  double critical = 0.0;
-  bool any_cross_server = false;
   // Link-level contention (opt-in): cross-server flows get the link
-  // model's fair share instead of the static per-flow bandwidth. The
-  // static path is untouched when the feature is off — no extra reads, no
-  // arithmetic reordering — preserving byte-identical runs.
+  // model's fair share instead of the static per-flow bandwidth. With it
+  // off the link model is never consulted.
   const bool contended = cluster_config_.link_contention;
+  bool any_cross_server = false;
   for (const std::size_t u : job.topological_order()) {
-    Task& t = cluster_.task(job.task_at(u));
+    const Task& t = cluster_.task(job.task_at(u));
     if (t.state == TaskState::Finished || t.state == TaskState::Removed) continue;
     MLFS_EXPECT(t.placed());
-    const Server& server = cluster_.server(t.server);
-
-    double start = 0.0;
     for (const std::size_t p : dag.parents(u)) {
       const Task& pt = cluster_.task(job.task_at(p));
-      double comm = 0.0;
+      CommPlan::Edge& edge = plan.edges.emplace_back();
       if (pt.placed() && pt.server != t.server) {
         const double volume =
             t.is_parameter_server ? job.spec().comm_volume_ps_mb : job.spec().comm_volume_ww_mb;
         const double base_bw = cluster_.flow_bandwidth_between(pt.server, t.server);
-        comm = volume / base_bw;
-        if (contended) {
-          const double shared_bw =
-              cluster_.link_model().flow_bandwidth(job.id(), pt.server, t.server, base_bw);
-          const double shared_comm = volume / shared_bw;
-          counters_.link_busy_seconds += shared_comm;
-          counters_.contention_slowdown_seconds += shared_comm - comm;
-          comm = shared_comm;
-        }
+        edge.base_comm = volume / base_bw;
+        edge.comm = contended ? volume / cluster_.link_model().flow_bandwidth(
+                                             job.id(), pt.server, t.server, base_bw)
+                              : edge.base_comm;
+        edge.cross = true;
         any_cross_server = true;
       }
-      start = std::max(start, finish[p] + comm);
+    }
+  }
+  if (job.spec().comm == CommStructure::AllReduce) {
+    // Ring all-reduce at the iteration end; pipelined, so ~2 volumes when
+    // any hop crosses servers.
+    bool cross = any_cross_server;
+    if (!cross) {
+      for (std::size_t i = 0; i + 1 < job.task_count(); ++i) {
+        if (cluster_.task(job.task_at(i)).server != cluster_.task(job.task_at(i + 1)).server) {
+          cross = true;
+          break;
+        }
+      }
+    }
+    if (cross) {
+      // Worst hop in the ring bounds the all-reduce round.
+      double ring_bw = cluster_config_.effective_flow_bandwidth_mbps;
+      double shared_ring_bw = ring_bw;
+      for (std::size_t i = 0; i < job.task_count(); ++i) {
+        const Task& a = cluster_.task(job.task_at(i));
+        const Task& b = cluster_.task(job.task_at((i + 1) % job.task_count()));
+        if (a.placed() && b.placed() && a.server != b.server) {
+          const double base_bw = cluster_.flow_bandwidth_between(a.server, b.server);
+          ring_bw = std::min(ring_bw, base_bw);
+          if (contended) {
+            shared_ring_bw = std::min(
+                shared_ring_bw,
+                cluster_.link_model().flow_bandwidth(job.id(), a.server, b.server, base_bw));
+          }
+        }
+      }
+      plan.ring_cross = true;
+      plan.base_round = 2.0 * job.spec().comm_volume_ww_mb / ring_bw;
+      plan.shared_round =
+          contended ? 2.0 * job.spec().comm_volume_ww_mb / shared_ring_bw : plan.base_round;
+    }
+  }
+
+  // The bandwidth ledger's per-iteration transfers: every DAG edge between
+  // placed tasks, then the all-reduce ring. Same-server pairs are free.
+  const auto transfer = [&plan](const Task& a, const Task& b, double mb) {
+    if (a.placed() && b.placed() && a.server != b.server) {
+      plan.transfers.push_back({a.server, b.server, mb});
+    }
+  };
+  for (std::size_t u = 0; u < dag.node_count(); ++u) {
+    const Task& t = cluster_.task(job.task_at(u));
+    for (const std::size_t c : dag.children(u)) {
+      const Task& ct = cluster_.task(job.task_at(c));
+      transfer(t, ct,
+               ct.is_parameter_server ? job.spec().comm_volume_ps_mb
+                                      : job.spec().comm_volume_ww_mb);
+    }
+  }
+  if (job.spec().comm == CommStructure::AllReduce) {
+    for (std::size_t i = 0; i < job.task_count(); ++i) {
+      transfer(cluster_.task(job.task_at(i)),
+               cluster_.task(job.task_at((i + 1) % job.task_count())),
+               job.spec().comm_volume_ww_mb);
+    }
+  }
+  return plan;
+}
+
+double SimEngine::iteration_duration(const Job& job) {
+  const CommPlan& plan = comm_plan(job);
+  const Dag& dag = job.dag();
+  std::vector<double>& finish = finish_scratch_;
+  finish.assign(dag.node_count(), 0.0);
+  double critical = 0.0;
+  const bool contended = cluster_config_.link_contention;
+  std::size_t edge = 0;
+  for (const std::size_t u : job.topological_order()) {
+    Task& t = cluster_.task(job.task_at(u));
+    if (t.state == TaskState::Finished || t.state == TaskState::Removed) continue;
+    const Server& server = cluster_.server(t.server);
+
+    double start = 0.0;
+    for (const std::size_t p : dag.parents(u)) {
+      const CommPlan::Edge& e = plan.edges[edge++];
+      if (contended && e.cross) {
+        counters_.link_busy_seconds += e.comm;
+        counters_.contention_slowdown_seconds += e.comm - e.base_comm;
+      }
+      start = std::max(start, finish[p] + e.comm);
     }
 
     // Contention: sharing within capacity is free; past saturation the
@@ -776,45 +861,12 @@ double SimEngine::iteration_duration(const Job& job) {
     finish[u] = start + compute;
     critical = std::max(critical, finish[u]);
   }
-  if (job.spec().comm == CommStructure::AllReduce) {
-    // Ring all-reduce at the iteration end; pipelined, so ~2 volumes when
-    // any hop crosses servers.
-    bool cross = any_cross_server;
-    if (!cross) {
-      for (std::size_t i = 0; i + 1 < job.task_count(); ++i) {
-        if (cluster_.task(job.task_at(i)).server != cluster_.task(job.task_at(i + 1)).server) {
-          cross = true;
-          break;
-        }
-      }
+  if (plan.ring_cross) {
+    if (contended) {
+      counters_.link_busy_seconds += plan.shared_round;
+      counters_.contention_slowdown_seconds += plan.shared_round - plan.base_round;
     }
-    if (cross) {
-      // Worst hop in the ring bounds the all-reduce round.
-      double ring_bw = cluster_config_.effective_flow_bandwidth_mbps;
-      double shared_ring_bw = ring_bw;
-      for (std::size_t i = 0; i < job.task_count(); ++i) {
-        const Task& a = cluster_.task(job.task_at(i));
-        const Task& b = cluster_.task(job.task_at((i + 1) % job.task_count()));
-        if (a.placed() && b.placed() && a.server != b.server) {
-          const double base_bw = cluster_.flow_bandwidth_between(a.server, b.server);
-          ring_bw = std::min(ring_bw, base_bw);
-          if (contended) {
-            shared_ring_bw = std::min(
-                shared_ring_bw,
-                cluster_.link_model().flow_bandwidth(job.id(), a.server, b.server, base_bw));
-          }
-        }
-      }
-      const double base_round = 2.0 * job.spec().comm_volume_ww_mb / ring_bw;
-      if (contended) {
-        const double shared_round = 2.0 * job.spec().comm_volume_ww_mb / shared_ring_bw;
-        counters_.link_busy_seconds += shared_round;
-        counters_.contention_slowdown_seconds += shared_round - base_round;
-        critical += shared_round;
-      } else {
-        critical += base_round;
-      }
-    }
+    critical += plan.shared_round;
   }
   return std::max(critical, 1e-3);
 }
@@ -855,25 +907,8 @@ void SimEngine::abort_iteration(Job& job) {
 }
 
 void SimEngine::account_iteration_bandwidth(const Job& job) {
-  const Dag& dag = job.dag();
-  for (std::size_t u = 0; u < dag.node_count(); ++u) {
-    const Task& t = cluster_.task(job.task_at(u));
-    for (const std::size_t c : dag.children(u)) {
-      const Task& ct = cluster_.task(job.task_at(c));
-      if (!t.placed() || !ct.placed()) continue;
-      const double volume =
-          ct.is_parameter_server ? job.spec().comm_volume_ps_mb : job.spec().comm_volume_ww_mb;
-      cluster_.record_transfer(t.server, ct.server, volume);
-    }
-  }
-  if (job.spec().comm == CommStructure::AllReduce) {
-    for (std::size_t i = 0; i < job.task_count(); ++i) {
-      const Task& a = cluster_.task(job.task_at(i));
-      const Task& b = cluster_.task(job.task_at((i + 1) % job.task_count()));
-      if (a.placed() && b.placed()) {
-        cluster_.record_transfer(a.server, b.server, job.spec().comm_volume_ww_mb);
-      }
-    }
+  for (const CommPlan::Transfer& x : comm_plan(job).transfers) {
+    cluster_.record_transfer(x.a, x.b, x.mb);
   }
   if (config_.straggler_replicas > 0) {
     // Each replica ships its copy of the task's per-iteration output; we
@@ -931,6 +966,7 @@ void SimEngine::complete_job(Job& job) {
   ++counters_.jobs_completed;
   job_runtime_[job.id()].partial_since = -1.0;
   cluster_.set_job_live(job.id(), false);
+  if (job.id() < comm_plans_.size()) comm_plans_[job.id()].reset();
   prediction_.on_job_complete(job);
   scheduler_.on_job_complete(job, now_);
   if (observer_ != nullptr) observer_->on_job_complete(now_, job.id());

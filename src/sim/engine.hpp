@@ -203,6 +203,41 @@ class LoadController {
   virtual void restore_state(std::istream& is) { (void)is; }
 };
 
+/// What one iteration of a job costs in communication, as a function of
+/// its placements and the link state (DESIGN.md §5e). SimEngine builds it
+/// lazily and reuses it until the job's Cluster::comm_version moves; it is
+/// derived state, never snapshotted, and dropped on restore and when the
+/// job ends.
+struct CommPlan {
+  /// One (node, parent) DAG edge, in iteration_duration's walk order
+  /// (topological node order, skipping finished and removed tasks, then
+  /// each node's parents).
+  struct Edge {
+    double comm = 0.0;       ///< seconds charged on the critical path (fair share if contended)
+    double base_comm = 0.0;  ///< the same transfer at the static per-flow bandwidth
+    bool cross = false;      ///< endpoints on different servers
+    friend bool operator==(const Edge&, const Edge&) = default;
+  };
+  /// One cross-server transfer account_iteration_bandwidth records.
+  struct Transfer {
+    ServerId a = kInvalidServer;
+    ServerId b = kInvalidServer;
+    double mb = 0.0;
+    friend bool operator==(const Transfer&, const Transfer&) = default;
+  };
+
+  std::uint64_t version = 0;  ///< Cluster::comm_version when built
+  std::vector<Edge> edges;
+  /// All-reduce jobs only: whether the iteration-end ring round is paid,
+  /// and its length at the static and at the fair-share bandwidth (equal
+  /// with contention off).
+  bool ring_cross = false;
+  double base_round = 0.0;
+  double shared_round = 0.0;
+  std::vector<Transfer> transfers;
+  friend bool operator==(const CommPlan&, const CommPlan&) = default;
+};
+
 class SimEngine final : private SchedulerOps {
  public:
   /// Every spec must pass JobSpec::validate (ContractViolation otherwise).
@@ -260,6 +295,14 @@ class SimEngine final : private SchedulerOps {
   /// restored engine must be discarded.
   void restore_snapshot(std::istream& is);
 
+  /// `job`'s communication plan: the cached one while the job's
+  /// Cluster::comm_version is unchanged, else a fresh build that replaces
+  /// it. The job's unfinished tasks must be placed.
+  const CommPlan& comm_plan(const Job& job);
+  /// `job`'s communication plan computed from scratch under the current
+  /// placements and link state (what comm_plan caches).
+  CommPlan build_comm_plan(const Job& job) const;
+
   /// Health tracker view (non-null iff recovery policies are enabled).
   const ServerHealthTracker* health() const { return health_.get(); }
 
@@ -315,6 +358,7 @@ class SimEngine final : private SchedulerOps {
   // -- events --
   enum class EventType { Arrival, IterationDone, Deadline, Tick, ServerDown, ServerUp,
                          RackOutage, RetryRelease };
+  friend constexpr EventType enum_last(EventType) { return EventType::RetryRelease; }
   struct Event {
     SimTime time;
     std::uint64_t seq;  // FIFO tiebreak for equal times
@@ -440,6 +484,10 @@ class SimEngine final : private SchedulerOps {
   std::vector<JobId> live_scratch_;  // copy of the live set for walks that complete jobs
   std::vector<double> finish_scratch_;  // iteration_duration's per-node finish times
   std::vector<JobRuntime> job_runtime_;  // per job
+  /// Per job: the cached communication plan (see comm_plan); null until
+  /// first use and again once the job ends. Held by pointer so the slots
+  /// of jobs without a plan cost one word each.
+  std::vector<std::unique_ptr<CommPlan>> comm_plans_;
 
   // Per-server up/down transition counter: stale ServerDown/Up events
   // carry the epoch they were scheduled under and are dropped when it no

@@ -343,7 +343,6 @@ void SimEngine::restore_snapshot(std::istream& is) {
         case EventType::RetryRelease: MLFS_EXPECT(ev.job < task_count); break;
         case EventType::Tick:
         case EventType::RackOutage: break;
-        default: throw ContractViolation("unknown event type");
       }
       return ev;
     });
@@ -371,6 +370,9 @@ void SimEngine::restore_snapshot(std::istream& is) {
   // Replaces the fresh-constructor arrivals/crash seeds. The event order is
   // total (seq is a unique tiebreak), so heapifying pops the same sequence.
   events_ = decltype(events_)(std::greater<>(), std::move(events));
+  // Communication plans describe the placements being overwritten; the
+  // restored jobs rebuild theirs on first use.
+  comm_plans_.clear();
 
   // The cluster, links, health and predictor sections are checked while
   // they are installed, so a defect there throws SnapshotError after the

@@ -112,6 +112,7 @@ int young_daly_checkpoint_iterations(double mtbf_seconds, double checkpoint_cost
                                      double iteration_seconds, int max_interval);
 
 enum class ServerHealth { Healthy, Quarantined, Probation };
+constexpr ServerHealth enum_last(ServerHealth) { return ServerHealth::Probation; }
 
 /// Per-server health bookkeeping driven by the engine's fault events.
 /// Placement-side effects are expressed as placement-cap changes

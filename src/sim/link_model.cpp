@@ -40,6 +40,7 @@ void LinkModel::reset(std::size_t server_count, int servers_per_rack,
   flows_.clear();
   duty_.clear();
   phase_.clear();
+  versions_.clear();
 }
 
 void LinkModel::touch_job(JobId job) {
@@ -54,6 +55,7 @@ void LinkModel::set_job_duty_cycle(JobId job, double duty) {
   MLFS_EXPECT(duty > 0.0 && duty <= 1.0);
   touch_job(job);
   duty_[job] = duty;
+  bump_link_sharers(job);
 }
 
 double LinkModel::job_duty_cycle(JobId job) const {
@@ -65,6 +67,7 @@ bool LinkModel::set_phase_offset(JobId job, double offset) {
   touch_job(job);
   if (phase_[job] == offset) return false;
   phase_[job] = offset;
+  bump_link_sharers(job);
   return true;
 }
 
@@ -118,9 +121,29 @@ void LinkModel::add_flows(JobId job, const std::vector<Flow>& flows, int sign) {
 
 void LinkModel::update_job_flows(JobId job, std::vector<Flow> flows) {
   touch_job(job);
+  // Every job on a link that loses or gains one of these flows sees its
+  // concurrency move: bump the old links' sharers and the new links'.
+  bump_link_sharers(job);
   add_flows(job, flows_[job], -1);
   flows_[job] = std::move(flows);
   add_flows(job, flows_[job], +1);
+  bump_link_sharers(job);
+}
+
+void LinkModel::bump_comm_version(JobId job) {
+  if (job >= versions_.size()) versions_.resize(job + 1, 0);
+  ++versions_[job];
+}
+
+void LinkModel::bump_link_sharers(JobId job) {
+  bump_comm_version(job);
+  std::size_t links[4];
+  for (const Flow& f : flows_[job]) {
+    const int n = path_links(f.a, f.b, links);
+    for (int i = 0; i < n; ++i) {
+      for (const LinkEntry& e : entries_[links[i]]) bump_comm_version(e.job);
+    }
+  }
 }
 
 const std::vector<LinkModel::Flow>& LinkModel::job_flows(JobId job) const {

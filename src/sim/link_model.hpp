@@ -18,6 +18,13 @@
 // place/unplace/move; SimAuditor rebuilds them from scratch after audited
 // events and checks conservation plus the per-link share-sum invariant
 // (the time-averaged capacity handed out never exceeds the link's).
+//
+// Each job also carries a communication version: bumped whenever anything
+// its fair-share bandwidths depend on may have moved — its own or a
+// link-sharing job's flow set, phase offset or duty cycle — and, through
+// Cluster, on every placement change of its tasks. SimEngine keys its
+// per-job communication plans on it (DESIGN.md §5e). Derived state: never
+// saved, and meaningful only as "changed since you last looked".
 #pragma once
 
 #include <cstdint>
@@ -89,6 +96,14 @@ class LinkModel {
   /// set is removed from every link count, the new one added).
   void update_job_flows(JobId job, std::vector<Flow> flows);
   const std::vector<Flow>& job_flows(JobId job) const;
+
+  // -- communication versions (derived; not saved) ------------------------
+  /// `job`'s communication version (0 before its first bump).
+  std::uint64_t comm_version(JobId job) const {
+    return job < versions_.size() ? versions_[job] : 0;
+  }
+  /// Bumps `job`'s version alone (Cluster: a placement change).
+  void bump_comm_version(JobId job);
   std::size_t registered_job_count() const { return flows_.size(); }
 
   /// Per-link registrations, sorted ascending by job id.
@@ -128,6 +143,8 @@ class LinkModel {
  private:
   void add_flows(JobId job, const std::vector<Flow>& flows, int sign);
   void touch_job(JobId job);
+  /// Bumps `job` and every job registered on a link `job`'s flows traverse.
+  void bump_link_sharers(JobId job);
   /// Links traversed by a flow (2 NICs + up to 2 uplinks), deduplicated.
   int path_links(ServerId a, ServerId b, std::size_t out[4]) const;
 
@@ -138,6 +155,7 @@ class LinkModel {
   std::vector<std::vector<Flow>> flows_;          ///< per job, registration order
   std::vector<double> duty_;                      ///< per job, default 1.0
   std::vector<double> phase_;                     ///< per job, default 0.0
+  std::vector<std::uint64_t> versions_;           ///< per job, grown on first bump
 };
 
 }  // namespace mlfs

@@ -34,6 +34,14 @@ enum class TaskState { Queued, Running, Finished, Removed };
 /// the time it was abandoned.
 enum class JobState { Waiting, Running, Completed, Failed };
 
+// The last value of each persisted enum: io::read_enum (and every enum
+// member of a field-listed record) rejects a byte above it.
+constexpr MlAlgorithm enum_last(MlAlgorithm) { return MlAlgorithm::Svm; }
+constexpr CommStructure enum_last(CommStructure) { return CommStructure::AllReduce; }
+constexpr StopPolicy enum_last(StopPolicy) { return StopPolicy::AccuracyOnly; }
+constexpr TaskState enum_last(TaskState) { return TaskState::Removed; }
+constexpr JobState enum_last(JobState) { return JobState::Failed; }
+
 std::string to_string(MlAlgorithm a);
 std::string to_string(CommStructure c);
 std::string to_string(StopPolicy p);

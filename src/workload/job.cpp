@@ -189,10 +189,10 @@ void Job::restore_v5_state(io::BinReader& r) {
 }
 
 void Job::restore_lifecycle(io::BinReader& r) {
-  active_policy_ = io::read_enum(r, StopPolicy::AccuracyOnly);
+  active_policy_ = io::read_enum<StopPolicy>(r);
   target_iterations_ = static_cast<int>(r.i64());
   deadline_ = r.f64();
-  state_ = io::read_enum(r, JobState::Failed);
+  state_ = io::read_enum<JobState>(r);
   completion_time_ = r.f64();
   waiting_time_ = r.f64();
   iterations_at_deadline_ = static_cast<int>(r.i64());

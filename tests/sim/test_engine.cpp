@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <span>
+#include <sstream>
 
 #include "sched/fair.hpp"
 #include "sched/util.hpp"
@@ -237,6 +240,124 @@ TEST(SimEngine, InjectRejectsAnInvalidSpecBeforeTouchingState) {
   while (engine.step()) {
   }
   for (const Job& job : engine.cluster().jobs()) EXPECT_TRUE(job.done());
+}
+
+// ------------------------------------------------- communication plans
+//
+// SimEngine caches each job's communication plan and reuses it until the
+// job's Cluster::comm_version moves. Each test below changes something a
+// plan depends on and demands that the plan the engine hands out equals
+// one built from scratch, and that the change really moved it.
+
+/// Two racks of two servers ({0,1} and {2,3}) behind tight uplinks, so a
+/// cross-rack flow is uplink-bound. Jobs 0 and 1 are all-reduce gangs of
+/// four and two workers that the tests place by hand (neither ever runs).
+struct PlanBench {
+  GreedyScheduler scheduler;
+  std::unique_ptr<SimEngine> engine;
+
+  explicit PlanBench(bool contention) {
+    ClusterConfig c = four_by_four();
+    c.servers_per_rack = 2;
+    c.link_contention = contention;
+    c.duty_cycles = contention;
+    c.nic_capacity_mbps = 800.0;
+    c.rack_uplink_capacity_mbps = 120.0;
+    std::vector<JobSpec> specs(2);
+    for (JobId id = 0; id < 2; ++id) {
+      specs[id].id = id;
+      specs[id].algorithm = id == 0 ? MlAlgorithm::Mlp : MlAlgorithm::Svm;
+      specs[id].comm = CommStructure::AllReduce;
+      specs[id].gpu_request = id == 0 ? 4 : 2;
+    }
+    engine = std::make_unique<SimEngine>(c, EngineConfig{}, specs, scheduler);
+  }
+
+  Cluster& cluster() { return engine->cluster(); }
+  const Job& job(JobId id) { return cluster().job(id); }
+  /// Places job `id`'s tasks in order on `servers`, each on GPU 0.
+  void place(JobId id, const std::vector<ServerId>& servers) {
+    const std::span<const TaskId> tasks = job(id).tasks();
+    ASSERT_EQ(tasks.size(), servers.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) cluster().place_task(tasks[i], servers[i], 0);
+  }
+  void unplace(JobId id) {
+    for (const TaskId tid : job(id).tasks()) cluster().unplace_task(tid);
+  }
+  /// The plan the engine hands out, which must equal a from-scratch build.
+  CommPlan current_plan(JobId id) {
+    const CommPlan cached = engine->comm_plan(job(id));
+    EXPECT_TRUE(cached == engine->build_comm_plan(job(id)))
+        << "job " << id << ": cached plan is stale";
+    return cached;
+  }
+};
+
+/// The plans' costs, versions aside.
+bool same_costs(CommPlan a, CommPlan b) {
+  a.version = b.version;
+  return a == b;
+}
+
+TEST(CommPlan, NeighbourFlowOnASharedUplinkInvalidatesIt) {
+  PlanBench bench(true);
+  bench.place(0, {0, 1, 2, 3});  // a ring crossing both uplinks twice
+  const CommPlan alone = bench.current_plan(0);
+  ASSERT_TRUE(alone.ring_cross);
+  // Job 1's ring 0 <-> 2 lands on both of job 0's uplinks.
+  bench.place(1, {0, 2});
+  const CommPlan shared = bench.current_plan(0);
+  EXPECT_GT(shared.shared_round, alone.shared_round);
+  EXPECT_EQ(shared.base_round, alone.base_round);
+  bench.unplace(1);
+  EXPECT_TRUE(same_costs(bench.current_plan(0), alone));
+}
+
+TEST(CommPlan, NeighbourPhaseChangeInvalidatesIt) {
+  PlanBench bench(true);
+  bench.place(0, {0, 1, 2, 3});
+  bench.place(1, {0, 2});
+  const CommPlan aligned = bench.current_plan(0);
+  // Anti-phase job 1's window: it stops overlapping job 0's on the uplinks.
+  ASSERT_TRUE(bench.cluster().set_phase_offset(1, 0.5));
+  const CommPlan shifted = bench.current_plan(0);
+  EXPECT_LT(shifted.shared_round, aligned.shared_round);
+}
+
+TEST(CommPlan, OwnMigrationInvalidatesIt) {
+  for (const bool contention : {false, true}) {
+    SCOPED_TRACE(contention ? "contention on" : "contention off");
+    PlanBench bench(contention);
+    bench.place(0, {0, 1, 2, 3});
+    const CommPlan spread = bench.current_plan(0);
+    ASSERT_FALSE(spread.transfers.empty());
+    // Pull the rack-1 workers into rack 0: no hop crosses an uplink now.
+    const std::span<const TaskId> tasks = bench.job(0).tasks();
+    bench.cluster().move_task(tasks[2], 0, 1);
+    bench.cluster().move_task(tasks[3], 1, 1);
+    const CommPlan packed = bench.current_plan(0);
+    EXPECT_LT(packed.base_round, spread.base_round);
+  }
+}
+
+TEST(CommPlan, RestoreDropsEveryCachedPlan) {
+  for (const bool contention : {false, true}) {
+    SCOPED_TRACE(contention ? "contention on" : "contention off");
+    PlanBench donor(contention);
+    donor.place(0, {0, 1, 2, 3});
+    const CommPlan spread = donor.current_plan(0);
+    std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
+    donor.engine->save_snapshot(file);
+
+    // The victim caches a plan for a different placement, built with the
+    // same number of placement changes behind it.
+    PlanBench victim(contention);
+    victim.place(0, {0, 0, 0, 0});
+    const CommPlan packed = victim.current_plan(0);
+    ASSERT_FALSE(packed.ring_cross);
+    victim.engine->restore_snapshot(file);
+    EXPECT_TRUE(same_costs(victim.current_plan(0), spread));
+  }
 }
 
 }  // namespace

@@ -329,6 +329,35 @@ TEST(Journal, ImplausibleRecordLengthRejected) {
   }
 }
 
+TEST(Journal, InjectionRecordWithAnEnumByteOutOfRangeRejected) {
+  // One past the last value of each JobSpec enum, in a record that is not
+  // the log's last (so it cannot pass for a torn tail).
+  using Breakage = void (*)(JobSpec&);
+  const std::pair<const char*, Breakage> breakages[] = {
+      {"algorithm byte 5", [](JobSpec& s) { s.algorithm = static_cast<MlAlgorithm>(5); }},
+      {"comm byte 2", [](JobSpec& s) { s.comm = static_cast<CommStructure>(2); }},
+      {"stop policy byte 3", [](JobSpec& s) { s.stop_policy = static_cast<StopPolicy>(3); }},
+      {"min allowed policy byte 3",
+       [](JobSpec& s) { s.min_allowed_policy = static_cast<StopPolicy>(3); }},
+  };
+  for (const auto& [what, breakage] : breakages) {
+    JobSpec spec = sample_spec(1);
+    breakage(spec);
+    auto sink = std::make_unique<MemoryJournalSink>();
+    MemoryJournalSink* mem = sink.get();
+    JournalWriter writer(std::move(sink), kFp, 0, 0);
+    writer.append_arrival(1, 0, spec);
+    writer.append_clean_shutdown(2);
+    try {
+      read_bytes(mem->bytes());
+      ADD_FAILURE() << "accepted an injection record with " << what;
+    } catch (const JournalError& e) {
+      EXPECT_EQ(e.section(), "record") << what;
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  }
+}
+
 // ------------------------------------------------------------- write failure
 
 TEST(Journal, DiskFullShortWriteSurfacesAsStructuredIoError) {

@@ -161,6 +161,45 @@ TEST(LinkModel, SetPhaseOffsetReportsChangesOnly) {
   EXPECT_DOUBLE_EQ(m.phase_offset(0), 0.25);
 }
 
+TEST(LinkModel, CommVersionsMoveForLinkSharersOnly) {
+  LinkModel m = racked();
+  m.update_job_flows(0, {Flow{0, 2}});  // NICs 0 and 2, both uplinks
+  m.update_job_flows(1, {Flow{0, 1}});  // NICs 0 and 1
+  m.update_job_flows(2, {Flow{2, 3}});  // NICs 2 and 3
+  m.update_job_flows(3, {});            // registered nowhere
+  const auto versions = [&m] {
+    std::vector<std::uint64_t> v;
+    for (JobId j = 0; j < 4; ++j) v.push_back(m.comm_version(j));
+    return v;
+  };
+  const auto moved = [&versions](const std::vector<std::uint64_t>& before) {
+    const std::vector<std::uint64_t> now = versions();
+    std::vector<bool> out;
+    for (std::size_t j = 0; j < now.size(); ++j) out.push_back(now[j] != before[j]);
+    return out;
+  };
+
+  // Job 1's phase moves job 1 and its NIC 0 sharer, job 0.
+  std::vector<std::uint64_t> before = versions();
+  ASSERT_TRUE(m.set_phase_offset(1, 0.5));
+  EXPECT_EQ(moved(before), (std::vector<bool>{true, true, false, false}));
+
+  // Job 2 leaving NIC 2 moves job 0, which shared it, and job 2.
+  before = versions();
+  m.update_job_flows(2, {});
+  EXPECT_EQ(moved(before), (std::vector<bool>{true, false, true, false}));
+
+  // Job 2 coming back the same way moves the same two.
+  before = versions();
+  m.update_job_flows(2, {Flow{2, 3}});
+  EXPECT_EQ(moved(before), (std::vector<bool>{true, false, true, false}));
+
+  // A duty change moves the job and its link sharers.
+  before = versions();
+  m.set_job_duty_cycle(2, 0.3);
+  EXPECT_EQ(moved(before), (std::vector<bool>{true, false, true, false}));
+}
+
 // ------------------------------------------- incremental bookkeeping
 
 TEST(LinkModel, UpdateIsIdempotentAndRemovalRestoresEmpty) {

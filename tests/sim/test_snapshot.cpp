@@ -26,6 +26,7 @@
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/health.hpp"
+#include "sim/journal.hpp"
 #include "sim/snapshot.hpp"
 #include "workload/model_zoo.hpp"
 
@@ -975,6 +976,79 @@ TEST(SnapshotEngine, MalformedClusterSectionIsASnapshotError) {
   std::istringstream in(with_section_payload(file, fp, "cluster", original), std::ios::binary);
   twin.engine->restore_snapshot(in);
   EXPECT_EQ(engine_snapshot_bytes(*twin.engine), file);
+}
+
+/// A JobSpec enum member set to one past its last value, and the spec
+/// field it breaks.
+struct SpecEnumBreakage {
+  const char* what;
+  void (*apply)(JobSpec&);
+};
+constexpr SpecEnumBreakage kSpecEnumBreakages[] = {
+    {"algorithm byte 5", [](JobSpec& s) { s.algorithm = static_cast<MlAlgorithm>(5); }},
+    {"comm byte 2", [](JobSpec& s) { s.comm = static_cast<CommStructure>(2); }},
+    {"stop policy byte 3", [](JobSpec& s) { s.stop_policy = static_cast<StopPolicy>(3); }},
+    {"min allowed policy byte 3",
+     [](JobSpec& s) { s.min_allowed_policy = static_cast<StopPolicy>(3); }},
+};
+
+TEST(SnapshotEngine, EnumByteOutOfRangeIsASnapshotError) {
+  // A streamed donor (an "injected" section) with recovery on (a "health"
+  // section).
+  exp::RunRequest request = engine_request();
+  const auto script = exp::split_streamed_tail(request, 3);
+  exp::EngineBundle donor = exp::build_engine(request);
+  exp::ScriptedArrivalSource source(script);
+  donor.engine->set_arrival_source(&source);
+  for (int i = 0; i < 20000 && donor.engine->injected_specs().empty() && donor.engine->step();
+       ++i) {
+  }
+  ASSERT_FALSE(donor.engine->injected_specs().empty());
+  const std::string file = engine_snapshot_bytes(*donor.engine);
+  const std::uint64_t fp = donor.engine->config_fingerprint();
+  std::istringstream is(file, std::ios::binary);
+  const SnapshotReader reader(is, fp);
+  const auto payload_of = [&reader](const char* name) {
+    io::BinReader r = reader.section(name);
+    return std::string(r.view(r.remaining()));
+  };
+  const auto expect_rejected = [&](const char* section, const std::string& payload,
+                                   const char* what) {
+    exp::EngineBundle victim = exp::build_engine(request);
+    std::istringstream in(with_section_payload(file, fp, section, payload), std::ios::binary);
+    try {
+      victim.engine->restore_snapshot(in);
+      ADD_FAILURE() << "accepted a " << section << " section with " << what;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.section(), section) << what << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  };
+
+  // The health section opens with the server count, then server 0's
+  // health byte.
+  std::string health = payload_of("health");
+  ASSERT_LE(static_cast<std::uint8_t>(health[8]), 2);
+  health[8] = 7;
+  expect_rejected("health", health, "health byte 7");
+
+  // The injected section: a count, then each spec in write_job_spec order.
+  const std::vector<JobSpec>& injected = donor.engine->injected_specs();
+  const auto encode = [&injected](const SpecEnumBreakage* breakage) {
+    std::string out;
+    io::BinWriter w(out);
+    w.u64(injected.size());
+    for (std::size_t i = 0; i < injected.size(); ++i) {
+      JobSpec spec = injected[i];
+      if (i == 0 && breakage != nullptr) breakage->apply(spec);
+      write_job_spec(w, spec);
+    }
+    return out;
+  };
+  ASSERT_EQ(encode(nullptr), payload_of("injected"));
+  for (const SpecEnumBreakage& b : kSpecEnumBreakages) {
+    expect_rejected("injected", encode(&b), b.what);
+  }
 }
 
 // -------------------------------------------------- v4: link contention
