@@ -41,8 +41,8 @@ struct PlacementParams {
   double rack_affinity = 0.5;
 
   /// Capacity of the per-(task, server) communication-volume memo (keyed on
-  /// the owning job's placement epoch, see DESIGN.md "Scheduler hot path"),
-  /// in tasks: one slot holds one task's per-server volume vector
+  /// the owning job's communication version, see DESIGN.md "Scheduler hot
+  /// path"), in tasks: one slot holds one task's per-server volume vector
   /// (server_count doubles). Eviction is deterministic round-robin, so the
   /// memory bound is `comm_memo_slots × server_count × 8` bytes even with
   /// 100k+ queued tasks at Philly scale. Smaller capacities only trade hits

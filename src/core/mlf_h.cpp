@@ -7,6 +7,7 @@
 
 #include "common/binio.hpp"
 #include "sim/audit.hpp"
+#include "sim/snapshot.hpp"
 
 namespace mlfs::core {
 
@@ -59,6 +60,9 @@ void MlfH::on_job_complete(const Job& job, SimTime now) {
 }
 
 void MlfH::audit_invariants(const Cluster& cluster, SimTime now) const {
+  if (const std::string memo = placement_.audit_memo(cluster); !memo.empty()) {
+    throw AuditViolation(AuditReport{"comm-memo", memo, "scheduler-audit", now, 0});
+  }
   const auto fail = [now](const std::string& detail) {
     throw AuditViolation(AuditReport{"mlfh-priority-cache", detail, "scheduler-audit", now, 0});
   };
@@ -219,34 +223,28 @@ void MlfH::save_state(std::ostream& os) const {
 void MlfH::restore_state(std::istream& is) {
   const std::string bytes = io::read_all(is);
   io::BinReader r(bytes);
-  restore_state(r);
+  restore_state(r, kSnapshotVersion);
 }
 
-void MlfH::save_state(io::BinWriter& w) const {
-  std::vector<std::pair<JobId, const CacheEntry*>> entries;
-  entries.reserve(cache_.size());
-  for (const auto& [job, entry] : cache_) entries.emplace_back(job, &entry);
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(entries.size());
-  for (const auto& [job, entry] : entries) {
-    w.u64(job);
-    w.f64(entry->computed_at);
-    w.vec_f64(entry->priorities);
+void MlfH::restore_legacy_state(std::istream& is, std::uint32_t version) {
+  const std::string bytes = io::read_all(is);
+  io::BinReader r(bytes);
+  restore_state(r, version);
+}
+
+void MlfH::save_state(io::BinWriter& w) const { placement_.save_state(w); }
+
+void MlfH::restore_state(io::BinReader& r, std::uint32_t version) {
+  // Up to v9 the caches took every byte before the SchedStats record (four
+  // u64s), which ends the payload: skipped in one step.
+  constexpr std::size_t kStatsBytes = 4 * sizeof(std::uint64_t);
+  if (version <= 9) {
+    MLFS_EXPECT(r.remaining() >= kStatsBytes);
+    (void)r.view(r.remaining() - kStatsBytes);
   }
-  placement_.save_state(w);
-}
-
-void MlfH::restore_state(io::BinReader& r) {
   cache_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const JobId job = static_cast<JobId>(r.u64());
-    CacheEntry& entry = cache_[job];
-    entry.computed_at = r.f64();
-    entry.priorities = r.vec_f64();
-  }
   placement_.restore_state(r);
+  MLFS_EXPECT(r.at_end());  // the payload (MLFS's too) ends with MLF-H's
 }
 
 }  // namespace mlfs::core

@@ -29,23 +29,24 @@ class MlfH : public Scheduler {
 
   /// Priority-cache consistency for SimAuditor: no entry for a completed
   /// or unknown job, no future timestamps, priority vector sized to the
-  /// job's tasks with finite non-negative values.
+  /// job's tasks with finite non-negative values; then "comm-memo".
   void audit_invariants(const Cluster& cluster, SimTime now) const override;
 
   /// Hot-path counters (candidate scans + comm-memo hit rate).
   SchedStats sched_stats() const override { return placement_.stats(); }
 
-  /// Snapshot support: the per-tick priority cache (sorted by job id) and
-  /// the placement memo/counters. Both must round-trip for restored runs to
-  /// replay bit-identically — the cache skips priority recomputation within
-  /// a tick, so dropping it would change RNG-free but wall-clock-visible
-  /// SchedStats trajectories.
+  /// Snapshot support: the placement's counters. Neither cache is state: a
+  /// priority entry is read only in the tick that computed it (schedule
+  /// runs once per tick), and the comm memo refills on demand.
   void save_state(std::ostream& os) const override;
   void restore_state(std::istream& is) override;
-  /// The same state in buffer form, for the MLFS facade that embeds this
+  /// v5–v9 payloads open with the priority cache and the comm-memo arena,
+  /// which are skipped.
+  void restore_legacy_state(std::istream& is, std::uint32_t version) override;
+  /// The same in buffer form, for the MLFS facade that embeds this
   /// heuristic in its own payload.
   void save_state(io::BinWriter& w) const;
-  void restore_state(io::BinReader& r);
+  void restore_state(io::BinReader& r, std::uint32_t version);
 
   /// Number of jobs currently held in the priority cache (for tests).
   std::size_t priority_cache_size() const { return cache_.size(); }

@@ -5,6 +5,7 @@
 
 #include "common/binio.hpp"
 #include "common/log.hpp"
+#include "sim/snapshot.hpp"
 
 namespace mlfs::core {
 
@@ -200,14 +201,14 @@ void MlfsScheduler::save_state(std::ostream& os) const {
   io::write_all(os, bytes);
 }
 
-void MlfsScheduler::restore_state(std::istream& is) { restore(is, /*v5=*/false); }
+void MlfsScheduler::restore_state(std::istream& is) { restore(is, kSnapshotVersion); }
 
 void MlfsScheduler::restore_legacy_state(std::istream& is, std::uint32_t version) {
-  MLFS_EXPECT(version == 5);
-  restore(is, /*v5=*/true);
+  MLFS_EXPECT(version >= 5 && version <= 9);
+  restore(is, version);
 }
 
-void MlfsScheduler::restore(std::istream& is, bool v5) {
+void MlfsScheduler::restore(std::istream& is, std::uint32_t version) {
   const std::string bytes = io::read_all(is);
   io::BinReader r(bytes);
   std::array<std::uint64_t, 4> state;
@@ -218,14 +219,14 @@ void MlfsScheduler::restore(std::istream& is, bool v5) {
   rounds_since_update_ = static_cast<std::size_t>(r.u64());
   episode_ = rl::load_episode(r);
   imitation_.restore_state(r);
-  if (!v5) {
+  if (version >= 6) {
     cloned_samples_ = static_cast<std::size_t>(r.u64());
     cloned_accuracy_ = r.f64();
   }
   reward_.restore_state(r);
   agent_.restore_state(r);
-  heuristic_.restore_state(r);
-  if (v5 && rl_active_) retire_imitation_log();
+  heuristic_.restore_state(r, version);
+  if (version == 5 && rl_active_) retire_imitation_log();
 }
 
 }  // namespace mlfs::core

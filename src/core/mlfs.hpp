@@ -34,12 +34,13 @@ class MlfsScheduler : public Scheduler {
   /// and round counters, the agent's full state (weights + optimizer +
   /// sampling RNG), the imitation log (empty once cloned) and the
   /// clone-time scalars, the reward window, and the wrapped heuristic's
-  /// cache/memo — everything that decides future placements.
+  /// counters — everything that decides future placements.
   void save_state(std::ostream& os) const override;
   void restore_state(std::istream& is) override;
-  /// Snapshot v5 carried the imitation log for the whole run. Once RL is
-  /// active the clone-time scalars are derived from it — the count, and
-  /// the restored policy's greedy accuracy on it — and the log is dropped.
+  /// v5–v9 payloads carry MLF-H's caches (skipped). Snapshot v5 also
+  /// carried the imitation log for the whole run. Once RL is active the
+  /// clone-time scalars are derived from it — the count, and the restored
+  /// policy's greedy accuracy on it — and the log is dropped.
   void restore_legacy_state(std::istream& is, std::uint32_t version) override;
   SchedStats sched_stats() const override { return heuristic_.sched_stats(); }
   void audit_invariants(const Cluster& cluster, SimTime now) const override {
@@ -65,7 +66,7 @@ class MlfsScheduler : public Scheduler {
   /// Records the clone-time scalars from the current log and agent, then
   /// clears the log.
   void retire_imitation_log();
-  void restore(std::istream& is, bool v5);
+  void restore(std::istream& is, std::uint32_t version);
 
   MlfsConfig config_;
   std::string display_name_;

@@ -1,7 +1,9 @@
 #include "core/placement.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/binio.hpp"
@@ -93,21 +95,23 @@ double MlfPlacement::comm_volume_with_server_topology(const Cluster& cluster, co
 }
 
 const double* MlfPlacement::comm_vector(const Cluster& cluster, const Task& task) const {
-  if (memo_arena_.empty()) {
+  if (memo_arena_.empty()) {  // first use, or emptied by a restore
     memo_stride_ = cluster.server_count();
     memo_slots_.assign(std::max<std::size_t>(1, params_.comm_memo_slots), MemoSlot{});
     memo_arena_.assign(memo_slots_.size() * memo_stride_, 0.0);
+    memo_index_.clear();
     memo_index_.reserve(memo_slots_.size());
+    memo_cursor_ = 0;
   }
-  // Keyed on the *owning job's* placement epoch: the peer walk below only
-  // visits same-job tasks, so other jobs' placements cannot change this
-  // vector — the old global-epoch key invalidated on every placement
-  // anywhere and collapsed the hit rate as the fleet grew.
-  const std::uint64_t epoch = cluster.job_placement_epoch(task.job);
+  // Keyed on the *owning job's* version: the peer walk below only visits
+  // same-job tasks, so other jobs' placements cannot change this vector —
+  // a fleet-wide key invalidated on every placement anywhere and collapsed
+  // the hit rate as the fleet grew.
+  const std::uint64_t key = memo_key(cluster, task);
   std::size_t slot;
   if (const auto it = memo_index_.find(task.id); it != memo_index_.end()) {
     slot = it->second;
-    if (memo_slots_[slot].epoch == epoch) {
+    if (memo_slots_[slot].key == key) {
       ++stats_.comm_cache_hits;
       return memo_arena_.data() + slot * memo_stride_;
     }
@@ -121,7 +125,7 @@ const double* MlfPlacement::comm_vector(const Cluster& cluster, const Task& task
     memo_slots_[slot].task = task.id;
   }
   ++stats_.comm_cache_misses;
-  memo_slots_[slot].epoch = epoch;
+  memo_slots_[slot].key = key;
   double* const begin = memo_arena_.data() + slot * memo_stride_;
   std::fill(begin, begin + memo_stride_, 0.0);
   auto vec = [begin](ServerId s) -> double& { return begin[s]; };
@@ -250,40 +254,32 @@ std::optional<HostChoice> MlfPlacement::choose_host(const SchedulerContext& ctx,
   return HostChoice{best, cluster.cached_least_gpu(best)};
 }
 
-void MlfPlacement::save_state(io::BinWriter& w) const {
-  // Exact arena layout — slot table, cursor, and each occupied slot's
-  // volume vector in slot order — so the restored memo hits and evicts
-  // exactly like the uninterrupted one would.
-  w.u64(memo_stride_);
-  w.u64(memo_slots_.size());
-  w.u64(memo_cursor_);
+std::string MlfPlacement::audit_memo(const Cluster& cluster) const {
   for (std::size_t slot = 0; slot < memo_slots_.size(); ++slot) {
-    const MemoSlot& s = memo_slots_[slot];
-    w.u64(s.task);
-    w.u64(s.epoch);
-    if (s.task == kInvalidTask) continue;
-    const double* const begin = memo_arena_.data() + slot * memo_stride_;
-    for (std::size_t i = 0; i < memo_stride_; ++i) w.f64(begin[i]);
+    const MemoSlot& entry = memo_slots_[slot];
+    if (entry.task == kInvalidTask) continue;
+    const Task& task = cluster.task(entry.task);
+    if (entry.key != memo_key(cluster, task)) continue;  // stale: the next query refills it
+    const double* const cached = memo_arena_.data() + slot * memo_stride_;
+    for (ServerId sid = 0; sid < cluster.server_count(); ++sid) {
+      const double direct =
+          params_.use_topology
+              ? comm_volume_with_server_topology(cluster, task, sid, params_.rack_affinity)
+              : comm_volume_with_server(cluster, task, sid);
+      if (std::bit_cast<std::uint64_t>(cached[sid]) != std::bit_cast<std::uint64_t>(direct)) {
+        return "task " + std::to_string(entry.task) + " server " + std::to_string(sid) + ": " +
+               std::to_string(cached[sid]) + " memoized, " + std::to_string(direct) + " direct";
+      }
+    }
   }
-  io::write_fields(w, stats_);
+  return "";
 }
 
+void MlfPlacement::save_state(io::BinWriter& w) const { io::write_fields(w, stats_); }
+
 void MlfPlacement::restore_state(io::BinReader& r) {
-  memo_stride_ = static_cast<std::size_t>(r.u64());
-  const std::size_t slot_count = static_cast<std::size_t>(r.u64());
-  memo_cursor_ = static_cast<std::size_t>(r.u64());
-  memo_slots_.assign(slot_count, MemoSlot{});
-  memo_arena_.assign(slot_count * memo_stride_, 0.0);
-  memo_index_.clear();
-  for (std::size_t slot = 0; slot < slot_count; ++slot) {
-    MemoSlot& s = memo_slots_[slot];
-    s.task = static_cast<TaskId>(r.u64());
-    s.epoch = r.u64();
-    if (s.task == kInvalidTask) continue;
-    memo_index_.emplace(s.task, static_cast<std::uint32_t>(slot));
-    double* const begin = memo_arena_.data() + slot * memo_stride_;
-    for (std::size_t i = 0; i < memo_stride_; ++i) begin[i] = r.f64();
-  }
+  memo_arena_.clear();
+  memo_slots_.clear();
   io::read_fields(r, stats_);
 }
 

@@ -9,13 +9,14 @@
 // Hot path: candidates come from one linear pass over the cluster's
 // underloaded partition, checked against the refresh-time load caches, and
 // the per-(task, server) communication volumes are memoized in a
-// fixed-capacity arena keyed on the owning job's placement epoch
+// fixed-capacity arena keyed on the owning job's communication version
 // (PlacementParams::comm_memo_slots). Both are bit-exact with the direct
 // computation (see DESIGN.md, "Scheduler hot path").
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,14 +50,16 @@ class MlfPlacement {
   /// Hot-path counters accumulated across all choose_host calls.
   const SchedStats& stats() const { return stats_; }
 
-  /// Snapshot support: the comm-memo arena (slot table, round-robin
-  /// cursor, and the occupied slots' volume vectors, in slot order) and
-  /// the hot-path counters. The memo must round-trip (not just be
-  /// invalidated) so the hit/miss counters — and therefore SchedStats —
-  /// stay bit-identical after restore. `feasible_` is per-call scratch and
-  /// is not state.
+  /// Snapshot support: the hot-path counters only. The comm memo is a
+  /// cache, emptied by a restore and refilled by the next queries; like
+  /// the `feasible_` scratch, it is not state.
   void save_state(io::BinWriter& w) const;
   void restore_state(io::BinReader& r);
+
+  /// The "comm-memo" audit invariant: every slot the next query would hit
+  /// holds, bit for bit, the comm_volume_with_server[_topology] vector.
+  /// Returns the first divergence, "" when clean.
+  std::string audit_memo(const Cluster& cluster) const;
 
   /// Total communication volume (MB per iteration) between `task` and the
   /// tasks currently placed on `server` — DAG parent/child edges plus
@@ -71,13 +74,17 @@ class MlfPlacement {
 
  private:
   /// Per-server communication volumes of `task` (`server_count` doubles),
-  /// memoized in the arena keyed on the owning job's placement epoch —
-  /// peers are always same-job tasks, so placements elsewhere cannot
-  /// invalidate the entry. Entry [s] is bit-identical to
-  /// comm_volume_with_server[_topology](cluster, task, s): the
-  /// accumulation visits peers in the same order and drops only
+  /// memoized in the arena keyed on memo_key — peers are always same-job
+  /// tasks, so placements elsewhere cannot invalidate the entry. Entry [s]
+  /// is bit-identical to comm_volume_with_server[_topology](cluster, task,
+  /// s): the accumulation visits peers in the same order and drops only
   /// exact-zero terms.
   const double* comm_vector(const Cluster& cluster, const Task& task) const;
+
+  /// The memo key (shared with audit_memo): the job's Cluster::comm_version.
+  static std::uint64_t memo_key(const Cluster& cluster, const Task& task) {
+    return cluster.comm_version(task.job);
+  }
 
   PlacementParams params_;
 
@@ -86,7 +93,7 @@ class MlfPlacement {
   /// first use; the stride is fixed for the cluster's lifetime).
   struct MemoSlot {
     TaskId task = kInvalidTask;
-    std::uint64_t epoch = 0;  ///< owning job's placement epoch at fill time
+    std::uint64_t key = 0;  ///< memo_key at fill time
   };
   mutable std::size_t memo_stride_ = 0;  ///< doubles per slot == server_count
   mutable std::vector<MemoSlot> memo_slots_;

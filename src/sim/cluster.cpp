@@ -207,7 +207,6 @@ void Cluster::register_job(Job job, std::vector<Task> tasks) {
         job.id(), config_.duty_cycles ? comm_duty_cycle(job.spec().algorithm) : 1.0);
   }
   jobs_.push_back(std::move(job));
-  job_placement_epochs_.push_back(0);
 }
 
 Task& Cluster::task(TaskId id) {
@@ -239,7 +238,6 @@ void Cluster::place_task(TaskId id, ServerId server_id, int gpu) {
   t.gpu = gpu;
   t.state = TaskState::Running;
   touch_server(server_id);
-  ++job_placement_epochs_[t.job];
   links_.bump_comm_version(t.job);
   refresh_job_flows(t.job);
 }
@@ -254,7 +252,6 @@ void Cluster::unplace_task(TaskId id) {
     server(t.server).adjust_usage(t, 0.0, t.usage_factor);
   }
   touch_server(t.server);
-  ++job_placement_epochs_[t.job];
   links_.bump_comm_version(t.job);
   t.server = kInvalidServer;
   t.gpu = kNoGpu;
@@ -270,7 +267,6 @@ void Cluster::move_task(TaskId id, ServerId to_server, int to_gpu) {
   server(to_server).attach_task(t, to_gpu);
   touch_server(t.server);
   touch_server(to_server);
-  ++job_placement_epochs_[t.job];
   links_.bump_comm_version(t.job);
   t.server = to_server;
   t.gpu = to_gpu;
@@ -432,7 +428,6 @@ void Cluster::save_state(io::BinWriter& w) const {
   w.f64(total_bandwidth_mb_);
   w.f64(inter_rack_bandwidth_mb_);
   w.u64(transfer_count_);
-  w.vec(job_placement_epochs_, [&w](std::uint64_t e) { w.u64(e); });
   w.u64(debug_unplace_count_);
 }
 
@@ -473,8 +468,7 @@ void Cluster::restore_state(io::BinReader& r, std::uint32_t version) {
   inter_rack_bandwidth_mb_ = r.f64();
   transfer_count_ = static_cast<std::size_t>(r.u64());
   if (version <= 6) (void)r.u64();  // the global placement epoch, dropped in v7
-  job_placement_epochs_ = r.vec<std::uint64_t>([&r] { return r.u64(); });
-  MLFS_EXPECT(job_placement_epochs_.size() == jobs_.size());
+  if (version <= 9) (void)r.vec_u64();  // per-job placement epochs, dropped in v10
   debug_unplace_count_ = static_cast<std::size_t>(r.u64());
   // Up to v8 the load index followed, written wholesale (and before v8 the
   // removed placement index's five counters): derived state, skipped.

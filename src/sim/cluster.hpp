@@ -145,19 +145,13 @@ class Cluster {
   int cached_least_gpu(ServerId id) const { return index_least_gpu_[id]; }
   double cached_least_gpu_load(ServerId id) const { return index_least_load_[id]; }
 
-  /// Per-job placement epoch: bumped only when one of *this job's* tasks is
-  /// placed/unplaced/moved. A task's communication volumes depend solely on
-  /// where its own job's peers sit (DAG edges + all-reduce ring are
-  /// job-internal), so memo entries keyed on this epoch survive unrelated
-  /// jobs' placements (a fleet-wide epoch would invalidate the whole memo on
-  /// any placement anywhere, collapsing the hit rate as the fleet grew).
-  std::uint64_t job_placement_epoch(JobId id) const { return job_placement_epochs_[id]; }
-
   /// Per-job communication version: bumped on every place, unplace or move
   /// of one of the job's tasks and, with link contention on, whenever a
   /// link the job is registered on changes (see LinkModel). A plan of the
-  /// job's communication built at one version holds until the next bump.
-  /// Derived state: not saved, so it only compares within one process.
+  /// job's communication built at one version holds until the next bump,
+  /// and so does a placement comm-memo entry: a task's communication
+  /// volumes depend only on where its own job's peers sit. Derived state:
+  /// not saved, so it only compares within one process.
   std::uint64_t comm_version(JobId id) const { return links_.comm_version(id); }
 
   /// Cluster overload degree O_c = mean_s ||U_s|| over up servers (§3.5).
@@ -312,7 +306,6 @@ class Cluster {
   mutable long long index_total_slots_ = 0;
   mutable std::vector<ServerId> underloaded_ids_;  ///< sorted ascending
   mutable std::vector<ServerId> overloaded_ids_;   ///< sorted ascending
-  std::vector<std::uint64_t> job_placement_epochs_;  ///< grown by register_job
   /// Link-contention state (empty when ClusterConfig::link_contention off).
   LinkModel links_;
 };

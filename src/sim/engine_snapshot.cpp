@@ -400,8 +400,8 @@ void SimEngine::restore_snapshot(std::istream& is) {
 
   {
     std::istringstream payload = section_stream(snap, "scheduler");
-    // Scheduler payloads last changed in v6.
-    if (snap.version() >= 6) {
+    // Scheduler payloads last changed in v10.
+    if (snap.version() >= 10) {
       scheduler_.restore_state(payload);
     } else {
       scheduler_.restore_legacy_state(payload, snap.version());

@@ -73,8 +73,6 @@ struct DeterministicMetrics {
   /// Equal to candidates_scanned: the linear funnel examines the whole
   /// underloaded partition. Kept for the CSV and benchmark readers.
   std::size_t candidates_linear = 0;
-  std::size_t comm_cache_hits = 0;        ///< per-(task, server) comm-memo hits
-  std::size_t comm_cache_misses = 0;      ///< comm-memo rebuilds
   /// Counters of the removed bucketed placement index; always 0. Kept only
   /// because the benchmark harness still reports them.
   std::size_t pindex_queries = 0;
@@ -102,9 +100,13 @@ struct DeterministicMetrics {
 };
 
 /// A run's metrics: the deterministic fields plus three real-clock ones,
-/// which are not reproducible even between two serial runs of one seed.
+/// which are not reproducible even between two serial runs of one seed,
+/// and the comm-memo counters, which count this process's cache (a
+/// snapshot restore empties it).
 struct RunMetrics : DeterministicMetrics {
   double sched_overhead_ms = 0.0;  ///< mean wall-clock per scheduling round (h)
+  std::size_t comm_cache_hits = 0;    ///< per-(task, server) comm-memo hits
+  std::size_t comm_cache_misses = 0;  ///< comm-memo rebuilds
   /// Wall-clock spent fitting/combining curve predictions.
   double fit_wall_ms = 0.0;
   /// Wall-clock of the whole run() event loop (0 when the engine was
@@ -123,7 +125,8 @@ struct RunMetrics : DeterministicMetrics {
 /// contract the parallel experiment runner is held to (a run must not
 /// depend on what else executes concurrently). It compares the
 /// DeterministicMetrics base whole, so it excludes exactly the three
-/// real-clock fields: sched_overhead_ms, fit_wall_ms and run_wall_ms.
+/// real-clock fields (sched_overhead_ms, fit_wall_ms and run_wall_ms) and
+/// the comm-memo counters.
 inline bool deterministic_equal(const RunMetrics& a, const RunMetrics& b) {
   return static_cast<const DeterministicMetrics&>(a) == b;
 }

@@ -84,7 +84,7 @@ struct SchedStats {
   /// the snapshot's SchedStats record and the CSV/benchmark readers carry it.
   std::size_t candidates_linear = 0;
   std::size_t comm_cache_hits = 0;  ///< per-(task, server) comm-volume memo hits
-  std::size_t comm_cache_misses = 0;  ///< memo rebuilds (one per task per epoch)
+  std::size_t comm_cache_misses = 0;  ///< memo rebuilds (one per task per version)
 
   /// Snapshot order (io::write_fields / read_fields).
   static constexpr auto fields() {
@@ -127,17 +127,18 @@ class Scheduler {
 
   /// Snapshot hooks (SimEngine::save_snapshot / restore_snapshot): the
   /// scheduler serializes whatever internal state a bit-identical resume
-  /// needs (priority caches, service accounting, RNG streams, policy
-  /// weights) into an opaque payload it alone interprets. The default is
+  /// needs (service accounting, RNG streams, policy weights) into an
+  /// opaque payload it alone interprets; a cache it can rebuild on demand
+  /// is not state. The default is
   /// correct for stateless schedulers; anything carrying run state across
   /// ticks must override BOTH, or a restored run will diverge from the
   /// uninterrupted one (tests/sched/test_restore_determinism.cpp catches
   /// this for every registered scheduler).
   virtual void save_state(std::ostream& os) const { (void)os; }
   virtual void restore_state(std::istream& is) { (void)is; }
-  /// Restores a payload from a still-readable snapshot file older than v6,
-  /// the last version that changed a scheduler payload (v6 and later files
-  /// go to restore_state). The default suits every scheduler
+  /// Restores a payload from a still-readable snapshot file older than v10,
+  /// the last version that changed a scheduler payload (v10 files go to
+  /// restore_state). The default suits every scheduler
   /// whose payload has not changed since that version; one whose payload
   /// did change overrides this to read the old layout, and a forwarding
   /// decorator forwards it.

@@ -49,12 +49,14 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'F', 'S', 'S', 'N', 'A', 'P
 /// section drops its last 40 bytes, the five query counters of the removed
 /// bucketed placement index. v9: the "cluster" section ends at the unplace
 /// counter; the load index it used to carry is derived state, rebuilt at
-/// the first query after a restore. v5–v8 files are still read (v5 and v6
-/// checked with FNV-1a; a v5 file's stored history is checked bitwise
-/// against the curve; a v5–v8 cluster section's load-index tail is
-/// skipped; no v5–v8 writer exists); pre-v5 files are rejected by the
+/// the first query after a restore. v10: MLF-H's payload drops its
+/// priority cache and comm-memo arena (caches, refilled after a restore),
+/// and "cluster" the per-job placement epochs that keyed the memo. v5–v9
+/// files are still read (v5 and v6 checked with FNV-1a; a v5 file's stored
+/// history is checked bitwise against the curve; the dropped fields are
+/// skipped; no v5–v9 writer exists); pre-v5 files are rejected by the
 /// version check.
-inline constexpr std::uint32_t kSnapshotVersion = 9;
+inline constexpr std::uint32_t kSnapshotVersion = 10;
 /// Oldest version SnapshotReader accepts; readers whose payload changed
 /// since branch on SnapshotReader::version().
 inline constexpr std::uint32_t kOldestReadableSnapshotVersion = 5;

@@ -3,9 +3,9 @@
 // The memo was originally keyed on the cluster-wide placement epoch, so ANY
 // placement anywhere invalidated EVERY cached vector: the hit rate collapsed
 // from ~49% on a 16-server fleet to ~0.45% at 96 servers, precisely where
-// memoization matters. Keying on the per-job placement epoch (only same-job
-// placements can change a task's comm vector) restores fleet-scale hit
-// rates; the first test pins that with a floor at the 96-server point. The
+// memoization matters. Keying on the job's own communication version (only
+// same-job placements can change a task's comm vector) restores fleet-scale
+// hit rates; the first test pins that with a floor at the 96-server point. The
 // second pins the bounded-arena eviction path: a memo capacity far below the
 // working set must change performance counters only, never decisions.
 #include <gtest/gtest.h>

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "common/binio.hpp"
 #include "sim/engine.hpp"
 #include "workload/trace.hpp"
 
@@ -55,6 +58,43 @@ TEST(MlfH, PriorityCacheEvictedAsJobsComplete) {
   (void)engine.run();
   for (const Job& job : engine.cluster().jobs()) ASSERT_TRUE(job.done());
   EXPECT_EQ(scheduler.priority_cache_size(), 0u);
+}
+
+TEST(MlfH, V9PayloadRestoresTheCountersAndSkipsBothCaches) {
+  // Up to snapshot v9 the payload opened with the priority cache and the
+  // comm-memo arena; a v10 payload is the SchedStats record alone.
+  MlfH donor{MlfsConfig{}};
+  SimEngine engine(small_cluster(), {}, trace(30, 3), donor);
+  for (int i = 0; i < 400 && engine.step(); ++i) {
+  }
+  ASSERT_GT(donor.sched_stats().candidates_scanned, 0u);
+  std::ostringstream v10(std::ios::binary);
+  donor.save_state(v10);
+
+  std::string v9;
+  io::BinWriter w(v9);
+  w.u64(1);  // one priority-cache entry: job, computed_at, priorities
+  w.u64(3);
+  w.f64(60.0);
+  w.vec_f64({0.5, 0.25});
+  w.u64(2);  // memo stride, slot count, cursor
+  w.u64(2);
+  w.u64(1);
+  w.u64(7);  // an occupied slot: task, key, stride doubles
+  w.u64(4);
+  w.f64(1.5);
+  w.f64(0.0);
+  w.u64(kInvalidTask);  // an empty slot
+  w.u64(0);
+  v9 += v10.str();
+
+  MlfH twin{MlfsConfig{}};
+  std::istringstream is(v9, std::ios::binary);
+  twin.restore_legacy_state(is, 9);
+  EXPECT_EQ(twin.priority_cache_size(), 0u);
+  std::ostringstream resaved(std::ios::binary);
+  twin.save_state(resaved);
+  EXPECT_EQ(resaved.str(), v10.str());
 }
 
 TEST(MlfH, ReportsHotPathStats) {

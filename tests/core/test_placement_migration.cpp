@@ -291,10 +291,10 @@ void expect_oracle_agrees(Fixture& f, const PlacementParams& params,
 }
 
 TEST(Placement, MemoizedCommVolumesMatchDirectComputation) {
-  // The epoch-keyed comm memo and the load-index caches must not change a
+  // The version-keyed comm memo and the load-index caches must not change a
   // single choice against the from-scratch definition, with and without
   // the rack-affinity extension — and a memo entry must be refreshed once
-  // its job's placement epoch moves. Servers 3–5 start idle, so exact
+  // its job's communication version moves. Servers 3–5 start idle, so exact
   // distance ties occur and must go to the lowest id.
   for (const bool topology : {false, true}) {
     ClusterConfig config{6, 2, 1000.0};
@@ -318,7 +318,7 @@ TEST(Placement, MemoizedCommVolumesMatchDirectComputation) {
     expect_oracle_agrees(f, params, placement);  // nothing moved: served from the memo
     EXPECT_EQ(placement.stats().comm_cache_misses, misses);
     EXPECT_GT(placement.stats().comm_cache_hits, 0u);
-    f.cluster.move_task(chain1, 3, 1);  // bumps the chain's epoch only
+    f.cluster.move_task(chain1, 3, 1);  // bumps the chain's version only
     expect_oracle_agrees(f, params, placement);
     EXPECT_GT(placement.stats().comm_cache_misses, misses);
   }

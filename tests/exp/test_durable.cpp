@@ -404,9 +404,11 @@ TEST(DurableSession, FailedSnapshotWriteNeverLeavesAFinalSnapshot) {
 // v5 snapshot restored and saved again by the first snapshot-v6 code,
 // tests/data/golden_v7/snap-800.bin is the v6 one restored and saved again
 // by the first snapshot-v7 code, tests/data/golden_v8/snap-800.bin the v7
-// one by the first snapshot-v8 code, and tests/data/golden_v9/snap-800.bin
-// the v8 one by the first snapshot-v9 code (the journal format did not
-// change, so every resume uses the v5 journal). These files are never regenerated:
+// one by the first snapshot-v8 code, tests/data/golden_v9/snap-800.bin
+// the v8 one by the first snapshot-v9 code, and
+// tests/data/golden_v10/snap-800.bin the v9 one by the first snapshot-v10
+// code (the journal format did not change, so every resume uses the v5
+// journal). These files are never regenerated:
 // they prove the current code still reads and writes the same bytes.
 
 exp::RunRequest golden_request() {
@@ -488,6 +490,10 @@ TEST(GoldenFormat, V9FixtureCheckpointResumesToPinnedHash) {
   expect_fixture_resumes_to_pinned_hash("golden_v9");
 }
 
+TEST(GoldenFormat, V10FixtureCheckpointResumesToPinnedHash) {
+  expect_fixture_resumes_to_pinned_hash("golden_v10");
+}
+
 /// Restores `snapshot` into a fresh golden engine and saves it again.
 std::string restore_and_save(const std::string& snapshot) {
   exp::RunRequest request = golden_request();
@@ -506,25 +512,28 @@ std::string restore_and_save(const std::string& snapshot) {
 TEST(GoldenFormat, FixtureSnapshotReserializesToTheSameBytes) {
   // Restored state includes the wall-clock accumulators, so an unchanged
   // format re-serializes every byte, checksum included.
-  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v9"));
+  const std::string golden = slurp(golden_path("snap-800.bin", "golden_v10"));
   EXPECT_TRUE(restore_and_save(golden) == golden)
       << "re-serialized snapshot differs from the fixture";
 }
 
-/// Restoring the `dir` fixture and saving it again gives the v9 fixture.
-void expect_upgrades_to_v9(const std::string& dir) {
+/// Restoring the `dir` fixture and saving it again gives the v10 fixture.
+void expect_upgrades_to_v10(const std::string& dir) {
   const std::string old = slurp(golden_path("snap-800.bin", dir));
-  const std::string v9 = slurp(golden_path("snap-800.bin", "golden_v9"));
-  EXPECT_TRUE(restore_and_save(old) == v9) << "upgraded " << dir << " differs from the v9 fixture";
+  const std::string v10 = slurp(golden_path("snap-800.bin", "golden_v10"));
+  EXPECT_TRUE(restore_and_save(old) == v10)
+      << "upgraded " << dir << " differs from the v10 fixture";
 }
 
-TEST(GoldenFormat, V5FixtureUpgradesToTheV9FixtureBytes) { expect_upgrades_to_v9("golden_v5"); }
+TEST(GoldenFormat, V5FixtureUpgradesToTheV10FixtureBytes) { expect_upgrades_to_v10("golden_v5"); }
 
-TEST(GoldenFormat, V6FixtureUpgradesToTheV9FixtureBytes) { expect_upgrades_to_v9("golden_v6"); }
+TEST(GoldenFormat, V6FixtureUpgradesToTheV10FixtureBytes) { expect_upgrades_to_v10("golden_v6"); }
 
-TEST(GoldenFormat, V7FixtureUpgradesToTheV9FixtureBytes) { expect_upgrades_to_v9("golden_v7"); }
+TEST(GoldenFormat, V7FixtureUpgradesToTheV10FixtureBytes) { expect_upgrades_to_v10("golden_v7"); }
 
-TEST(GoldenFormat, V8FixtureUpgradesToTheV9FixtureBytes) { expect_upgrades_to_v9("golden_v8"); }
+TEST(GoldenFormat, V8FixtureUpgradesToTheV10FixtureBytes) { expect_upgrades_to_v10("golden_v8"); }
+
+TEST(GoldenFormat, V9FixtureUpgradesToTheV10FixtureBytes) { expect_upgrades_to_v10("golden_v9"); }
 
 /// (name, payload) of every section of a snapshot file, in file order.
 std::vector<std::pair<std::string, std::string>> snapshot_sections(const std::string& file) {
@@ -655,6 +664,81 @@ TEST(GoldenFormat, V9FixtureDiffersFromV8OnlyInVersionClusterTailAndTrailer) {
   };
   EXPECT_EQ(trailer(v8), word_hash64(v8.data(), v8.size() - 8));
   EXPECT_EQ(trailer(v9), word_hash64(v9.data(), v9.size() - 8));
+}
+
+TEST(GoldenFormat, V10FixtureDiffersFromV9OnlyInVersionEpochColumnAndSchedulerCaches) {
+  const std::string v9 = slurp(golden_path("snap-800.bin", "golden_v9"));
+  const std::string v10 = slurp(golden_path("snap-800.bin", "golden_v10"));
+  ASSERT_LT(v10.size(), v9.size());
+
+  // Header: magic and fingerprint equal, version 9 -> 10.
+  EXPECT_EQ(v9.substr(0, 8), v10.substr(0, 8));
+  EXPECT_EQ(io::BinReader(std::string_view(v9).substr(8, 4)).u32(), 9u);
+  EXPECT_EQ(io::BinReader(std::string_view(v10).substr(8, 4)).u32(), 10u);
+  EXPECT_EQ(v9.substr(12, 12), v10.substr(12, 12));
+
+  const auto s9 = snapshot_sections(v9);
+  const auto s10 = snapshot_sections(v10);
+  ASSERT_EQ(s9.size(), s10.size());
+  for (std::size_t i = 0; i < s9.size(); ++i) {
+    ASSERT_EQ(s9[i].first, s10[i].first);
+    const std::string& p9 = s9[i].second;
+    const std::string& p10 = s10[i].second;
+    if (s9[i].first == "cluster") {
+      // The per-job placement epochs (a u64 count, then one u64 per job)
+      // sat between the transfer count and the unplace counter, which is
+      // the last u64 of both sections.
+      ASSERT_GE(p10.size(), 8u);
+      const std::size_t at = p10.size() - 8;
+      const std::uint64_t jobs = io::BinReader(std::string_view(p9).substr(at, 8)).u64();
+      EXPECT_GT(jobs, 0u);
+      ASSERT_EQ(p9.size(), p10.size() + 8 + 8 * jobs);
+      EXPECT_TRUE(p9.compare(0, at, p10, 0, at) == 0) << "cluster differs before the epochs";
+      EXPECT_TRUE(p9.compare(at + 8 + 8 * jobs, 8, p10, at, 8) == 0)
+          << "cluster differs after the epochs";
+    } else if (s9[i].first == "scheduler") {
+      // MLFS's payload ends with its MLF-H part. v9 wrote the priority
+      // cache and the comm-memo arena there, before the four SchedStats
+      // counters; v10 writes only the counters.
+      constexpr std::size_t kStats = 4 * 8;
+      ASSERT_GE(p10.size(), kStats);
+      const std::size_t head = p10.size() - kStats;
+      ASSERT_GT(p9.size(), p10.size());
+      EXPECT_TRUE(p9.compare(0, head, p10, 0, head) == 0) << "scheduler differs before MLF-H";
+      EXPECT_TRUE(p9.compare(p9.size() - kStats, kStats, p10, head, kStats) == 0)
+          << "SchedStats changed";
+      io::BinReader removed(std::string_view(p9).substr(head, p9.size() - p10.size()));
+      const std::uint64_t entries = removed.u64();
+      for (std::uint64_t e = 0; e < entries; ++e) {
+        (void)removed.u64();
+        (void)removed.f64();
+        (void)removed.vec_f64();
+      }
+      const std::uint64_t stride = removed.u64();
+      const std::uint64_t slots = removed.u64();
+      (void)removed.u64();
+      EXPECT_GT(slots, 0u);
+      std::uint64_t occupied = 0;
+      for (std::uint64_t slot = 0; slot < slots; ++slot) {
+        const std::uint64_t task = removed.u64();
+        (void)removed.u64();
+        if (task == kInvalidTask) continue;
+        ++occupied;
+        (void)removed.view(stride * 8);
+      }
+      EXPECT_GT(occupied, 0u) << "the v9 fixture's memo held nothing";
+      EXPECT_TRUE(removed.at_end()) << "scheduler lost more than the two caches";
+    } else {
+      EXPECT_TRUE(p9 == p10) << "section " << s9[i].first << " changed";
+    }
+  }
+
+  // Trailer: both files use word_hash64.
+  const auto trailer = [](const std::string& file) {
+    return io::BinReader(std::string_view(file).substr(file.size() - 8)).u64();
+  };
+  EXPECT_EQ(trailer(v9), word_hash64(v9.data(), v9.size() - 8));
+  EXPECT_EQ(trailer(v10), word_hash64(v10.data(), v10.size() - 8));
 }
 
 TEST(GoldenFormat, V5FixtureWithATamperedLossValueIsRejected) {
